@@ -66,11 +66,40 @@ _DEFAULTS = {
     "verdict": {"max_consecutive_ratio": 1.2, "final_ratio": 0.5},
 }
 
+# keys a config may carry besides the defaulted ones
+_OPTIONAL_KEYS = {
+    "payoff_matrix",
+    "initial_law",
+    "resolutions",
+    "resolution",
+    "flow_step",
+    "output_dir",
+}
+_VERDICT_KEYS = {"max_consecutive_ratio", "final_ratio", "final_checkpoint"}
+
+
+def _check_keys(data: dict) -> None:
+    """Reject keys no command reads, so a typo cannot fall back to a default."""
+    if not isinstance(data, dict):
+        raise ConfigurationError("config must be a JSON object")
+    for key in data:
+        if key not in _DEFAULTS and key not in _OPTIONAL_KEYS:
+            raise ConfigurationError(f"unknown config key {key!r}")
+    verdict = data.get("verdict")
+    if verdict is None:
+        return
+    if not isinstance(verdict, dict):
+        raise ConfigurationError("config key 'verdict' must be an object")
+    for key in verdict:
+        if key not in _VERDICT_KEYS:
+            raise ConfigurationError(f"unknown config key 'verdict.{key}'")
+
 
 class RunConfig:
     """Resolved run configuration with module preconditions checked up front."""
 
     def __init__(self, data: dict):
+        _check_keys(data)
         merged = dict(_DEFAULTS)
         merged.update({k: v for k, v in data.items() if v is not None})
         self.data = merged
@@ -95,6 +124,19 @@ class RunConfig:
         self.verdict = dict(_DEFAULTS["verdict"], **merged.get("verdict", {}))
         if self.horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if self.ensemble_size < 2:
+            raise ConfigurationError(
+                f"ensemble_size must be at least 2, got {self.ensemble_size}"
+            )
+        ks = merged.get("resolutions") or []
+        try:
+            valid = isinstance(ks, list) and all(int(k) > 0 for k in ks)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                f"resolutions must be a list of positive integers, got {ks!r}"
+            )
         if any(t < 0 or t > self.horizon for t in self.checkpoints):
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.horizon}], got {self.checkpoints}"
@@ -532,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=os.cpu_count() or 1,
-            help="parallel workers (results are identical for any value)",
+            help="worker processes; one fork-started pool per run serves the chain "
+            "chunks and the bootstrap solves (results are identical for any value)",
         )
 
     p_sim = sub.add_parser("simulate", help="run a single chain at one resolution")

@@ -343,7 +343,8 @@ def simulate_counts_batch(
         flat = np.concatenate((stay[:, None], moves.reshape(r, m * m)), axis=1)
         cum = np.cumsum(flat, axis=1)
         cum /= cum[:, -1:]
-        idx = (cum < uniforms[:, h, None]).sum(axis=1)
+        # entries <= u, the same outcome as searchsorted(side="right") in step
+        idx = (cum <= uniforms[:, h, None]).sum(axis=1)
         moved = idx > 0
         gainer, loser = np.divmod(idx[moved] - 1, m)
         current[rows[moved], gainer] += 1

@@ -150,7 +150,41 @@ def _simulate_chunk(args):
         counts0[offset] = largest_remainder_counts(SimplexPoint(lam0[offset]), n)
         uniforms[offset] = _replica_rng(master_seed, r, 1).random(k)
     paths = simulate_counts_batch(counts0, matrix, schedule, uniforms)
-    return r0, lam0, paths
+    return lam0, paths
+
+
+def worker_pool(jobs: int):
+    """Context manager for one run's process pool; it yields None when ``jobs <= 1``.
+
+    Workers are forked: a spawned worker re-imports numpy, scipy and this
+    package, which made a headline ``converge`` run about 4 s slower on a
+    2-vCPU host.
+    """
+    import contextlib
+    import multiprocessing
+
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+    )
+
+
+def _chunk_bounds(count: int, jobs: int) -> list:
+    """Contiguous ``(start, stop)`` ranges splitting ``count`` items into ``jobs`` chunks."""
+    bounds = np.linspace(0, count, max(1, min(jobs, count)) + 1, dtype=int)
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _map_chunks(fn, chunk_args, jobs: int, pool) -> list:
+    """``fn`` over ``chunk_args`` in order: on ``pool``, else on a pool of its
+    own when ``jobs > 1``, else in this process."""
+    if len(chunk_args) < 2 or (pool is None and jobs <= 1):
+        return [fn(arg) for arg in chunk_args]
+    if pool is not None:
+        return list(pool.map(fn, chunk_args))
+    with worker_pool(jobs) as own:
+        return list(own.map(fn, chunk_args))
 
 
 def run_ensemble(
@@ -161,11 +195,13 @@ def run_ensemble(
     checkpoints,
     master_seed: int,
     jobs: int = 1,
+    pool=None,
 ) -> EnsembleResult:
     """R independent replicas with snapshots through both interpolators.
 
     Each initial draw is rounded onto the count lattice by largest remainder;
-    snapshots are empirical measures over replicas at each checkpoint.  Fully
+    snapshots are empirical measures over replicas at each checkpoint.  The
+    replicas run in ``jobs`` chunks, on ``pool`` when one is given.  Fully
     reproducible from ``master_seed`` and independent of ``jobs``.
     """
     if ensemble_size < 2:
@@ -178,19 +214,13 @@ def run_ensemble(
     for t in checkpoints:
         locate_on_grid(t, schedule.horizon, schedule.resolution)
 
-    bounds = np.linspace(0, ensemble_size, min(max(jobs, 1), ensemble_size) + 1, dtype=int)
     chunk_args = [
-        (matrix.entries, schedule.to_dict(), law.to_dict(), master_seed, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
+        (matrix.entries, schedule.to_dict(), law.to_dict(), master_seed, a, b)
+        for a, b in _chunk_bounds(ensemble_size, jobs)
     ]
-    if jobs > 1 and len(chunk_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = sorted(pool.map(_simulate_chunk, chunk_args), key=lambda c: c[0])
-    else:
-        chunks = [_simulate_chunk(arg) for arg in chunk_args]
-    lam0 = np.concatenate([c[1] for c in chunks])
-    paths = np.concatenate([c[2] for c in chunks])
+    chunks = _map_chunks(_simulate_chunk, chunk_args, jobs, pool)
+    lam0 = np.concatenate([c[0] for c in chunks])
+    paths = np.concatenate([c[1] for c in chunks])
 
     n = schedule.population
     affine, constant = {}, {}
@@ -218,18 +248,37 @@ def run_ensemble(
 # -- bootstrap -------------------------------------------------------------
 
 
+def _resample_means(args) -> np.ndarray:
+    """Optimal mean assignment cost of ``dist[idx][:, idx]`` for each ``idx`` row."""
+    # looked up per call, so instrumentation installed on scipy.optimize
+    # after import still sees every solve
+    from scipy.optimize import linear_sum_assignment
+
+    dist, draws = args
+    values = np.empty(len(draws))
+    for b, idx in enumerate(draws):
+        sub = dist[np.ix_(idx, idx)]
+        rows, cols = linear_sum_assignment(sub)
+        values[b] = sub[rows, cols].mean()
+    return values
+
+
 def bootstrap_w1_ci(
     mu: EmpiricalMeasure,
     nu: EmpiricalMeasure,
     rng: np.random.Generator,
     n_resamples: int = BOOTSTRAP_RESAMPLES,
+    jobs: int = 1,
+    pool=None,
 ) -> float:
     """Paired-bootstrap half-width (1.96 sigma) for W1 between equal ensembles.
 
     Replica indices are resampled once per draw and applied to both sides,
-    matching the paired construction of chain and limit ensembles.
+    matching the paired construction of chain and limit ensembles.  All
+    draws come from ``rng`` here, one per resample in order; the assignment
+    solves run in ``jobs`` contiguous chunks (on ``pool`` when given), so the
+    value is bit-identical for any ``jobs``.
     """
-    from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
     r = mu.size
@@ -238,12 +287,9 @@ def bootstrap_w1_ci(
             f"paired bootstrap needs equal sizes, got {mu.size} vs {nu.size}"
         )
     dist = cdist(mu.array, nu.array)
-    values = np.empty(n_resamples)
-    for b in range(n_resamples):
-        idx = rng.integers(0, r, size=r)
-        sub = dist[np.ix_(idx, idx)]
-        rows, cols = linear_sum_assignment(sub)
-        values[b] = sub[rows, cols].mean()
+    draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
+    chunk_args = [(dist, draws[a:b]) for a, b in _chunk_bounds(n_resamples, jobs)]
+    values = np.concatenate(_map_chunks(_resample_means, chunk_args, jobs, pool))
     return float(1.96 * values.std(ddof=1))
 
 
@@ -439,51 +485,68 @@ def convergence_experiment(
     started = time.perf_counter()
     records = []
     limits = None
-    for k in ks:
-        schedule = ScalingSchedule(
-            horizon=base.horizon,
-            resolution=k,
-            alpha=base.alpha,
-            beta=base.beta,
-            n_floor=base.n_floor,
-            n_scale=base.n_scale,
-            w_scale=base.w_scale,
-        )
-        ensemble = run_ensemble(
-            law, matrix, schedule, ensemble_size, checkpoints, master_seed, jobs=jobs
-        )
-        if limits is None:
-            # initial draws are keyed by (master_seed, replica) only, so the
-            # pushforward side is shared by all resolutions
-            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
-        rows = []
-        for idx, t in enumerate(checkpoints):
-            chain = ensemble.affine[t]
-            limit = limits[t]
-            dist, _ = w1_exact(chain, limit)
-            ci = bootstrap_w1_ci(
-                chain, limit, _replica_rng(master_seed, idx, _BOOTSTRAP_LANE + k)
+    # one pool serves every chain chunk and bootstrap solve of the run
+    with worker_pool(jobs) as pool:
+        for k in ks:
+            schedule = ScalingSchedule(
+                horizon=base.horizon,
+                resolution=k,
+                alpha=base.alpha,
+                beta=base.beta,
+                n_floor=base.n_floor,
+                n_scale=base.n_scale,
+                w_scale=base.w_scale,
             )
-            dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
-            gap, _ = w1_exact(ensemble.affine[t], ensemble.constant[t])
-            rows.append(
-                CheckpointRecord(
-                    t=t,
-                    w1_to_limit=float(dist),
-                    ci_halfwidth=float(ci),
-                    w1_dual_lb=float(dual),
-                    affine_constant_gap=float(gap),
+            ensemble = run_ensemble(
+                law,
+                matrix,
+                schedule,
+                ensemble_size,
+                checkpoints,
+                master_seed,
+                jobs=jobs,
+                pool=pool,
+            )
+            if limits is None:
+                # initial draws are keyed by (master_seed, replica) only, so
+                # the pushforward side is shared by all resolutions
+                limits = _limit_measures(
+                    ensemble.initial, matrix, checkpoints, flow_cfg
+                )
+            rows = []
+            for idx, t in enumerate(checkpoints):
+                chain = ensemble.affine[t]
+                limit = limits[t]
+                dist, _ = w1_exact(chain, limit)
+                ci = bootstrap_w1_ci(
+                    chain,
+                    limit,
+                    _replica_rng(master_seed, idx, _BOOTSTRAP_LANE + k),
+                    jobs=jobs,
+                    pool=pool,
+                )
+                dual = w1_dual_lower_bound(
+                    chain, limit, _distance_witnesses(chain, limit)
+                )
+                gap, _ = w1_exact(ensemble.affine[t], ensemble.constant[t])
+                rows.append(
+                    CheckpointRecord(
+                        t=t,
+                        w1_to_limit=float(dist),
+                        ci_halfwidth=float(ci),
+                        w1_dual_lb=float(dual),
+                        affine_constant_gap=float(gap),
+                    )
+                )
+            records.append(
+                ResolutionRecord(
+                    resolution=k,
+                    tau=schedule.tau,
+                    population=schedule.population,
+                    selection_weight=schedule.selection_weight,
+                    checkpoints=rows,
                 )
             )
-        records.append(
-            ResolutionRecord(
-                resolution=k,
-                tau=schedule.tau,
-                population=schedule.population,
-                selection_weight=schedule.selection_weight,
-                checkpoints=rows,
-            )
-        )
     return ConvergenceReport(
         alpha=base.alpha,
         beta=base.beta,
@@ -612,38 +675,52 @@ def regime_experiment(
     if alpha <= 0 or beta < 0:
         raise DomainError(f"alpha must be > 0 and beta >= 0, got {alpha}, {beta}")
     records = []
-    for k in resolutions:
-        schedule = ScalingSchedule(
-            horizon=horizon,
-            resolution=int(k),
-            alpha=alpha,
-            beta=beta,
-            n_scale=n_scale,
-            w_scale=w_scale,
-        )
-        ensemble = run_ensemble(
-            law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed, jobs=jobs
-        )
-        start = ensemble.constant[0.0]
-        end = ensemble.constant[horizon]
-        dist, _ = w1_exact(start, end)
-        ci = bootstrap_w1_ci(start, end, _replica_rng(master_seed, int(k), _BOOTSTRAP_LANE))
-        displacement = float(
-            np.linalg.norm(end.array - start.array, axis=1).mean() / horizon
-        )
-        records.append(
-            RegimeRecord(
+    with worker_pool(jobs) as pool:
+        for k in resolutions:
+            schedule = ScalingSchedule(
+                horizon=horizon,
                 resolution=int(k),
-                tau=schedule.tau,
-                population=schedule.population,
-                selection_weight=schedule.selection_weight,
-                drift_scale=schedule.selection_weight
-                / (schedule.population * schedule.tau),
-                w1_start_end=float(dist),
-                ci_halfwidth=float(ci),
-                mean_displacement_rate=displacement,
+                alpha=alpha,
+                beta=beta,
+                n_scale=n_scale,
+                w_scale=w_scale,
             )
-        )
+            ensemble = run_ensemble(
+                law,
+                matrix,
+                schedule,
+                ensemble_size,
+                (0.0, horizon),
+                master_seed,
+                jobs=jobs,
+                pool=pool,
+            )
+            start = ensemble.constant[0.0]
+            end = ensemble.constant[horizon]
+            dist, _ = w1_exact(start, end)
+            ci = bootstrap_w1_ci(
+                start,
+                end,
+                _replica_rng(master_seed, int(k), _BOOTSTRAP_LANE),
+                jobs=jobs,
+                pool=pool,
+            )
+            displacement = float(
+                np.linalg.norm(end.array - start.array, axis=1).mean() / horizon
+            )
+            records.append(
+                RegimeRecord(
+                    resolution=int(k),
+                    tau=schedule.tau,
+                    population=schedule.population,
+                    selection_weight=schedule.selection_weight,
+                    drift_scale=schedule.selection_weight
+                    / (schedule.population * schedule.tau),
+                    w1_start_end=float(dist),
+                    ci_halfwidth=float(ci),
+                    mean_displacement_rate=displacement,
+                )
+            )
     return RegimeReport(
         alpha=float(alpha),
         beta=float(beta),

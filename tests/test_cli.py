@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from moranfield.cli import main
+from moranfield.cli import RunConfig, main
 
 
 def write_config(path, **overrides):
@@ -156,6 +156,57 @@ class TestResidual:
             "bilinear_window2",
             "cubic_window",
         }
+
+
+class TestConfigValidation:
+    def run_converge(self, tmp_path, *extra, **overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        argv = ["converge", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
+        return main(argv + list(extra)), out
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        code, out = self.run_converge(tmp_path, resolutions=[8, 16], ensemble_szie=64)
+        assert code == 2
+        assert "'ensemble_szie'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_unknown_verdict_key_named(self, tmp_path, capsys):
+        code, _ = self.run_converge(
+            tmp_path, resolutions=[8, 16], verdict={"final_raito": 0.5}
+        )
+        assert code == 2
+        assert "verdict.final_raito" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [1, 0, -4])
+    def test_tiny_ensemble_rejected_at_load(self, tmp_path, capsys, size):
+        code, out = self.run_converge(tmp_path, resolutions=[8, 16], ensemble_size=size)
+        assert code == 2
+        assert "ensemble_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_ensemble_flag_rejected(self, tmp_path, capsys):
+        code, _ = self.run_converge(tmp_path, "--ensemble-size", "1", resolutions=[8, 16])
+        assert code == 2
+        assert "ensemble_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks", [[0, 8], [8, -16], "64", [8, "x"]])
+    def test_bad_resolutions_rejected(self, tmp_path, capsys, ks):
+        code, out = self.run_converge(tmp_path, resolutions=ks)
+        assert code == 2
+        assert "resolutions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_hash_unchanged_for_valid_config(self, tmp_path):
+        # residual.json and manifest.json carry this hash; reports made
+        # before load-time validation existed must keep matching it
+        cfg = write_config(
+            tmp_path / "cfg.json", resolutions=[8, 16], verdict={"final_ratio": 0.6}
+        )
+        config = RunConfig.load(str(cfg), {})
+        assert config.sha256() == (
+            "4824ab2ed6fe768e62f6d9a4b55f6906f9fd7fa5c8b11f6102382c2091c9861d"
+        )
 
 
 class TestValidate:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,21 @@ class TestSimulate:
             for h in range(sched.resolution):
                 state = step(state, A22, rng)
                 assert np.array_equal(batch[r, h + 1], state.counts), (r, h)
+
+    def test_boundary_uniform_inverts_like_step(self):
+        # a uniform equal to a cumulative boundary takes the outcome to its
+        # right (searchsorted side="right"), in the batch kernel as in step
+        sched = ScalingSchedule(horizon=1.0, resolution=1, alpha=0.6, beta=0.4, n_scale=6.0)
+        mat = PayoffMatrix([[1.0, 2.0, 0.5], [3.0, 0.2, 1.0], [0.7, 1.5, 2.0]])
+        state = DiscreteState([1, 2, 3], sched.population, sched.selection_weight)
+        cum = transition_table(state, mat).flat_cumulative()
+        for u in cum[cum < 1.0]:  # random() never returns 1.0
+            batch = simulate_counts_batch([state.counts], mat, sched, np.array([[u]]))
+            scalar = step(state, mat, SimpleNamespace(random=lambda: u))
+            assert np.array_equal(batch[0, 1], scalar.counts), u
+        # u on the stay boundary must move, never stay
+        batch = simulate_counts_batch([state.counts], mat, sched, np.array([[cum[0]]]))
+        assert not np.array_equal(batch[0, 1], state.counts)
 
 
 class TestInterpolation:

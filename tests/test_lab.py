@@ -1,12 +1,15 @@
 import json
+import signal
 
 import numpy as np
 import pytest
 
 from moranfield.engine import DiscreteState, ScalingSchedule, exact_drift, transition_table
 from moranfield.errors import (
+    CapacityError,
     ConfigurationError,
     DomainError,
+    FitnessDegenerateError,
     RegimeError,
     ResolutionError,
 )
@@ -25,6 +28,7 @@ from moranfield.lab import (
     run_ensemble,
     standard_test_functions,
     weak_form_residual,
+    worker_pool,
 )
 from moranfield.simplex import PayoffMatrix, SimplexPoint
 from moranfield.transport import EmpiricalMeasure, w1_exact
@@ -431,3 +435,74 @@ class TestBootstrap:
         ci = bootstrap_w1_ci(mu, nu, np.random.default_rng(30))
         dist, _ = w1_exact(mu, nu)
         assert 0 < ci < dist
+
+
+class TestWorkerPool:
+    """Results must not depend on ``jobs``; worker errors keep their type."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # a lost worker result would otherwise hang the suite
+        def expire(signum, frame):
+            raise TimeoutError("worker pool test exceeded 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_bootstrap_on_pool_equals_serial(self):
+        rng = np.random.default_rng(32)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=24))
+        nu = EmpiricalMeasure(rng.dirichlet(np.full(3, 4.0), size=24))
+        serial = bootstrap_w1_ci(mu, nu, np.random.default_rng(33), n_resamples=40)
+        with worker_pool(2) as pool:
+            pooled = bootstrap_w1_ci(
+                mu, nu, np.random.default_rng(33), n_resamples=40, jobs=2, pool=pool
+            )
+        assert pooled == serial
+
+    def test_convergence_digest_independent_of_jobs(self):
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        digests = [
+            convergence_experiment(
+                law, A22, base, [8, 16], 16, (0.5, 1.0), master_seed=34, jobs=jobs
+            ).payload_digest()
+            for jobs in (1, 2)
+        ]
+        assert digests[0] == digests[1]
+
+    def test_regime_payload_independent_of_jobs(self):
+        law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
+        payloads = [
+            regime_experiment(law, RPS, 1.0, 0.5, [16, 64], 16, 35, jobs=jobs).payload()
+            for jobs in (1, 2)
+        ]
+        assert payloads[0] == payloads[1]
+
+    def test_chain_worker_error_keeps_its_type(self):
+        # all-zero payoffs at w = 1 leave no positive fitness in the workers
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        zero = PayoffMatrix(np.zeros((2, 2)))
+        base = ScalingSchedule(
+            horizon=1.0, resolution=8, alpha=0.6, beta=0.4, w_scale=100.0
+        )
+        with pytest.raises(FitnessDegenerateError):
+            convergence_experiment(law, zero, base, [8], 16, (1.0,), master_seed=36, jobs=2)
+
+    def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(cost):
+            raise CapacityError("solver refused")
+
+        # workers fork after the patch, so they inherit it
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", failing)
+        rng = np.random.default_rng(37)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
+        with worker_pool(2) as pool, pytest.raises(CapacityError):
+            bootstrap_w1_ci(mu, mu, rng, n_resamples=4, jobs=2, pool=pool)
