@@ -29,7 +29,6 @@ from . import __version__
 from .engine import ScalingSchedule, discretize_initial, export_trajectory, simulate
 from .errors import (
     ConfigurationError,
-    DomainError,
     RegimeError,
     SimulationError,
 )
@@ -76,6 +75,14 @@ _OPTIONAL_KEYS = {
     "output_dir",
 }
 _VERDICT_KEYS = {"max_consecutive_ratio", "final_ratio", "final_checkpoint"}
+# how each numeric key is read later; a value its reader rejects fails at load
+_NUMBER_READERS = {
+    **dict.fromkeys(("n_floor", "ensemble_size", "master_seed", "quadrature_stride"), int),
+    **dict.fromkeys(("max_exact_size", "resolution"), int),
+    **dict.fromkeys(("horizon", "alpha", "beta", "n_scale", "w_scale", "flow_step"), float),
+}
+# initial_law keys besides "kind" and "dimension", by kind
+_LAW_KEYS = {"dirac": {"point"}, "dirichlet": {"concentration"}, "uniform": set()}
 
 
 def _check_keys(data: dict) -> None:
@@ -95,6 +102,29 @@ def _check_keys(data: dict) -> None:
             raise ConfigurationError(f"unknown config key 'verdict.{key}'")
 
 
+def _check_values(merged: dict) -> None:
+    """Reject at load, naming the key, a value that a reader would fail on later."""
+    values = [(key, merged.get(key), read) for key, read in _NUMBER_READERS.items()]
+    values += [(f"verdict.{key}", value, float) for key, value in merged["verdict"].items()]
+    values.append(("checkpoints", merged["checkpoints"], lambda ts: [float(t) for t in ts]))
+    for key, value, read in values:
+        try:
+            if value is not None:
+                read(value)
+        except (TypeError, ValueError, OverflowError):
+            msg = f"config key {key!r} must be numeric, got {value!r}"
+            raise ConfigurationError(msg) from None
+    law = merged.get("initial_law", {})
+    if not isinstance(law, dict):
+        raise ConfigurationError("config key 'initial_law' must be an object")
+    # an unknown kind is reported by InitialLaw.from_dict
+    extra = set(law) - {"kind", "dimension"} - _LAW_KEYS.get(law.get("kind"), set(law))
+    if extra:
+        raise ConfigurationError(
+            f"unknown config key 'initial_law.{min(extra)}' for a {law['kind']} law"
+        )
+
+
 class RunConfig:
     """Resolved run configuration with module preconditions checked up front."""
 
@@ -103,12 +133,13 @@ class RunConfig:
         merged = dict(_DEFAULTS)
         merged.update({k: v for k, v in data.items() if v is not None})
         self.data = merged
+        _check_values(merged)
         try:
             self.matrix = PayoffMatrix(merged["payoff_matrix"])
             self.law = InitialLaw.from_dict(merged["initial_law"])
         except KeyError as err:
             raise ConfigurationError(f"config is missing required key {err}") from err
-        except (DomainError, SimulationError) as err:
+        except (SimulationError, TypeError, ValueError) as err:
             raise ConfigurationError(f"invalid config value: {err}") from err
         if self.law.dimension != self.matrix.dimension:
             raise ConfigurationError(
@@ -280,15 +311,16 @@ def _verdict(report, thresholds) -> tuple[bool, str]:
     return monotone and final_ok, detail
 
 
-def cmd_converge(args) -> int:
-    config = RunConfig.load(
+def _load_sweep_config(args) -> RunConfig:
+    """Config of a resolution sweep, with its command-line overrides applied."""
+    return RunConfig.load(
         args.config,
-        {
-            "master_seed": args.seed,
-            "ensemble_size": args.ensemble_size,
-            "resolutions": args.resolutions,
-        },
+        dict(master_seed=args.seed, ensemble_size=args.ensemble_size, resolutions=args.resolutions),
     )
+
+
+def cmd_converge(args) -> int:
+    config = _load_sweep_config(args)
     if args.regime:
         return _run_regimes(args, config)
     config.require_convergent_regime()
@@ -349,26 +381,12 @@ def _run_regimes(args, config: RunConfig) -> int:
 
 
 def cmd_regimes(args) -> int:
-    config = RunConfig.load(
-        args.config,
-        {
-            "master_seed": args.seed,
-            "ensemble_size": args.ensemble_size,
-            "resolutions": args.resolutions,
-        },
-    )
+    config = _load_sweep_config(args)
     return _run_regimes(args, config)
 
 
 def cmd_residual(args) -> int:
-    config = RunConfig.load(
-        args.config,
-        {
-            "master_seed": args.seed,
-            "ensemble_size": args.ensemble_size,
-            "resolutions": args.resolutions,
-        },
-    )
+    config = _load_sweep_config(args)
     flow_cfg = config.flow_config()
     records = []
     for k in config.resolutions():
@@ -430,29 +448,26 @@ def cmd_residual(args) -> int:
 
 def _check_transitions(rng) -> str | None:
     from .engine import DiscreteState, transition_table
+    from .simplex import fitness_profile
 
     for _ in range(60):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 13))
         w = float(rng.choice([0.0, 0.1, 1.0]))
-        entries = rng.random((m, m)) * 6
+        mat = PayoffMatrix(rng.random((m, m)) * 6)
         counts = rng.multinomial(n, np.full(m, 1.0 / m))
-        state = DiscreteState(counts, n, w)
-        table = transition_table(state, PayoffMatrix(entries))
+        table = transition_table(DiscreteState(counts, n, w), mat)
         total = table.stay_prob + table.move_probs.sum()
         if abs(total - 1.0) > 1e-12:
             return f"table sums to {total!r} for counts={counts.tolist()}, w={w}"
+        # move (i, j) = lam_i f_i lam_j / fbar off the diagonal
         lam = counts / n
-        pay = (n / (n - 1)) * (entries @ lam) - np.diagonal(entries) / (n - 1)
-        fit = (1 - w) + w * pay
-        fbar = lam @ fit
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                expected = lam[i] * fit[i] * lam[j] / fbar
-                if abs(table.move_probs[i, j] - expected) > 1e-12:
-                    return f"move ({i},{j}) off by {table.move_probs[i, j] - expected:.2e}"
+        prof = fitness_profile(SimplexPoint(lam), mat, n, w)
+        expected = np.outer(lam * prof.fitnesses, lam) / prof.mean_fitness
+        np.fill_diagonal(expected, 0.0)
+        gap = np.max(np.abs(table.move_probs - expected))
+        if gap > 1e-12:
+            return f"move probabilities off by {gap:.2e} for counts={counts.tolist()}, w={w}"
     return None
 
 
@@ -465,14 +480,9 @@ def _check_drift(rng) -> str | None:
         w = float(rng.choice([0.0, 0.1, 1.0]))
         state = DiscreteState(rng.multinomial(n, np.full(m, 1.0 / m)), n, w)
         mat = PayoffMatrix(rng.random((m, m)) * 6)
-        table = transition_table(state, mat)
-        mean = np.zeros(m)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    delta = np.zeros(m)
-                    delta[i], delta[j] = 1.0 / n, -1.0 / n
-                    mean += table.move_probs[i, j] * delta
+        moves = transition_table(state, mat).move_probs / n
+        # strategy i gains one bearer in move (i, j) and loses one in move (j, i)
+        mean = moves.sum(axis=1) - moves.sum(axis=0)
         gap = np.max(np.abs(exact_drift(state, mat) - mean))
         if gap > 1e-13:
             return f"drift deviates from table mean by {gap:.2e}"

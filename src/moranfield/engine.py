@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     FitnessDegenerateError,
 )
-from .simplex import PayoffMatrix, SimplexPoint
+from .simplex import PayoffMatrix, SimplexPoint, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
 GRID_SNAP = 1e-9
@@ -106,26 +106,44 @@ class TransitionTable:
 
     def outcome_moves(self) -> np.ndarray:
         """(1 + M^2, 2) array of (gainer, loser) per flat outcome; row 0 = stay = (-1, -1)."""
-        m = self.move_probs.shape[0]
-        gainers, losers = np.divmod(np.arange(m * m), m)
-        return np.vstack(([(-1, -1)], np.column_stack((gainers, losers))))
+        return _outcome_moves(self.move_probs.shape[0])
 
 
-def _move_stay_arrays(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """Move/stay probabilities for a batch ``lam`` of shape (R, M).
+def _outcome_moves(m: int) -> np.ndarray:
+    gainers, losers = np.divmod(np.arange(m * m), m)
+    return np.vstack(([(-1, -1)], np.column_stack((gainers, losers))))
 
-    Returns ``(moves, stay)`` with moves of shape (R, M, M) (diagonal zero)
-    and stay of shape (R,).  Raises if any mean fitness is not positive.
-    """
-    n = population
-    pay = (n / (n - 1.0)) * (lam @ entries.T) - np.diagonal(entries) / (n - 1.0)
-    fit = (1.0 - w) + w * pay
+
+def _increment_table(m: int) -> np.ndarray:
+    """(1 + M^2, M) count increment of each flat outcome; row 0 (stay) is zero."""
+    eye = np.eye(m, dtype=np.int64)
+    moves = _outcome_moves(m)[1:]
+    return np.vstack((np.zeros(m, dtype=np.int64), eye[moves[:, 0]] - eye[moves[:, 1]]))
+
+
+def _birth_weights(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
+    """``lam * fitness`` and mean fitness per row of ``lam`` (R, M); raises unless fbar > 0."""
+    if lam.shape[1] != entries.shape[0]:
+        raise DimensionError(
+            f"state has {lam.shape[1]} strategies, matrix has {entries.shape[0]}"
+        )
+    _, fit = payoff_fitness(lam, entries, population, w)
     lam_fit = lam * fit
     fbar = lam_fit.sum(axis=1)
     if np.any(fbar <= 0.0):
         raise FitnessDegenerateError(
             "mean fitness is not positive; birth probabilities are undefined"
         )
+    return lam_fit, fbar
+
+
+def _move_stay_arrays(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
+    """Move/stay probabilities for a batch ``lam`` of shape (R, M).
+
+    Returns ``(moves, stay)`` with moves of shape (R, M, M) (diagonal zero)
+    and stay of shape (R,).
+    """
+    lam_fit, fbar = _birth_weights(lam, entries, population, w)
     moves = lam_fit[:, :, None] * lam[:, None, :] / fbar[:, None, None]
     stay = np.einsum("ri,ri->r", lam_fit, lam) / fbar
     r, m = lam.shape
@@ -140,10 +158,6 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     ``move_probs[i, j] = lam_i * f_i * lam_j / fbar`` for i != j and
     ``stay_prob = sum_i lam_i^2 f_i / fbar``; the table sums to one.
     """
-    if state.dimension != matrix.dimension:
-        raise DimensionError(
-            f"state has {state.dimension} strategies, matrix has {matrix.dimension}"
-        )
     lam = (state.counts / state.population)[None, :]
     moves, stay = _move_stay_arrays(
         lam, matrix.entries, state.population, state.selection_weight
@@ -153,27 +167,40 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     return TransitionTable(move_probs=mv, stay_prob=float(stay[0]))
 
 
-def _apply_flat_outcome(counts: np.ndarray, flat_index: int, m: int) -> np.ndarray:
-    if flat_index == 0:
-        return counts
-    gainer, loser = divmod(flat_index - 1, m)
-    out = counts.copy()
-    out[gainer] += 1
-    out[loser] -= 1
+def _lockstep(
+    counts0: np.ndarray, entries: np.ndarray, population: int, w: float, uniforms: np.ndarray
+) -> np.ndarray:
+    """The chain's sampling loop: R chains from ``counts0`` (R, M), one uniform
+    per replica per step from ``uniforms`` (R, k); returns counts (R, k+1, M).
+
+    Each step inverts the normalized cumulative of the flat outcome order
+    (:meth:`TransitionTable.flat_probabilities`), taking the first outcome
+    whose cumulative exceeds u (``searchsorted(side="right")``).
+    """
+    r, m = counts0.shape
+    k = uniforms.shape[1]
+    inc = _increment_table(m)
+    out = np.empty((r, k + 1, m), dtype=np.int64)
+    out[:, 0] = counts0
+    current = counts0.copy()
+    for h in range(k):
+        moves, stay = _move_stay_arrays(current / population, entries, population, w)
+        flat = np.concatenate((stay[:, None], moves.reshape(r, m * m)), axis=1)
+        cum = np.cumsum(flat, axis=1)
+        cum /= cum[:, -1:]
+        current += inc[(cum <= uniforms[:, h, None]).sum(axis=1)]
+        out[:, h + 1] = current
     return out
 
 
 def step(state: DiscreteState, matrix: PayoffMatrix, rng: np.random.Generator) -> DiscreteState:
-    """Sample one birth-death step.
+    """Sample one birth-death step: a one-step, one-replica run of the chain loop.
 
-    Consumes exactly one uniform draw from ``rng`` and inverts the cumulative
-    of the flat outcome order documented on :meth:`TransitionTable.flat_probabilities`.
+    Consumes exactly one uniform draw from ``rng``.
     """
-    table = transition_table(state, matrix)
-    cum = table.flat_cumulative()
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    counts = _apply_flat_outcome(state.counts, idx, state.dimension)
-    return DiscreteState(counts, state.population, state.selection_weight)
+    n, w = state.population, state.selection_weight
+    path = _lockstep(state.counts[None, :], matrix.entries, n, w, np.array([[rng.random()]]))
+    return DiscreteState(path[0, 1], n, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,22 +268,47 @@ class ScalingSchedule:
         return cls(**data)
 
 
+class _StateView:
+    """Read-only sequence of ``DiscreteState`` over the rows of a counts array."""
+
+    def __init__(self, counts: np.ndarray, population: int, selection_weight: float):
+        self._counts = counts
+        self._population = population
+        self._weight = selection_weight
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return DiscreteState(self._counts[index], self._population, self._weight)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States of one chain realization on the full time grid."""
+    """One chain realization on the full time grid: ``counts`` is (k+1, M)."""
 
     schedule: ScalingSchedule
-    states: tuple
+    counts: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        self.counts.setflags(write=False)
+
+    @property
+    def states(self) -> _StateView:
+        """The grid states as a read-only sequence, built on access."""
+        return _StateView(self.counts, self.schedule.population, self.schedule.selection_weight)
 
     def times(self) -> np.ndarray:
         return self.schedule.times()
 
     def counts_matrix(self) -> np.ndarray:
-        return np.array([s.counts for s in self.states], dtype=np.int64)
+        return self.counts
 
     def proportions_matrix(self) -> np.ndarray:
-        return self.counts_matrix() / self.schedule.population
+        return self.counts / self.schedule.population
 
 
 def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray:
@@ -306,12 +358,11 @@ def simulate(
             f"schedule weight {schedule.selection_weight}"
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    states = [initial]
-    current = initial
-    for _ in range(schedule.resolution):
-        current = step(current, matrix, rng)
-        states.append(current)
-    return Trajectory(schedule=schedule, states=tuple(states), seed=int(seed))
+    # one call for all k draws gives the same values as k scalar draws
+    uniforms = rng.random((1, schedule.resolution))
+    n, w = schedule.population, schedule.selection_weight
+    counts = _lockstep(initial.counts[None, :], matrix.entries, n, w, uniforms)[0]
+    return Trajectory(schedule=schedule, counts=counts, seed=int(seed))
 
 
 def simulate_counts_batch(
@@ -327,30 +378,11 @@ def simulate_counts_batch(
     stream.  All replicas share the schedule's population and weight.
     """
     counts0 = np.asarray(counts0, dtype=np.int64)
-    r, m = counts0.shape
     k = schedule.resolution
-    n = schedule.population
-    w = schedule.selection_weight
-    if uniforms.shape != (r, k):
-        raise DimensionError(f"uniforms shape {uniforms.shape} != {(r, k)}")
-    out = np.empty((r, k + 1, m), dtype=np.int64)
-    out[:, 0] = counts0
-    current = counts0.copy()
-    rows = np.arange(r)
-    for h in range(k):
-        lam = current / n
-        moves, stay = _move_stay_arrays(lam, matrix.entries, n, w)
-        flat = np.concatenate((stay[:, None], moves.reshape(r, m * m)), axis=1)
-        cum = np.cumsum(flat, axis=1)
-        cum /= cum[:, -1:]
-        # entries <= u, the same outcome as searchsorted(side="right") in step
-        idx = (cum <= uniforms[:, h, None]).sum(axis=1)
-        moved = idx > 0
-        gainer, loser = np.divmod(idx[moved] - 1, m)
-        current[rows[moved], gainer] += 1
-        current[rows[moved], loser] -= 1
-        out[:, h + 1] = current
-    return out
+    if uniforms.shape != (counts0.shape[0], k):
+        raise DimensionError(f"uniforms shape {uniforms.shape} != {(counts0.shape[0], k)}")
+    n, w = schedule.population, schedule.selection_weight
+    return _lockstep(counts0, matrix.entries, n, w, uniforms)
 
 
 def locate_on_grid(t: float, horizon: float, resolution: int):
@@ -370,21 +402,17 @@ def locate_on_grid(t: float, horizon: float, resolution: int):
     return h, pos - h
 
 
-def _locate(traj: Trajectory, t: float):
-    return locate_on_grid(t, traj.schedule.horizon, traj.schedule.resolution)
-
-
 def interpolate_affine(traj: Trajectory, t: float) -> SimplexPoint:
     """Piecewise affine interpolation of the trajectory at time ``t``.
 
     Exact at grid nodes (queries within ``GRID_SNAP * tau`` of a node snap to
     it); between nodes returns the convex combination of the endpoints.
     """
-    h, frac = _locate(traj, t)
+    h, frac = locate_on_grid(t, traj.schedule.horizon, traj.schedule.resolution)
+    lam0 = traj.counts[h] / traj.schedule.population
     if frac == 0.0:
-        return traj.states[h].proportions()
-    lam0 = traj.states[h].counts / traj.schedule.population
-    lam1 = traj.states[h + 1].counts / traj.schedule.population
+        return SimplexPoint(lam0)
+    lam1 = traj.counts[h + 1] / traj.schedule.population
     return SimplexPoint(lam0 + frac * (lam1 - lam0))
 
 
@@ -394,8 +422,8 @@ def interpolate_constant(traj: Trajectory, t: float) -> SimplexPoint:
     Returns the state at ``t_h`` for ``t`` in ``[t_h, t_{h+1})`` and the final
     state at ``t = horizon``; node snapping as in :func:`interpolate_affine`.
     """
-    h, _ = _locate(traj, t)
-    return traj.states[h].proportions()
+    h, _ = locate_on_grid(t, traj.schedule.horizon, traj.schedule.resolution)
+    return SimplexPoint(traj.counts[h] / traj.schedule.population)
 
 
 def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
@@ -404,17 +432,10 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
     Component i equals ``lam_i * (f_i - fbar) / (N * fbar)``; summing the
     transition table outcomes gives the same vector.
     """
-    from .simplex import fitness_profile
-
-    prof = fitness_profile(
-        state.proportions(), matrix, state.population, state.selection_weight
-    )
-    if prof.mean_fitness <= 0:
-        raise FitnessDegenerateError(
-            "mean fitness is not positive; birth probabilities are undefined"
-        )
-    lam = state.counts / state.population
-    return lam * (prof.fitnesses - prof.mean_fitness) / (state.population * prof.mean_fitness)
+    n = state.population
+    lam = (state.counts / n)[None, :]
+    lam_fit, fbar = _birth_weights(lam, matrix.entries, n, state.selection_weight)
+    return (lam_fit[0] - lam[0] * fbar[0]) / (n * fbar[0])
 
 
 # -- trajectory file round-trip -----------------------------------------
@@ -429,7 +450,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     counts) round-trip bit-exactly; the sidecar holds schedule, seed and
     payoff matrix.
     """
-    m = traj.states[0].dimension
+    m = traj.counts.shape[1]
     times = traj.times()
     props = traj.proportions_matrix()
     with open(csv_path, "w", newline="") as fh:
@@ -457,18 +478,22 @@ def import_trajectory(csv_path, sidecar_path):
     schedule = ScalingSchedule.from_dict(sidecar["schedule"])
     matrix = PayoffMatrix.from_rows(sidecar["payoff_matrix"])
     n = schedule.population
-    states = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        m = len(header) - 1
-        for row in reader:
-            lam = np.array([float(x) for x in row[1:]])
-            counts = np.rint(lam * n).astype(np.int64)
-            states.append(DiscreteState(counts, n, schedule.selection_weight))
-    if len(states) != schedule.resolution + 1 or states[0].dimension != m:
+        m = len(next(reader)) - 1
+        rows = [[float(x) for x in row[1:]] for row in reader]
+    if len(rows) != schedule.resolution + 1 or any(len(row) != m for row in rows):
         raise ConfigurationError("trajectory CSV does not match its sidecar schedule")
+    if m < 2:
+        raise DimensionError(f"trajectory CSV has {m} strategy columns, need M >= 2")
+    counts = np.rint(np.array(rows) * n).astype(np.int64)
+    if np.any(counts < 0):
+        raise DomainError("negative strategy count in trajectory CSV")
+    sums = counts.sum(axis=1)
+    if np.any(sums != n):
+        row = int(np.argmax(sums != n))
+        raise DomainError(f"trajectory CSV row {row + 1} sums to {sums[row]}, expected {n}")
     return (
-        Trajectory(schedule=schedule, states=tuple(states), seed=int(sidecar["seed"])),
+        Trajectory(schedule=schedule, counts=counts, seed=int(sidecar["seed"])),
         matrix,
     )

@@ -31,15 +31,12 @@ class FlowConfig:
     """
 
     step_size: float
-    method: str = "rk4"
     renormalize: bool = True
     min_step: float = 1e-9
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise DomainError(f"step size must be positive, got {self.step_size}")
-        if self.method != "rk4":
-            raise DomainError(f"only the rk4 method is supported, got {self.method!r}")
         if not 0 < self.min_step <= self.step_size:
             raise DomainError(
                 f"min_step must lie in (0, step_size], got {self.min_step}"

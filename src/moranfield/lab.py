@@ -136,7 +136,8 @@ class EnsembleResult:
 
 
 def _simulate_chunk(args):
-    entries, schedule_dict, law_dict, master_seed, r0, r1 = args
+    """Initial draws and the path columns ``columns`` of replicas ``r0..r1``."""
+    entries, schedule_dict, law_dict, master_seed, r0, r1, columns = args
     schedule = ScalingSchedule.from_dict(schedule_dict)
     law = InitialLaw.from_dict(law_dict)
     matrix = PayoffMatrix(entries)
@@ -150,7 +151,7 @@ def _simulate_chunk(args):
         counts0[offset] = largest_remainder_counts(SimplexPoint(lam0[offset]), n)
         uniforms[offset] = _replica_rng(master_seed, r, 1).random(k)
     paths = simulate_counts_batch(counts0, matrix, schedule, uniforms)
-    return lam0, paths
+    return lam0, paths[:, columns]
 
 
 def worker_pool(jobs: int):
@@ -211,26 +212,28 @@ def run_ensemble(
             f"law dimension {law.dimension} != matrix dimension {matrix.dimension}"
         )
     checkpoints = tuple(float(t) for t in checkpoints)
-    for t in checkpoints:
-        locate_on_grid(t, schedule.horizon, schedule.resolution)
-
+    grid = {t: locate_on_grid(t, schedule.horizon, schedule.resolution) for t in checkpoints}
+    # workers send back only the grid columns the interpolators read
+    columns = sorted(
+        {0} | {h for h, _ in grid.values()} | {h + 1 for h, frac in grid.values() if frac > 0}
+    )
     chunk_args = [
-        (matrix.entries, schedule.to_dict(), law.to_dict(), master_seed, a, b)
+        (matrix.entries, schedule.to_dict(), law.to_dict(), master_seed, a, b, columns)
         for a, b in _chunk_bounds(ensemble_size, jobs)
     ]
     chunks = _map_chunks(_simulate_chunk, chunk_args, jobs, pool)
     lam0 = np.concatenate([c[0] for c in chunks])
     paths = np.concatenate([c[1] for c in chunks])
+    at = {h: j for j, h in enumerate(columns)}
 
     n = schedule.population
     affine, constant = {}, {}
-    for t in checkpoints:
-        h, frac = locate_on_grid(t, schedule.horizon, schedule.resolution)
-        left = paths[:, h] / n
+    for t, (h, frac) in grid.items():
+        left = paths[:, at[h]] / n
         if frac == 0.0:
             aff = left
         else:
-            aff = left + frac * (paths[:, h + 1] / n - left)
+            aff = left + frac * (paths[:, at[h + 1]] / n - left)
         affine[t] = EmpiricalMeasure(aff)
         constant[t] = EmpiricalMeasure(left)
     return EnsembleResult(
@@ -850,19 +853,6 @@ class ResidualEstimate:
     per_replica: np.ndarray = field(repr=False, default=None)
 
 
-def _residual_from_contributions(contributions: np.ndarray, rng) -> ResidualEstimate:
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    r = contributions.size
-    for b in range(BOOTSTRAP_RESAMPLES):
-        values[b] = abs(contributions[rng.integers(0, r, size=r)].mean())
-    return ResidualEstimate(
-        value=float(abs(contributions.mean())),
-        ci_halfwidth=float(1.96 * values.std(ddof=1)),
-        node_count=0,
-        per_replica=contributions,
-    )
-
-
 def weak_form_residual(
     ensemble: EnsembleResult, matrix: PayoffMatrix, phi: TestFunction
 ) -> ResidualEstimate:
@@ -897,14 +887,15 @@ def weak_form_residual(
         + np.trapezoid(adv_vals, xs, axis=0)
         + phi.value(0.0, ensemble.affine[nodes[0]].array)
     )
-    est = _residual_from_contributions(
-        contributions, _replica_rng(ensemble.master_seed, 0, _BOOTSTRAP_LANE + 1)
-    )
+    rng = _replica_rng(ensemble.master_seed, 0, _BOOTSTRAP_LANE + 1)
+    values = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        values[b] = abs(contributions[rng.integers(0, r, size=r)].mean())
     return ResidualEstimate(
-        value=est.value,
-        ci_halfwidth=est.ci_halfwidth,
+        value=float(abs(contributions.mean())),
+        ci_halfwidth=float(1.96 * values.std(ddof=1)),
         node_count=len(nodes),
-        per_replica=est.per_replica,
+        per_replica=contributions,
     )
 
 

@@ -132,6 +132,18 @@ def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
         )
 
 
+def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
+    """Payoffs and fitnesses of an (R, M) array of proportions, as two (R, M) arrays.
+
+    The one payoff/fitness formula of the package: in a population of N an
+    individual never meets itself, so ``pay[r, i] = N/(N-1) * (A @ lam_r)_i -
+    A[i, i]/(N-1)``, and ``fit = (1 - w) + w * pay``.  Inputs are not checked.
+    """
+    n = population
+    pay = (n / (n - 1.0)) * (lam @ entries.T) - np.diagonal(entries) / (n - 1.0)
+    return pay, (1.0 - w) + w * pay
+
+
 def expected_payoff(point: SimplexPoint, matrix: PayoffMatrix, population: int) -> np.ndarray:
     """Expected payoff of each strategy against a uniform random opponent.
 
@@ -147,12 +159,7 @@ def expected_payoff(point: SimplexPoint, matrix: PayoffMatrix, population: int) 
     population : int
         Population size N >= 2.
     """
-    _check_dims(point, matrix)
-    n = int(population)
-    if n < 2:
-        raise DomainError(f"population must be at least 2, got {population}")
-    lam = point.coords
-    return (n / (n - 1)) * (matrix.entries @ lam) - matrix.diagonal() / (n - 1)
+    return fitness_profile(point, matrix, population, 0.0).payoffs
 
 
 def fitness_profile(
@@ -166,15 +173,19 @@ def fitness_profile(
     w = float(selection_weight)
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"selection weight must lie in [0, 1], got {selection_weight}")
-    pay = expected_payoff(point, matrix, population)
-    fit = (1.0 - w) + w * pay
+    _check_dims(point, matrix)
+    n = int(population)
+    if n < 2:
+        raise DomainError(f"population must be at least 2, got {population}")
+    pay, fit = payoff_fitness(point.coords[None, :], matrix.entries, n, w)
+    pay, fit = pay[0], fit[0]
     fbar = float(point.coords @ fit)
     return FitnessProfile(
         payoffs=pay,
         fitnesses=fit,
         mean_fitness=fbar,
         selection_weight=w,
-        population=int(population),
+        population=n,
     )
 
 

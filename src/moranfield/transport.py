@@ -1,8 +1,8 @@
 """Exact 1-Wasserstein distance between empirical measures on the simplex.
 
 Equal-size uniform empirical measures reduce to a linear assignment problem;
-unequal sizes are solved exactly on the transportation polytope (LP plus a
-rational reconstruction of the optimal vertex masses).  A Kantorovich-dual
+unequal sizes are solved exactly on the transportation polytope (LP, with
+the optimal vertex masses snapped to their exact lattice).  A Kantorovich-dual
 certifier produces guaranteed lower bounds from 1-Lipschitz witnesses, and a
 sliced approximation handles ensembles too large for the exact solver.
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -136,55 +135,6 @@ def _assignment_plan(dist: np.ndarray) -> TransportPlan:
     )
 
 
-def _rational_vertex_masses(support, r_mu, r_nu):
-    """Exact masses of a basic transportation solution from its support edges.
-
-    Leaf elimination over the (acyclic) support forest with Fraction
-    marginals; tiny degenerate cycles are broken at their lightest edge.
-    """
-    edges = {(int(i), int(j)): None for i, j, _ in support}
-    lp_mass = {(int(i), int(j)): x for i, j, x in support}
-    left = [Fraction(1, r_mu) for _ in range(r_mu)]
-    right = [Fraction(1, r_nu) for _ in range(r_nu)]
-    adj_left = {i: set() for i in range(r_mu)}
-    adj_right = {j: set() for j in range(r_nu)}
-    for i, j in edges:
-        adj_left[i].add(j)
-        adj_right[j].add(i)
-    pending = set(edges)
-    while pending:
-        leaf = None
-        for i, js in adj_left.items():
-            if len(js) == 1:
-                j = next(iter(js))
-                leaf, mass_holder = (i, j), "left"
-                break
-        else:
-            for j, is_ in adj_right.items():
-                if len(is_) == 1:
-                    i = next(iter(is_))
-                    leaf, mass_holder = (i, j), "right"
-                    break
-        if leaf is None:
-            # degenerate cycle: drop the lightest remaining edge
-            drop = min(pending, key=lambda e: lp_mass[e])
-            pending.discard(drop)
-            adj_left[drop[0]].discard(drop[1])
-            adj_right[drop[1]].discard(drop[0])
-            continue
-        i, j = leaf
-        mass = left[i] if mass_holder == "left" else right[j]
-        edges[(i, j)] = mass
-        left[i] -= mass
-        right[j] -= mass
-        pending.discard((i, j))
-        adj_left[i].discard(j)
-        adj_right[j].discard(i)
-    if any(left) or any(right) or any(m is not None and m < 0 for m in edges.values()):
-        raise SimulationError("failed to reconstruct exact transportation masses")
-    return {e: m for e, m in edges.items() if m}
-
-
 def _transportation_plan(dist: np.ndarray, r_mu: int, r_nu: int) -> TransportPlan:
     a_rows, a_cols, a_vals = [], [], []
     for i in range(r_mu):
@@ -202,11 +152,13 @@ def _transportation_plan(dist: np.ndarray, r_mu: int, r_nu: int) -> TransportPla
     res = linprog(dist.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise SimulationError(f"transportation solve failed: {res.message}")
-    x = res.x.reshape(r_mu, r_nu)
-    support = [(i, j, x[i, j]) for i, j in zip(*np.nonzero(x > 1e-13))]
-    exact = _rational_vertex_masses(support, r_mu, r_nu)
-    pairs = np.array(sorted(exact), dtype=int).reshape(-1, 2)
-    masses = np.array([float(exact[tuple(p)]) for p in pairs])
+    # a vertex is integral in units of 1/(r_mu r_nu): the scaled marginals
+    # r_nu and r_mu are integers and the constraint matrix is totally unimodular
+    units = np.rint(res.x.reshape(r_mu, r_nu) * (r_mu * r_nu)).astype(np.int64)
+    if np.any(units.sum(axis=1) != r_nu) or np.any(units.sum(axis=0) != r_mu):
+        raise SimulationError("failed to reconstruct exact transportation masses")
+    pairs = np.argwhere(units > 0)
+    masses = units[units > 0] / (r_mu * r_nu)
     pair_costs = dist[pairs[:, 0], pairs[:, 1]]
     return TransportPlan(
         kind="coupling",

@@ -197,6 +197,57 @@ class TestConfigValidation:
         assert "resolutions" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("horizon", "abc"),
+            ("alpha", [0.6]),
+            ("master_seed", "seed"),
+            ("checkpoints", [0.5, "end"]),
+            ("verdict", {"final_ratio": "half"}),
+        ],
+    )
+    def test_non_numeric_value_named_at_load(self, tmp_path, capsys, key, value):
+        code, out = self.run_converge(tmp_path, resolutions=[8, 16], **{key: value})
+        assert code == 2
+        assert f"'{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_floor", "n_scale", "w_scale", "resolution"])
+    def test_lazily_read_value_rejected_at_load(self, tmp_path, capsys, key):
+        overrides = {"resolution": 10, key: "x"}
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert f"config key '{key}' must be numeric" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "law, key",
+        [
+            ({"kind": "dirichlet", "concentraton": [2.0, 2.0]}, "initial_law.concentraton"),
+            ({"kind": "dirac", "point": [1.0, 0.0], "concentration": [1.0, 1.0]},
+             "initial_law.concentration"),
+            ({"kind": "uniform", "dimension": 2, "point": [0.5, 0.5]}, "initial_law.point"),
+        ],
+    )
+    def test_unknown_law_key_named(self, tmp_path, capsys, law, key):
+        code, out = self.run_converge(tmp_path, resolutions=[8, 16], initial_law=law)
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_checked_not_rewritten(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            resolution=10,
+            n_floor=3,
+            n_scale="1.5",
+            initial_law={"kind": "uniform", "dimension": 2},
+        )
+        data = RunConfig.load(str(cfg), {}).to_dict()
+        assert (data["n_floor"], data["n_scale"]) == (3, "1.5")
+
     def test_config_hash_unchanged_for_valid_config(self, tmp_path):
         # residual.json and manifest.json carry this hash; reports made
         # before load-time validation existed must keep matching it

@@ -96,8 +96,6 @@ class TestFlow:
         with pytest.raises(DomainError):
             FlowConfig(step_size=0.0)
         with pytest.raises(DomainError):
-            FlowConfig(step_size=0.1, method="euler")
-        with pytest.raises(DomainError):
             FlowConfig(step_size=0.1, min_step=0.5)
 
     def test_default_config(self):
