@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (one chain at one resolution), ``converge``
 (resolution sweep against the flow limit), ``regimes`` (scaling-exponent
-scan), ``residual`` (weak-form defect), ``validate`` (fast invariant suite).
+scan), ``residual`` (weak-form defect), ``validate`` (the acceptance oracles
+at small counts).
 
 A run is described by one JSON config file; command-line flags override file
 values, which override built-in defaults (the output directory additionally
@@ -16,7 +17,6 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracles
 from .engine import ScalingSchedule, discretize_initial, export_trajectory, simulate
 from .errors import (
     ConfigurationError,
@@ -44,10 +44,11 @@ from .lab import (
     standard_test_functions,
     weak_form_residual,
 )
+from .report import RESIDUAL_SCHEMA, payload_digest, write_csv, write_json, write_report
 from .simplex import PayoffMatrix, SimplexPoint
+from .transport import EXACT_SIZE_CAP
 
 OUTPUT_DIR_ENV = "MORANFIELD_OUTPUT_DIR"
-RESIDUAL_SCHEMA = "moranfield-residual-report/v1"
 MANIFEST_SCHEMA = "moranfield-manifest/v1"
 
 _DEFAULTS = {
@@ -134,9 +135,18 @@ class RunConfig:
         merged.update({k: v for k, v in data.items() if v is not None})
         self.data = merged
         _check_values(merged)
+        self.horizon = float(merged["horizon"])
+        self.alpha = float(merged["alpha"])
+        self.beta = float(merged["beta"])
+        self.ensemble_size = int(merged["ensemble_size"])
+        self.checkpoints = [float(t) for t in merged["checkpoints"]]
+        self.master_seed = int(merged["master_seed"])
+        self.verdict = dict(_DEFAULTS["verdict"], **merged.get("verdict", {}))
         try:
             self.matrix = PayoffMatrix(merged["payoff_matrix"])
             self.law = InitialLaw.from_dict(merged["initial_law"])
+            # the schedule checks its own ranges (horizon, exponents, prefactors)
+            self.schedule(1)
         except KeyError as err:
             raise ConfigurationError(f"config is missing required key {err}") from err
         except (SimulationError, TypeError, ValueError) as err:
@@ -146,15 +156,6 @@ class RunConfig:
                 f"initial law dimension {self.law.dimension} does not match "
                 f"payoff matrix dimension {self.matrix.dimension}"
             )
-        self.horizon = float(merged["horizon"])
-        self.alpha = float(merged["alpha"])
-        self.beta = float(merged["beta"])
-        self.ensemble_size = int(merged["ensemble_size"])
-        self.checkpoints = [float(t) for t in merged["checkpoints"]]
-        self.master_seed = int(merged["master_seed"])
-        self.verdict = dict(_DEFAULTS["verdict"], **merged.get("verdict", {}))
-        if self.horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
         if self.ensemble_size < 2:
             raise ConfigurationError(
                 f"ensemble_size must be at least 2, got {self.ensemble_size}"
@@ -171,6 +172,12 @@ class RunConfig:
         if any(t < 0 or t > self.horizon for t in self.checkpoints):
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.horizon}], got {self.checkpoints}"
+            )
+        final = self.verdict.get("final_checkpoint")
+        if final is not None and float(final) not in self.checkpoints:
+            raise ConfigurationError(
+                f"config key 'verdict.final_checkpoint' ({final!r}) is not one of "
+                f"the checkpoints {self.checkpoints}"
             )
 
     @classmethod
@@ -209,6 +216,13 @@ class RunConfig:
         step = self.data.get("flow_step") or self.horizon / 1024.0
         return FlowConfig(step_size=float(step))
 
+    def require_exact_size(self) -> None:
+        """Reject, before any chain step, an ensemble too large for exact W1."""
+        if self.ensemble_size > EXACT_SIZE_CAP:
+            raise ConfigurationError(
+                f"ensemble_size {self.ensemble_size} exceeds the exact W1 cap {EXACT_SIZE_CAP}"
+            )
+
     def require_convergent_regime(self) -> None:
         if self.alpha <= 0.5:
             raise ConfigurationError(
@@ -229,9 +243,7 @@ class RunConfig:
         return out
 
     def sha256(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
+        return payload_digest(self.to_dict())
 
 
 def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
@@ -260,9 +272,7 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig) -> None:
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "manifest.json", manifest)
 
 
 def cmd_simulate(args) -> int:
@@ -290,18 +300,18 @@ def _verdict(report, thresholds) -> tuple[bool, str]:
     ratio_cap = float(thresholds["max_consecutive_ratio"])
     final_ratio = float(thresholds["final_ratio"])
     by_kt = {
-        (rec.resolution, c.t): c.w1_to_limit
+        (rec.k, c.t): c.w1_to_limit
         for rec in report.resolutions
         for c in rec.checkpoints
     }
-    ks = [rec.resolution for rec in report.resolutions]
+    ks = [rec.k for rec in report.resolutions]
     ts = [c.t for c in report.resolutions[0].checkpoints]
     monotone = all(
         by_kt[(kb, t)] <= ratio_cap * by_kt[(ka, t)]
         for ka, kb in zip(ks, ks[1:])
         for t in ts
     )
-    t_final = thresholds.get("final_checkpoint", max(ts))
+    t_final = float(thresholds.get("final_checkpoint", max(ts)))
     final_ok = by_kt[(ks[-1], t_final)] <= final_ratio * by_kt[(ks[0], t_final)]
     observed = by_kt[(ks[-1], t_final)] / by_kt[(ks[0], t_final)]
     detail = (
@@ -321,6 +331,7 @@ def _load_sweep_config(args) -> RunConfig:
 
 def cmd_converge(args) -> int:
     config = _load_sweep_config(args)
+    config.require_exact_size()
     if args.regime:
         return _run_regimes(args, config)
     config.require_convergent_regime()
@@ -346,8 +357,8 @@ def cmd_converge(args) -> int:
         jobs=args.jobs,
     )
     outdir = _resolve_output_dir(args.output_dir, config)
-    report.to_json(outdir / "report.json")
-    report.to_csv(outdir / "report.csv")
+    write_report(outdir / "report.json", report.payload(), report.wall_clock_seconds)
+    write_csv(outdir / "report.csv", *report.table())
     _write_manifest(outdir, "converge", config)
     passed, detail = _verdict(report, config.verdict)
     print(f"{'PASS' if passed else 'FAIL'}: {detail}")
@@ -369,19 +380,20 @@ def _run_regimes(args, config: RunConfig) -> int:
         jobs=args.jobs,
     )
     outdir = _resolve_output_dir(args.output_dir, config)
-    report.to_json(outdir / "regimes.json")
-    report.to_csv(outdir / "regimes.csv")
+    write_report(outdir / "regimes.json", report.payload())
+    write_csv(outdir / "regimes.csv", *report.table())
     _write_manifest(outdir, "regimes", config)
     final = report.records[-1]
     print(
         f"regime: {report.classification} (alpha+beta={config.alpha + config.beta:g}); "
-        f"W1(start,end) at k={final.resolution}: {final.w1_start_end:.6g}"
+        f"W1(start,end) at k={final.k}: {final.w1_start_end:.6g}"
     )
     return 0
 
 
 def cmd_regimes(args) -> int:
     config = _load_sweep_config(args)
+    config.require_exact_size()
     return _run_regimes(args, config)
 
 
@@ -436,9 +448,7 @@ def cmd_residual(args) -> int:
         "config_sha256": config.sha256(),
         "records": records,
     }
-    with open(outdir / "residual.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(outdir / "residual.json", payload)
     _write_manifest(outdir, "residual", config)
     return 0
 
@@ -446,120 +456,35 @@ def cmd_residual(args) -> int:
 # -- validate ----------------------------------------------------------------
 
 
-def _check_transitions(rng) -> str | None:
-    from .engine import DiscreteState, transition_table
-    from .simplex import fitness_profile
-
-    for _ in range(60):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 13))
-        w = float(rng.choice([0.0, 0.1, 1.0]))
-        mat = PayoffMatrix(rng.random((m, m)) * 6)
-        counts = rng.multinomial(n, np.full(m, 1.0 / m))
-        table = transition_table(DiscreteState(counts, n, w), mat)
-        total = table.stay_prob + table.move_probs.sum()
-        if abs(total - 1.0) > 1e-12:
-            return f"table sums to {total!r} for counts={counts.tolist()}, w={w}"
-        # move (i, j) = lam_i f_i lam_j / fbar off the diagonal
-        lam = counts / n
-        prof = fitness_profile(SimplexPoint(lam), mat, n, w)
-        expected = np.outer(lam * prof.fitnesses, lam) / prof.mean_fitness
-        np.fill_diagonal(expected, 0.0)
-        gap = np.max(np.abs(table.move_probs - expected))
-        if gap > 1e-12:
-            return f"move probabilities off by {gap:.2e} for counts={counts.tolist()}, w={w}"
-    return None
-
-
-def _check_drift(rng) -> str | None:
-    from .engine import DiscreteState, exact_drift, transition_table
-
-    for _ in range(60):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 13))
-        w = float(rng.choice([0.0, 0.1, 1.0]))
-        state = DiscreteState(rng.multinomial(n, np.full(m, 1.0 / m)), n, w)
-        mat = PayoffMatrix(rng.random((m, m)) * 6)
-        moves = transition_table(state, mat).move_probs / n
-        # strategy i gains one bearer in move (i, j) and loses one in move (j, i)
-        mean = moves.sum(axis=1) - moves.sum(axis=0)
-        gap = np.max(np.abs(exact_drift(state, mat) - mean))
-        if gap > 1e-13:
-            return f"drift deviates from table mean by {gap:.2e}"
-    return None
-
-
-def _check_w1(rng) -> str | None:
-    import itertools
-
-    from .transport import EmpiricalMeasure, w1_exact
-
-    for _ in range(10):
-        mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=5))
-        nu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=5))
-        dist, _ = w1_exact(mu, nu)
-        best = min(
-            np.mean(np.linalg.norm(mu.array - nu.array[list(p)], axis=1))
-            for p in itertools.permutations(range(5))
-        )
-        if abs(dist - best) > 1e-10:
-            return f"assignment value {dist} != brute force {best}"
-    for _ in range(10):
-        triple = [EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8)) for _ in range(3)]
-        d_ab, _ = w1_exact(triple[0], triple[1])
-        d_ac, _ = w1_exact(triple[0], triple[2])
-        d_cb, _ = w1_exact(triple[2], triple[1])
-        d_ba, _ = w1_exact(triple[1], triple[0])
-        if abs(d_ab - d_ba) > 1e-12 or d_ab > d_ac + d_cb + 1e-10:
-            return "metric axioms violated on a random triple"
-    return None
-
-
-def _check_dual(rng) -> str | None:
-    from .transport import EmpiricalMeasure, random_witnesses, w1_dual_lower_bound, w1_exact
-
-    for _ in range(10):
-        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8))
-        nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8))
-        bound = w1_dual_lower_bound(mu, nu, random_witnesses(3, 16, rng))
-        exact, _ = w1_exact(mu, nu)
-        if bound > exact + 1e-10:
-            return f"dual bound {bound} exceeds exact {exact}"
-    return None
-
-
-def _check_rk4(rng) -> str | None:
-    from .flow import flow
-
-    mat = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
-    p = SimplexPoint([0.35, 0.65])
-    ref = flow(p, mat, 1.0, FlowConfig(step_size=(1.0 / 32) / 64)).coords
-    errs = [
-        np.linalg.norm(flow(p, mat, 1.0, FlowConfig(step_size=1.0 / d)).coords - ref)
-        for d in (8, 16, 32)
-    ]
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    if min(orders) < 3.7:
-        return f"observed RK4 order {min(orders):.2f} < 3.7"
-    return None
+def _validate_checks(rng):
+    """(name, passed, detail) of each acceptance oracle, run at small counts."""
+    _, worst_sum, worst_gap = oracles.transition_gaps(rng, per_combo=1)
+    yield (
+        "transition normalization & exactness",
+        worst_sum <= 1e-12 and worst_gap <= 1e-12,
+        f"max |sum-1| {worst_sum:.2e}, max gap to pair enumeration {worst_gap:.2e}",
+    )
+    gap = oracles.drift_gap(rng, per_combo=1)
+    yield "drift consistency", gap <= 1e-13, f"drift deviates from table mean by {gap:.2e}"
+    gap = oracles.assignment_gap(rng, 10)
+    axioms = oracles.metric_axioms_hold(rng, 10)
+    yield (
+        "W1 exactness & metric axioms",
+        gap <= 1e-10 and axioms,
+        f"max gap to permutation brute force {gap:.2e}; metric axioms hold: {axioms}",
+    )
+    yield "Kantorovich dual bound", oracles.dual_bound_holds(rng, 10), "bound above exact W1"
+    orders = oracles.rk4_orders(SimplexPoint([0.35, 0.65]), PayoffMatrix([[1.0, 2.0], [3.0, 4.0]]))
+    yield "RK4 order", min(orders) >= 3.7, f"observed RK4 order {min(orders):.2f} < 3.7"
 
 
 def cmd_validate(args) -> int:
-    rng = np.random.default_rng(args.seed or 0)
-    checks = [
-        ("transition normalization & exactness", _check_transitions),
-        ("drift consistency", _check_drift),
-        ("W1 exactness & metric axioms", _check_w1),
-        ("Kantorovich dual bound", _check_dual),
-        ("RK4 order", _check_rk4),
-    ]
     failures = []
-    for name, fn in checks:
-        problem = fn(rng)
-        if problem is None:
+    for name, passed, detail in _validate_checks(np.random.default_rng(args.seed or 0)):
+        if passed:
             print(f"[ ok ] {name}")
         else:
-            print(f"[FAIL] {name}: {problem}")
+            print(f"[FAIL] {name}: {detail}")
             failures.append(name)
     if failures:
         print(f"validate: {len(failures)} check(s) failed: {', '.join(failures)}")
@@ -617,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--ensemble-size", type=int, default=None)
     p_res.set_defaults(fn=cmd_residual)
 
-    p_val = sub.add_parser("validate", help="fast invariant suite")
+    p_val = sub.add_parser("validate", help="acceptance oracles at small counts")
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(fn=cmd_validate)
 

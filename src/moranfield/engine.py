@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     FitnessDegenerateError,
 )
+from .report import write_csv, write_json
 from .simplex import PayoffMatrix, SimplexPoint, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
@@ -450,23 +451,16 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     counts) round-trip bit-exactly; the sidecar holds schedule, seed and
     payoff matrix.
     """
-    m = traj.counts.shape[1]
-    times = traj.times()
-    props = traj.proportions_matrix()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"lambda_{i + 1}" for i in range(m)])
-        for t, row in zip(times, props):
-            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in row])
+    header = ["t"] + [f"lambda_{i + 1}" for i in range(traj.counts.shape[1])]
+    rows = ([t, *row] for t, row in zip(traj.times(), traj.proportions_matrix()))
+    write_csv(csv_path, header, rows)
     sidecar = {
         "schema": TRAJECTORY_SCHEMA,
         "schedule": traj.schedule.to_dict(),
         "seed": traj.seed,
         "payoff_matrix": matrix.to_rows(),
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
 
 
 def import_trajectory(csv_path, sidecar_path):

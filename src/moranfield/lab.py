@@ -7,18 +7,17 @@ replicator-flow pushforward of the same R initial draws.  Sharing the
 pre-discretization draws pairs the two sides, so the W1 estimate at t = 0
 reflects only the count-lattice rounding.
 
-Every replica owns two RNG streams derived from (master_seed, replica,
-lane): lane 0 draws the initial point, lane 1 drives the chain.  Results are
-therefore independent of replica scheduling and of the parallelism degree.
+Every random draw comes from a named stream of :data:`STREAMS`, seeded by
+``master_seed`` and a fixed spawn key: each replica owns its initial-draw
+and chain streams, so results are independent of replica scheduling and of
+the parallelism degree.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     ResolutionError,
 )
 from .flow import FlowConfig, default_flow_config, pushforward
+from .report import REGIME_SCHEMA, REPORT_SCHEMA
 from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from .transport import (
     EmpiricalMeasure,
@@ -44,11 +44,23 @@ from .transport import (
     w1_exact,
 )
 
-REPORT_SCHEMA = "moranfield-convergence-report/v1"
-REGIME_SCHEMA = "moranfield-regime-report/v1"
 TEST_FUNCTION_FAMILY_VERSION = "tf-v1"
 BOOTSTRAP_RESAMPLES = 200
-_BOOTSTRAP_LANE = 2
+
+#: spawn key of each RNG stream under ``master_seed``: the only place a lane
+#: number appears.  ``r`` is a replica, ``idx`` a checkpoint index and ``k`` a
+#: resolution.  The keys never change, so report digests stay fixed.
+STREAMS = {
+    "initial": lambda r: (r, 0),
+    "chain": lambda r: (r, 1),
+    "converge_bootstrap": lambda idx, k: (idx, 2 + k),
+    "regimes_bootstrap": lambda k: (k, 2),
+    "residual_bootstrap": lambda: (0, 3),
+    "floor_bootstrap": lambda: (1, 3),
+    "floor_dt": lambda r: (r, 10),
+    "floor_adv": lambda r: (r, 11),
+    "floor_initial": lambda r: (r, 12),
+}
 
 
 # -- initial laws --------------------------------------------------------
@@ -108,14 +120,16 @@ class InitialLaw:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
 
 
-def _replica_rng(master_seed: int, replica: int, lane: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replica), int(lane)))
+def _rng(master_seed: int, stream: str, *index) -> np.random.Generator:
+    """Generator of ``stream`` (a key of :data:`STREAMS`) at ``index``."""
+    key = tuple(int(i) for i in STREAMS[stream](*index))
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
 
 
 def draw_initial_samples(law: InitialLaw, count: int, master_seed: int) -> np.ndarray:
     """Pre-discretization initial draws, one per replica stream."""
-    return np.array([law.sample_one(_replica_rng(master_seed, r, 0)) for r in range(count)])
+    return np.array([law.sample_one(_rng(master_seed, "initial", r)) for r in range(count)])
 
 
 # -- ensembles ------------------------------------------------------------
@@ -147,9 +161,9 @@ def _simulate_chunk(args):
     counts0 = np.empty((size, law.dimension), dtype=np.int64)
     uniforms = np.empty((size, k))
     for offset, r in enumerate(range(r0, r1)):
-        lam0[offset] = law.sample_one(_replica_rng(master_seed, r, 0))
+        lam0[offset] = law.sample_one(_rng(master_seed, "initial", r))
         counts0[offset] = largest_remainder_counts(SimplexPoint(lam0[offset]), n)
-        uniforms[offset] = _replica_rng(master_seed, r, 1).random(k)
+        uniforms[offset] = _rng(master_seed, "chain", r).random(k)
     paths = simulate_counts_batch(counts0, matrix, schedule, uniforms)
     return lam0, paths[:, columns]
 
@@ -310,7 +324,7 @@ class CheckpointRecord:
 
 @dataclass(frozen=True, eq=False)
 class ResolutionRecord:
-    resolution: int
+    k: int
     tau: float
     population: int
     selection_weight: float
@@ -334,107 +348,20 @@ class ConvergenceReport:
 
     def payload(self) -> dict:
         """Canonical content; excludes wall clock so identical runs compare equal."""
-        return {
-            "schema": REPORT_SCHEMA,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "horizon": self.horizon,
-            "ensemble_size": self.ensemble_size,
-            "master_seed": self.master_seed,
-            "law": self.law,
-            "payoff_matrix": self.payoff_matrix,
-            "flow_step": self.flow_step,
-            "resolutions": [
-                {
-                    "k": rec.resolution,
-                    "tau": rec.tau,
-                    "population": rec.population,
-                    "selection_weight": rec.selection_weight,
-                    "checkpoints": [
-                        {
-                            "t": c.t,
-                            "w1_to_limit": c.w1_to_limit,
-                            "ci_halfwidth": c.ci_halfwidth,
-                            "w1_dual_lb": c.w1_dual_lb,
-                            "affine_constant_gap": c.affine_constant_gap,
-                        }
-                        for c in rec.checkpoints
-                    ],
-                }
-                for rec in self.resolutions
-            ],
-        }
+        data = asdict(self)
+        del data["wall_clock_seconds"]
+        return {"schema": REPORT_SCHEMA, **data}
 
-    def payload_digest(self) -> str:
-        canonical = json.dumps(self.payload(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def to_json(self, path) -> None:
-        data = self.payload()
-        data["wall_clock_seconds"] = self.wall_clock_seconds
-        data["payload_digest"] = self.payload_digest()
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["k", "t", "w1", "ci", "w1_bar_gap", "n_k", "w_k", "tau_k"])
-            for rec in self.resolutions:
-                for c in rec.checkpoints:
-                    writer.writerow(
-                        [
-                            rec.resolution,
-                            f"{c.t:.17g}",
-                            f"{c.w1_to_limit:.17g}",
-                            f"{c.ci_halfwidth:.17g}",
-                            f"{c.affine_constant_gap:.17g}",
-                            rec.population,
-                            f"{rec.selection_weight:.17g}",
-                            f"{rec.tau:.17g}",
-                        ]
-                    )
-
-    @classmethod
-    def from_json(cls, path) -> "ConvergenceReport":
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("schema") != REPORT_SCHEMA:
-            raise ConfigurationError(f"unexpected report schema {data.get('schema')!r}")
-        resolutions = [
-            ResolutionRecord(
-                resolution=rec["k"],
-                tau=rec["tau"],
-                population=rec["population"],
-                selection_weight=rec["selection_weight"],
-                checkpoints=[
-                    CheckpointRecord(
-                        t=c["t"],
-                        w1_to_limit=c["w1_to_limit"],
-                        ci_halfwidth=c["ci_halfwidth"],
-                        w1_dual_lb=c["w1_dual_lb"],
-                        affine_constant_gap=c["affine_constant_gap"],
-                    )
-                    for c in rec["checkpoints"]
-                ],
-            )
-            for rec in data["resolutions"]
+    def table(self) -> tuple[list, list]:
+        """CSV header and rows: one row per (resolution, checkpoint)."""
+        header = ["k", "t", "w1", "ci", "w1_bar_gap", "n_k", "w_k", "tau_k"]
+        rows = [
+            [rec.k, c.t, c.w1_to_limit, c.ci_halfwidth, c.affine_constant_gap,
+             rec.population, rec.selection_weight, rec.tau]
+            for rec in self.resolutions
+            for c in rec.checkpoints
         ]
-        return cls(
-            alpha=data["alpha"],
-            beta=data["beta"],
-            horizon=data["horizon"],
-            ensemble_size=data["ensemble_size"],
-            master_seed=data["master_seed"],
-            law=data["law"],
-            payoff_matrix=data["payoff_matrix"],
-            flow_step=data["flow_step"],
-            resolutions=resolutions,
-            wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
-        )
+        return header, rows
 
 
 def _limit_measures(initial, matrix, checkpoints, flow_cfg):
@@ -491,15 +418,7 @@ def convergence_experiment(
     # one pool serves every chain chunk and bootstrap solve of the run
     with worker_pool(jobs) as pool:
         for k in ks:
-            schedule = ScalingSchedule(
-                horizon=base.horizon,
-                resolution=k,
-                alpha=base.alpha,
-                beta=base.beta,
-                n_floor=base.n_floor,
-                n_scale=base.n_scale,
-                w_scale=base.w_scale,
-            )
+            schedule = replace(base, resolution=k)
             ensemble = run_ensemble(
                 law,
                 matrix,
@@ -524,7 +443,7 @@ def convergence_experiment(
                 ci = bootstrap_w1_ci(
                     chain,
                     limit,
-                    _replica_rng(master_seed, idx, _BOOTSTRAP_LANE + k),
+                    _rng(master_seed, "converge_bootstrap", idx, k),
                     jobs=jobs,
                     pool=pool,
                 )
@@ -543,7 +462,7 @@ def convergence_experiment(
                 )
             records.append(
                 ResolutionRecord(
-                    resolution=k,
+                    k=k,
                     tau=schedule.tau,
                     population=schedule.population,
                     selection_weight=schedule.selection_weight,
@@ -569,7 +488,7 @@ def convergence_experiment(
 
 @dataclass(frozen=True, eq=False)
 class RegimeRecord:
-    resolution: int
+    k: int
     tau: float
     population: int
     selection_weight: float
@@ -594,57 +513,18 @@ class RegimeReport:
     records: list
 
     def payload(self) -> dict:
-        return {
-            "schema": REGIME_SCHEMA,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "horizon": self.horizon,
-            "classification": self.classification,
-            "ensemble_size": self.ensemble_size,
-            "master_seed": self.master_seed,
-            "law": self.law,
-            "payoff_matrix": self.payoff_matrix,
-            "records": [
-                {
-                    "k": r.resolution,
-                    "tau": r.tau,
-                    "population": r.population,
-                    "selection_weight": r.selection_weight,
-                    "drift_scale": r.drift_scale,
-                    "w1_start_end": r.w1_start_end,
-                    "ci_halfwidth": r.ci_halfwidth,
-                    "mean_displacement_rate": r.mean_displacement_rate,
-                }
-                for r in self.records
-            ],
-        }
+        return {"schema": REGIME_SCHEMA, **asdict(self)}
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(
-                ["k", "tau_k", "n_k", "w_k", "drift_scale", "w1_start_end", "ci", "mean_displacement_rate"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.resolution,
-                        f"{r.tau:.17g}",
-                        r.population,
-                        f"{r.selection_weight:.17g}",
-                        f"{r.drift_scale:.17g}",
-                        f"{r.w1_start_end:.17g}",
-                        f"{r.ci_halfwidth:.17g}",
-                        f"{r.mean_displacement_rate:.17g}",
-                    ]
-                )
+    def table(self) -> tuple[list, list]:
+        """CSV header and rows: one row per resolution."""
+        header = ["k", "tau_k", "n_k", "w_k", "drift_scale", "w1_start_end", "ci",
+                  "mean_displacement_rate"]
+        rows = [
+            [r.k, r.tau, r.population, r.selection_weight, r.drift_scale,
+             r.w1_start_end, r.ci_halfwidth, r.mean_displacement_rate]
+            for r in self.records
+        ]
+        return header, rows
 
 
 def classify_regime(alpha: float, beta: float, tol: float = 1e-9) -> str:
@@ -704,7 +584,7 @@ def regime_experiment(
             ci = bootstrap_w1_ci(
                 start,
                 end,
-                _replica_rng(master_seed, int(k), _BOOTSTRAP_LANE),
+                _rng(master_seed, "regimes_bootstrap", k),
                 jobs=jobs,
                 pool=pool,
             )
@@ -713,7 +593,7 @@ def regime_experiment(
             )
             records.append(
                 RegimeRecord(
-                    resolution=int(k),
+                    k=int(k),
                     tau=schedule.tau,
                     population=schedule.population,
                     selection_weight=schedule.selection_weight,
@@ -887,7 +767,7 @@ def weak_form_residual(
         + np.trapezoid(adv_vals, xs, axis=0)
         + phi.value(0.0, ensemble.affine[nodes[0]].array)
     )
-    rng = _replica_rng(ensemble.master_seed, 0, _BOOTSTRAP_LANE + 1)
+    rng = _rng(ensemble.master_seed, "residual_bootstrap")
     values = np.empty(BOOTSTRAP_RESAMPLES)
     for b in range(BOOTSTRAP_RESAMPLES):
         values[b] = abs(contributions[rng.integers(0, r, size=r)].mean())
@@ -899,15 +779,9 @@ def weak_form_residual(
     )
 
 
-_FLOOR_LANES = (10, 11, 12)
-
-
-def _flow_term_values(law, matrix, nodes, ensemble_size, master_seed, lane, flow_cfg):
+def _flow_term_values(law, matrix, nodes, ensemble_size, master_seed, stream, flow_cfg):
     samples = np.array(
-        [
-            law.sample_one(_replica_rng(master_seed, r, lane))
-            for r in range(ensemble_size)
-        ]
+        [law.sample_one(_rng(master_seed, stream, r)) for r in range(ensemble_size)]
     )
     return _limit_measures(EmpiricalMeasure(samples), matrix, nodes, flow_cfg)
 
@@ -938,14 +812,10 @@ def residual_floor(
     xs = np.asarray(nodes)
     r = ensemble_size
 
-    states_dt = _flow_term_values(
-        law, matrix, nodes, r, master_seed, _FLOOR_LANES[0], flow_cfg
-    )
-    states_adv = _flow_term_values(
-        law, matrix, nodes, r, master_seed, _FLOOR_LANES[1], flow_cfg
-    )
+    states_dt = _flow_term_values(law, matrix, nodes, r, master_seed, "floor_dt", flow_cfg)
+    states_adv = _flow_term_values(law, matrix, nodes, r, master_seed, "floor_adv", flow_cfg)
     initial = np.array(
-        [law.sample_one(_replica_rng(master_seed, i, _FLOOR_LANES[2])) for i in range(r)]
+        [law.sample_one(_rng(master_seed, "floor_initial", i)) for i in range(r)]
     )
 
     dt_vals = np.empty((len(nodes), r))
@@ -960,7 +830,7 @@ def residual_floor(
     term_adv = np.trapezoid(adv_vals, xs, axis=0)
     term_init = phi.value(0.0, initial)
 
-    rng = _replica_rng(master_seed, 1, _BOOTSTRAP_LANE + 1)
+    rng = _rng(master_seed, "floor_bootstrap")
     values = np.empty(BOOTSTRAP_RESAMPLES)
     for b in range(BOOTSTRAP_RESAMPLES):
         values[b] = abs(

@@ -27,6 +27,7 @@ from .errors import (
     InvalidWitnessError,
     SimulationError,
 )
+from .report import write_csv
 from .simplex import SIMPLEX_TOL, SimplexPoint
 
 #: largest ensemble size accepted by the exact solver
@@ -104,11 +105,8 @@ class TransportPlan:
         return mu, nu
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["src_id", "dst_id", "mass", "cost"])
-            for (i, j), mass, c in zip(self.pairs, self.masses, self.pair_costs):
-                writer.writerow([i, j, f"{mass:.17g}", f"{c:.17g}"])
+        rows = zip(self.pairs[:, 0], self.pairs[:, 1], self.masses, self.pair_costs)
+        write_csv(path, ["src_id", "dst_id", "mass", "cost"], rows)
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
@@ -352,11 +350,8 @@ def w1_sliced(
 # -- empirical-measure file round-trip -----------------------------------
 
 def measure_to_csv(measure: EmpiricalMeasure, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"lambda_{i + 1}" for i in range(measure.dimension)])
-        for idx, row in enumerate(measure.array):
-            writer.writerow([idx] + [f"{x:.17g}" for x in row])
+    header = ["sample_id"] + [f"lambda_{i + 1}" for i in range(measure.dimension)]
+    write_csv(path, header, ([idx, *row] for idx, row in enumerate(measure.array)))
 
 
 def measure_from_csv(path) -> EmpiricalMeasure:

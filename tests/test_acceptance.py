@@ -5,7 +5,6 @@ All tolerances are fixed here; the master seed is fixed and documented so
 every number is reproducible.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -28,13 +27,15 @@ from moranfield.lab import (
     standard_test_functions,
     weak_form_residual,
 )
-from moranfield.simplex import PayoffMatrix, SimplexPoint
-from moranfield.transport import (
-    EmpiricalMeasure,
-    random_witnesses,
-    w1_dual_lower_bound,
-    w1_exact,
+from moranfield.oracles import (
+    assignment_gap,
+    drift_gap,
+    dual_bound_holds,
+    metric_axioms_hold,
+    rk4_orders,
+    transition_gaps,
 )
+from moranfield.simplex import PayoffMatrix, SimplexPoint
 
 ACCEPTANCE_SEED = 20260810
 HEADLINE_MATRIX = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
@@ -43,47 +44,6 @@ HEADLINE_LAW = InitialLaw.dirichlet([2.0, 2.0])
 
 def report_line(criterion, passed, detail):
     print(f"\n[criterion {criterion}] {'PASS' if passed else 'FAIL'}: {detail}")
-
-
-def transition_sweep(rng, per_combo):
-    """Random (A, counts) instances over the pinned (M, N, w) grid."""
-    for m in (2, 3, 4):
-        for n in range(2, 13):
-            for w in (0.0, 0.1, 1.0):
-                for _ in range(per_combo):
-                    entries = rng.random((m, m)) * 6
-                    counts = rng.multinomial(n, np.full(m, 1.0 / m))
-                    yield m, n, w, entries, counts
-
-
-def brute_force_pairs(counts, entries, w):
-    """(replicator, dead) pair enumeration: the independent transition oracle."""
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    m = counts.size
-    pay = np.array(
-        [
-            sum(
-                entries[i][j] * ((counts[j] - 1) if j == i else counts[j])
-                for j in range(m)
-            )
-            / (n - 1)
-            for i in range(m)
-        ]
-    )
-    fit = (1 - w) + w * pay
-    total = float(counts @ fit)
-    moves = np.zeros((m, m))
-    stay = 0.0
-    for i in range(m):
-        repl = counts[i] * fit[i] / total
-        for j in range(m):
-            dead = counts[j] / n
-            if i == j:
-                stay += repl * dead
-            else:
-                moves[i, j] += repl * dead
-    return moves, stay
 
 
 @pytest.fixture(scope="module")
@@ -129,16 +89,7 @@ def residual_data():
 def test_criterion_1_transition_exactness():
     started = time.perf_counter()
     rng = np.random.default_rng(ACCEPTANCE_SEED)
-    checked = 0
-    worst_sum = 0.0
-    worst_gap = 0.0
-    for m, n, w, entries, counts in transition_sweep(rng, per_combo=6):
-        table = transition_table(DiscreteState(counts, n, w), PayoffMatrix(entries))
-        worst_sum = max(worst_sum, abs(table.stay_prob + table.move_probs.sum() - 1.0))
-        oracle_moves, oracle_stay = brute_force_pairs(counts, entries, w)
-        worst_gap = max(worst_gap, np.max(np.abs(table.move_probs - oracle_moves)))
-        worst_gap = max(worst_gap, abs(table.stay_prob - oracle_stay))
-        checked += 1
+    checked, worst_sum, worst_gap = transition_gaps(rng, per_combo=6)
     elapsed = time.perf_counter() - started
     passed = worst_sum <= 1e-12 and worst_gap <= 1e-12 and elapsed < 10.0
     report_line(
@@ -156,19 +107,7 @@ def test_criterion_1_transition_exactness():
 def test_criterion_2_drift_consistency():
     started = time.perf_counter()
     rng = np.random.default_rng(ACCEPTANCE_SEED + 1)
-    worst = 0.0
-    for m, n, w, entries, counts in transition_sweep(rng, per_combo=6):
-        state = DiscreteState(counts, n, w)
-        mat = PayoffMatrix(entries)
-        table = transition_table(state, mat)
-        mean = np.zeros(m)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    delta = np.zeros(m)
-                    delta[i], delta[j] = 1.0 / n, -1.0 / n
-                    mean += table.move_probs[i, j] * delta
-        worst = max(worst, np.max(np.abs(exact_drift(state, mat) - mean)))
+    worst = drift_gap(rng, per_combo=6)
     table_ok = worst <= 1e-13
 
     # empirical one-step drift over 10^5 sampled steps on 20 random states
@@ -214,7 +153,7 @@ def test_criterion_3_interpolation_gap(headline_report):
         bound = np.sqrt(2.0) / rec.population
         for c in rec.checkpoints:
             if c.affine_constant_gap > bound + 2 * c.ci_halfwidth:
-                violations.append((rec.resolution, c.t, c.affine_constant_gap))
+                violations.append((rec.k, c.t, c.affine_constant_gap))
     report_line(
         3,
         not violations,
@@ -227,7 +166,7 @@ def test_criterion_3_interpolation_gap(headline_report):
 
 def test_criterion_4_headline_convergence(headline_report):
     by_kt = {
-        (rec.resolution, c.t): c.w1_to_limit
+        (rec.k, c.t): c.w1_to_limit
         for rec in headline_report.resolutions
         for c in rec.checkpoints
     }
@@ -309,36 +248,10 @@ def test_criterion_6_weak_form_residual(residual_data):
 
 def test_criterion_7_transport_metric():
     rng = np.random.default_rng(ACCEPTANCE_SEED + 2)
-    worst = 0.0
-    for _ in range(200):
-        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=5))
-        nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=5))
-        dist, _ = w1_exact(mu, nu)
-        best = min(
-            float(np.mean(np.linalg.norm(mu.array - nu.array[list(p)], axis=1)))
-            for p in itertools.permutations(range(5))
-        )
-        worst = max(worst, abs(dist - best))
+    worst = assignment_gap(rng, 200)
     brute_ok = worst <= 1e-10
-
-    axioms_ok = True
-    for _ in range(100):
-        a, b, c = (EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8)) for _ in range(3))
-        d_ab, _ = w1_exact(a, b)
-        d_ba, _ = w1_exact(b, a)
-        d_ac, _ = w1_exact(a, c)
-        d_cb, _ = w1_exact(c, b)
-        if abs(d_ab - d_ba) > 1e-12 or d_ab < 0 or d_ab > d_ac + d_cb + 1e-10:
-            axioms_ok = False
-
-    dual_ok = True
-    for _ in range(50):
-        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=10))
-        nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=10))
-        exact, _ = w1_exact(mu, nu)
-        if w1_dual_lower_bound(mu, nu, random_witnesses(3, 32, rng)) > exact + 1e-10:
-            dual_ok = False
-
+    axioms_ok = metric_axioms_hold(rng, 100)
+    dual_ok = dual_bound_holds(rng, 50)
     passed = brute_ok and axioms_ok and dual_ok
     report_line(
         7,
@@ -352,12 +265,7 @@ def test_criterion_7_transport_metric():
 def test_criterion_8_rk4_order():
     p = SimplexPoint([0.35, 0.65])
     t = 1.0
-    ref = flow(p, HEADLINE_MATRIX, t, FlowConfig(step_size=(1.0 / 32) / 64)).coords
-    errs = [
-        np.linalg.norm(flow(p, HEADLINE_MATRIX, t, FlowConfig(step_size=dt)).coords - ref)
-        for dt in (1 / 8, 1 / 16, 1 / 32)
-    ]
-    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
+    orders = rk4_orders(p, HEADLINE_MATRIX)
     order_ok = min(orders) >= 3.7
 
     out = flow(p, HEADLINE_MATRIX, t, FlowConfig(step_size=1 / 1024, renormalize=False))

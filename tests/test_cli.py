@@ -1,9 +1,15 @@
+import itertools
 import json
 import os
 
 import pytest
 
+import moranfield.engine
+import moranfield.simplex
+from moranfield import lab
 from moranfield.cli import RunConfig, main
+from moranfield.errors import ConfigurationError
+from moranfield.report import read_report, write_report
 
 
 def write_config(path, **overrides):
@@ -223,6 +229,26 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("simulate", {"n_floor": 1}, "n_floor"),
+            ("simulate", {"w_scale": -1}, "w_scale"),
+            ("simulate", {"alpha": -1}, "alpha"),
+            ("converge", {"verdict": {"final_checkpoint": 0.3}}, "verdict.final_checkpoint"),
+            ("converge", {"ensemble_size": 5000}, "ensemble_size"),
+            ("regimes", {"ensemble_size": 5000, "alpha": 1.0, "beta": 0.5}, "ensemble_size"),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
+        # each of these used to fail only after the run started, with exit 1
+        cfg = write_config(tmp_path / "cfg.json", resolution=10, resolutions=[8, 16], **overrides)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "law, key",
         [
             ({"kind": "dirichlet", "concentraton": [2.0, 2.0]}, "initial_law.concentraton"),
@@ -266,6 +292,96 @@ class TestValidate:
         assert main(["validate", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         assert out.count("[ ok ]") == 5
+
+    def test_fails_without_self_interaction_correction(self, monkeypatch, capsys):
+        # the transition oracle enumerates pairs itself, so a payoff formula
+        # that lets an individual meet itself must not pass
+        def mean_field(lam, entries, population, w):
+            pay = lam @ entries.T
+            return pay, (1.0 - w) + w * pay
+
+        monkeypatch.setattr(moranfield.simplex, "payoff_fitness", mean_field)
+        monkeypatch.setattr(moranfield.engine, "payoff_fitness", mean_field)
+        assert main(["validate", "--seed", "0"]) == 1
+        assert "[FAIL] transition normalization & exactness" in capsys.readouterr().out
+
+
+SWEEPS = {
+    "converge": ({}, "report.json", ("resolutions", 0, "checkpoints", 0, "w1_to_limit")),
+    "regimes": ({"alpha": 1.0, "beta": 0.5}, "regimes.json", ("records", 0, "w1_start_end")),
+    "residual": ({"resolutions": [16], "quadrature_stride": 1}, "residual.json",
+                 ("records", 0, "residual")),
+}
+
+
+def run_sweep(tmp_path, command):
+    overrides, name, _ = SWEEPS[command]
+    cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]) == 0
+    return out / name
+
+
+class TestReports:
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    def test_read_report_checks_schema_and_digest(self, tmp_path, command):
+        path = run_sweep(tmp_path, command)
+        payload = read_report(path)
+        write_report(tmp_path / "again.json", payload)
+        assert read_report(tmp_path / "again.json") == payload
+        doc = json.loads(path.read_text())
+        *parents, leaf = SWEEPS[command][2]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] *= 1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="payload_digest"):
+            read_report(path)
+        with pytest.raises(ConfigurationError, match="schema"):
+            read_report(path.parent / "manifest.json")
+
+
+class TestStreams:
+    def test_spawn_keys_pinned(self):
+        # report digests depend on these keys; they must never move
+        pinned = {
+            "initial": ((5,), (5, 0)),
+            "chain": ((5,), (5, 1)),
+            "converge_bootstrap": ((2, 64), (2, 66)),
+            "regimes_bootstrap": ((64,), (64, 2)),
+            "residual_bootstrap": ((), (0, 3)),
+            "floor_bootstrap": ((), (1, 3)),
+            "floor_dt": ((5,), (5, 10)),
+            "floor_adv": ((5,), (5, 11)),
+            "floor_initial": ((5,), (5, 12)),
+        }
+        assert {name: make(*pinned[name][0]) for name, make in lab.STREAMS.items()} == {
+            name: key for name, (_, key) in pinned.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command, streams",
+        [
+            ("converge", {"initial", "chain", "converge_bootstrap"}),
+            ("regimes", {"initial", "chain", "regimes_bootstrap"}),
+            ("residual", {"initial", "chain", "residual_bootstrap", "floor_bootstrap",
+                          "floor_dt", "floor_adv", "floor_initial"}),
+        ],
+    )
+    def test_streams_of_a_command_are_disjoint(self, tmp_path, monkeypatch, command, streams):
+        drawn = {}
+        real = lab._rng
+
+        def recording(master_seed, stream, *index):
+            drawn.setdefault(stream, set()).add(lab.STREAMS[stream](*index))
+            return real(master_seed, stream, *index)
+
+        monkeypatch.setattr(lab, "_rng", recording)
+        run_sweep(tmp_path, command)
+        assert set(drawn) == streams
+        for a, b in itertools.combinations(sorted(drawn), 2):
+            assert not drawn[a] & drawn[b], (a, b, drawn[a] & drawn[b])
 
 
 class TestPrecedence:

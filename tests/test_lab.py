@@ -1,4 +1,3 @@
-import json
 import signal
 
 import numpy as np
@@ -14,8 +13,8 @@ from moranfield.errors import (
     ResolutionError,
 )
 from moranfield.flow import FlowConfig
+from moranfield import lab
 from moranfield.lab import (
-    ConvergenceReport,
     InitialLaw,
     TestFunction,
     bootstrap_w1_ci,
@@ -30,6 +29,7 @@ from moranfield.lab import (
     weak_form_residual,
     worker_pool,
 )
+from moranfield.report import payload_digest, read_report, write_csv, write_report
 from moranfield.simplex import PayoffMatrix, SimplexPoint
 from moranfield.transport import EmpiricalMeasure, w1_exact
 
@@ -209,7 +209,7 @@ class TestConvergenceExperiment:
         r1 = convergence_experiment(*args)
         r2 = convergence_experiment(*args)
         assert r1.payload() == r2.payload()
-        assert r1.payload_digest() == r2.payload_digest()
+        assert payload_digest(r1.payload()) == payload_digest(r2.payload())
 
     def test_json_csv_roundtrip(self, tmp_path):
         law = InitialLaw.uniform(2)
@@ -217,10 +217,9 @@ class TestConvergenceExperiment:
         report = convergence_experiment(law, A22, base, [8], 8, (1.0,), 15)
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "report.csv"
-        report.to_json(jpath)
-        report.to_csv(cpath)
-        again = ConvergenceReport.from_json(jpath)
-        assert again.payload() == report.payload()
+        write_report(jpath, report.payload(), report.wall_clock_seconds)
+        write_csv(cpath, *report.table())
+        assert read_report(jpath) == report.payload()
         header = cpath.read_text().splitlines()[0]
         assert header == "k,t,w1,ci,w1_bar_gap,n_k,w_k,tau_k"
 
@@ -309,10 +308,11 @@ class TestRegimeExperiment:
             law, A22, alpha=1.0, beta=0.5, resolutions=[8], ensemble_size=8,
             master_seed=20,
         )
-        report.to_json(tmp_path / "r.json")
-        report.to_csv(tmp_path / "r.csv")
-        data = json.loads((tmp_path / "r.json").read_text())
+        write_report(tmp_path / "r.json", report.payload())
+        write_csv(tmp_path / "r.csv", *report.table())
+        data = read_report(tmp_path / "r.json")
         assert data["classification"] == "frozen"
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].startswith("8,")
 
 
 class TestTestFunctions:
@@ -469,9 +469,11 @@ class TestWorkerPool:
         law = InitialLaw.dirichlet([2.0, 2.0])
         base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
         digests = [
-            convergence_experiment(
-                law, A22, base, [8, 16], 16, (0.5, 1.0), master_seed=34, jobs=jobs
-            ).payload_digest()
+            payload_digest(
+                convergence_experiment(
+                    law, A22, base, [8, 16], 16, (0.5, 1.0), master_seed=34, jobs=jobs
+                ).payload()
+            )
             for jobs in (1, 2)
         ]
         assert digests[0] == digests[1]
