@@ -21,6 +21,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from .lab import (
     run_ensemble,
     standard_test_functions,
     weak_form_residual,
+    worker_pool,
 )
 from .report import RESIDUAL_SCHEMA, payload_digest, write_csv, write_json, write_report
 from .simplex import PayoffMatrix, SimplexPoint
@@ -135,9 +137,6 @@ class RunConfig:
         merged.update({k: v for k, v in data.items() if v is not None})
         self.data = merged
         _check_values(merged)
-        self.horizon = float(merged["horizon"])
-        self.alpha = float(merged["alpha"])
-        self.beta = float(merged["beta"])
         self.ensemble_size = int(merged["ensemble_size"])
         self.checkpoints = [float(t) for t in merged["checkpoints"]]
         self.master_seed = int(merged["master_seed"])
@@ -145,8 +144,17 @@ class RunConfig:
         try:
             self.matrix = PayoffMatrix(merged["payoff_matrix"])
             self.law = InitialLaw.from_dict(merged["initial_law"])
-            # the schedule checks its own ranges (horizon, exponents, prefactors)
-            self.schedule(1)
+            # every resolution's schedule is this one with its resolution
+            # replaced; it checks its own ranges (horizon, exponents, prefactors)
+            self.base = ScalingSchedule(
+                horizon=float(merged["horizon"]),
+                resolution=1,
+                alpha=float(merged["alpha"]),
+                beta=float(merged["beta"]),
+                n_floor=int(merged["n_floor"]),
+                n_scale=float(merged["n_scale"]),
+                w_scale=float(merged["w_scale"]),
+            )
         except KeyError as err:
             raise ConfigurationError(f"config is missing required key {err}") from err
         except (SimulationError, TypeError, ValueError) as err:
@@ -169,9 +177,15 @@ class RunConfig:
             raise ConfigurationError(
                 f"resolutions must be a list of positive integers, got {ks!r}"
             )
-        if any(t < 0 or t > self.horizon for t in self.checkpoints):
+        if not self.checkpoints:
+            raise ConfigurationError("config key 'checkpoints' must list at least one time")
+        if any(t < 0 or t > self.base.horizon for t in self.checkpoints):
             raise ConfigurationError(
-                f"checkpoints must lie in [0, {self.horizon}], got {self.checkpoints}"
+                f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
+            )
+        if int(merged["quadrature_stride"]) < 0:
+            raise ConfigurationError(
+                f"config key 'quadrature_stride' must be >= 0, got {merged['quadrature_stride']!r}"
             )
         final = self.verdict.get("final_checkpoint")
         if final is not None and float(final) not in self.checkpoints:
@@ -196,15 +210,7 @@ class RunConfig:
         return cls(data)
 
     def schedule(self, resolution: int) -> ScalingSchedule:
-        return ScalingSchedule(
-            horizon=self.horizon,
-            resolution=int(resolution),
-            alpha=self.alpha,
-            beta=self.beta,
-            n_floor=int(self.data["n_floor"]),
-            n_scale=float(self.data["n_scale"]),
-            w_scale=float(self.data["w_scale"]),
-        )
+        return replace(self.base, resolution=int(resolution))
 
     def resolutions(self) -> list[int]:
         ks = self.data.get("resolutions")
@@ -213,7 +219,7 @@ class RunConfig:
         return [int(k) for k in ks]
 
     def flow_config(self) -> FlowConfig:
-        step = self.data.get("flow_step") or self.horizon / 1024.0
+        step = self.data.get("flow_step") or self.base.horizon / 1024.0
         return FlowConfig(step_size=float(step))
 
     def require_exact_size(self) -> None:
@@ -224,15 +230,16 @@ class RunConfig:
             )
 
     def require_convergent_regime(self) -> None:
-        if self.alpha <= 0.5:
+        alpha, beta = self.base.alpha, self.base.beta
+        if alpha <= 0.5:
             raise ConfigurationError(
                 f"converge requires alpha > 1/2 (the critical threshold below "
-                f"which fluctuations dominate); got alpha={self.alpha}"
+                f"which fluctuations dominate); got alpha={alpha}"
             )
-        if abs(self.alpha + self.beta - 1.0) > 1e-9:
+        if abs(alpha + beta - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"converge requires alpha + beta = 1, got "
-                f"{self.alpha} + {self.beta} = {self.alpha + self.beta}; "
+                f"{alpha} + {beta} = {alpha + beta}; "
                 f"use `regimes` (or --regime) for other exponents"
             )
 
@@ -330,11 +337,11 @@ def _load_sweep_config(args) -> RunConfig:
 
 
 def cmd_converge(args) -> int:
+    """``converge``; with ``args.regime`` (``converge --regime`` or ``regimes``) the regime scan."""
     config = _load_sweep_config(args)
     config.require_exact_size()
-    if args.regime:
-        return _run_regimes(args, config)
-    config.require_convergent_regime()
+    if not args.regime:
+        config.require_convergent_regime()
     ks = config.resolutions()
     if args.dry_run:
         print("k        tau_k        N_k      w_k")
@@ -345,10 +352,12 @@ def cmd_converge(args) -> int:
                 f"{sched.selection_weight:.6g}"
             )
         return 0
+    if args.regime:
+        return _run_regimes(args, config)
     report = convergence_experiment(
         config.law,
         config.matrix,
-        config.schedule(ks[0]),
+        config.base,
         ks,
         config.ensemble_size,
         config.checkpoints,
@@ -369,14 +378,10 @@ def _run_regimes(args, config: RunConfig) -> int:
     report = regime_experiment(
         config.law,
         config.matrix,
-        config.alpha,
-        config.beta,
+        config.base,
         config.resolutions(),
         config.ensemble_size,
         config.master_seed,
-        horizon=config.horizon,
-        n_scale=float(config.data["n_scale"]),
-        w_scale=float(config.data["w_scale"]),
         jobs=args.jobs,
     )
     outdir = _resolve_output_dir(args.output_dir, config)
@@ -385,63 +390,70 @@ def _run_regimes(args, config: RunConfig) -> int:
     _write_manifest(outdir, "regimes", config)
     final = report.records[-1]
     print(
-        f"regime: {report.classification} (alpha+beta={config.alpha + config.beta:g}); "
+        f"regime: {report.classification} (alpha+beta={report.alpha + report.beta:g}); "
         f"W1(start,end) at k={final.k}: {final.w1_start_end:.6g}"
     )
     return 0
 
 
-def cmd_regimes(args) -> int:
-    config = _load_sweep_config(args)
-    config.require_exact_size()
-    return _run_regimes(args, config)
-
-
 def cmd_residual(args) -> int:
     config = _load_sweep_config(args)
-    flow_cfg = config.flow_config()
-    records = []
+    stride = int(config.data["quadrature_stride"])
+    runs = []
+    # every node set is checked before the first chain step
     for k in config.resolutions():
         schedule = config.schedule(k)
-        stride = int(config.data["quadrature_stride"]) or (1 if k <= 128 else 4)
-        nodes = quadrature_checkpoints(schedule, stride=stride)
-        ensemble = run_ensemble(
-            config.law,
-            config.matrix,
-            schedule,
-            config.ensemble_size,
-            nodes,
-            config.master_seed,
-            jobs=args.jobs,
-        )
-        for phi in standard_test_functions(config.matrix.dimension, config.horizon):
-            est = weak_form_residual(ensemble, config.matrix, phi)
-            floor = residual_floor(
+        nodes = quadrature_checkpoints(schedule, stride=stride or (1 if k <= 128 else 4))
+        if len(nodes) < 16:
+            raise ConfigurationError(
+                f"config key 'quadrature_stride' ({stride}, 0 = by k) leaves {len(nodes)} "
+                f"quadrature nodes at k={k}; at least 16 are needed"
+            )
+        runs.append((schedule, nodes))
+    phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
+    floors = {}
+    records = []
+    with worker_pool(args.jobs) as pool:
+        for schedule, nodes in runs:
+            ensemble = run_ensemble(
                 config.law,
                 config.matrix,
                 schedule,
                 config.ensemble_size,
                 nodes,
                 config.master_seed,
-                phi,
-                flow_cfg,
+                jobs=args.jobs,
+                pool=pool,
             )
-            records.append(
-                {
-                    "k": k,
-                    "phi": phi.name,
-                    "family_version": phi.version,
-                    "residual": est.value,
-                    "ci_halfwidth": est.ci_halfwidth,
-                    "floor": floor.value,
-                    "floor_ci_halfwidth": floor.ci_halfwidth,
-                    "quadrature_nodes": est.node_count,
-                }
-            )
-            print(
-                f"k={k} phi={phi.name}: residual={est.value:.6g} "
-                f"(ci {est.ci_halfwidth:.3g}, floor {floor.value + floor.ci_halfwidth:.3g})"
-            )
+            if nodes not in floors:
+                # the floor does not depend on k, only on the node set
+                floors[nodes] = residual_floor(
+                    config.law,
+                    config.matrix,
+                    config.ensemble_size,
+                    nodes,
+                    config.master_seed,
+                    phis,
+                    config.flow_config(),
+                )
+            for phi, floor in zip(phis, floors[nodes]):
+                est = weak_form_residual(ensemble, config.matrix, phi)
+                records.append(
+                    {
+                        "k": schedule.resolution,
+                        "phi": phi.name,
+                        "family_version": phi.version,
+                        "residual": est.value,
+                        "ci_halfwidth": est.ci_halfwidth,
+                        "floor": floor.value,
+                        "floor_ci_halfwidth": floor.ci_halfwidth,
+                        "quadrature_nodes": est.node_count,
+                    }
+                )
+                print(
+                    f"k={schedule.resolution} phi={phi.name}: residual={est.value:.6g} "
+                    f"(ci {est.ci_halfwidth:.3g}, floor {floor.value + floor.ci_halfwidth:.3g})"
+                )
     outdir = _resolve_output_dir(args.output_dir, config)
     payload = {
         "schema": RESIDUAL_SCHEMA,
@@ -534,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_reg)
     p_reg.add_argument("--resolutions", type=int, nargs="+", default=None)
     p_reg.add_argument("--ensemble-size", type=int, default=None)
-    p_reg.set_defaults(fn=cmd_regimes)
+    p_reg.set_defaults(fn=cmd_converge, regime=True, dry_run=False)
 
     p_res = sub.add_parser("residual", help="weak-form residual of the chain law")
     common(p_res)

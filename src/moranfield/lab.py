@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -127,9 +127,14 @@ def _rng(master_seed: int, stream: str, *index) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _draws(law: InitialLaw, master_seed: int, stream: str, replicas) -> np.ndarray:
+    """One draw of ``law`` per replica in ``replicas``, each from its own ``stream``."""
+    return np.array([law.sample_one(_rng(master_seed, stream, r)) for r in replicas])
+
+
 def draw_initial_samples(law: InitialLaw, count: int, master_seed: int) -> np.ndarray:
     """Pre-discretization initial draws, one per replica stream."""
-    return np.array([law.sample_one(_rng(master_seed, "initial", r)) for r in range(count)])
+    return _draws(law, master_seed, "initial", range(count))
 
 
 # -- ensembles ------------------------------------------------------------
@@ -157,11 +162,10 @@ def _simulate_chunk(args):
     matrix = PayoffMatrix(entries)
     n, k = schedule.population, schedule.resolution
     size = r1 - r0
-    lam0 = np.empty((size, law.dimension))
+    lam0 = _draws(law, master_seed, "initial", range(r0, r1))
     counts0 = np.empty((size, law.dimension), dtype=np.int64)
     uniforms = np.empty((size, k))
     for offset, r in enumerate(range(r0, r1)):
-        lam0[offset] = law.sample_one(_rng(master_seed, "initial", r))
         counts0[offset] = largest_remainder_counts(SimplexPoint(lam0[offset]), n)
         uniforms[offset] = _rng(master_seed, "chain", r).random(k)
     paths = simulate_counts_batch(counts0, matrix, schedule, uniforms)
@@ -540,34 +544,24 @@ def classify_regime(alpha: float, beta: float, tol: float = 1e-9) -> str:
 def regime_experiment(
     law: InitialLaw,
     matrix: PayoffMatrix,
-    alpha: float,
-    beta: float,
+    base: ScalingSchedule,
     resolutions,
     ensemble_size: int,
     master_seed: int,
-    horizon: float = 1.0,
-    n_scale: float = 1.0,
-    w_scale: float = 1.0,
     jobs: int = 1,
 ) -> RegimeReport:
-    """Measure the start-to-end drift of the chain law for given exponents.
+    """Measure the start-to-end drift of the chain law for the exponents of ``base``.
 
-    Reports the predicted per-unit-time drift magnitude ``w_k / (N_k tau_k)``
-    next to the observed W1 between the laws at t = 0 and t = horizon.
+    ``base`` supplies horizon, exponents and prefactors; its resolution field
+    is replaced by each entry of ``resolutions``.  Reports the predicted
+    per-unit-time drift magnitude ``w_k / (N_k tau_k)`` next to the observed
+    W1 between the laws at t = 0 and t = horizon.
     """
-    if alpha <= 0 or beta < 0:
-        raise DomainError(f"alpha must be > 0 and beta >= 0, got {alpha}, {beta}")
+    horizon = base.horizon
     records = []
     with worker_pool(jobs) as pool:
         for k in resolutions:
-            schedule = ScalingSchedule(
-                horizon=horizon,
-                resolution=int(k),
-                alpha=alpha,
-                beta=beta,
-                n_scale=n_scale,
-                w_scale=w_scale,
-            )
+            schedule = replace(base, resolution=int(k))
             ensemble = run_ensemble(
                 law,
                 matrix,
@@ -605,10 +599,10 @@ def regime_experiment(
                 )
             )
     return RegimeReport(
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=float(base.alpha),
+        beta=float(base.beta),
         horizon=float(horizon),
-        classification=classify_regime(alpha, beta),
+        classification=classify_regime(base.alpha, base.beta),
         ensemble_size=int(ensemble_size),
         master_seed=int(master_seed),
         law=law.to_dict(),
@@ -730,7 +724,33 @@ class ResidualEstimate:
     value: float
     ci_halfwidth: float
     node_count: int
-    per_replica: np.ndarray = field(repr=False, default=None)
+
+
+def _weak_form_terms(phi, nodes, dt_points, adv_points, matrix):
+    """Per-replica trapezoid integrals over ``nodes`` of ``d_t phi`` and ``grad phi . b``.
+
+    ``dt_points[t]`` and ``adv_points[t]`` are the measures each integrand is
+    averaged over at node ``t``.
+    """
+    dt_vals = np.empty((len(nodes), dt_points[nodes[0]].size))
+    adv_vals = np.empty_like(dt_vals)
+    for row, t in enumerate(nodes):
+        dt_vals[row] = phi.time_derivative(t, dt_points[t].array)
+        pts = adv_points[t].array
+        adv_vals[row] = np.einsum(
+            "rm,rm->r", phi.gradient(t, pts), replicator_field_array(pts, matrix.entries)
+        )
+    xs = np.asarray(nodes)
+    return np.trapezoid(dt_vals, xs, axis=0), np.trapezoid(adv_vals, xs, axis=0)
+
+
+def _bootstrap_halfwidth(terms, rng: np.random.Generator) -> float:
+    """1.96-sigma bootstrap half-width of ``|sum of term means|``, each term resampled apart."""
+    r = len(terms[0])
+    values = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        values[b] = abs(sum(term[rng.integers(0, r, size=r)].mean() for term in terms))
+    return float(1.96 * values.std(ddof=1))
 
 
 def weak_form_residual(
@@ -751,99 +771,63 @@ def weak_form_residual(
         )
     if abs(nodes[0]) > 1e-12 or abs(nodes[-1] - ensemble.schedule.horizon) > 1e-12:
         raise ConfigurationError("quadrature nodes must span [0, horizon]")
-    r = ensemble.ensemble_size
-    dt_vals = np.empty((len(nodes), r))
-    adv_vals = np.empty((len(nodes), r))
-    for row, t in enumerate(nodes):
-        aff = ensemble.affine[t].array
-        con = ensemble.constant[t].array
-        dt_vals[row] = phi.time_derivative(t, aff)
-        adv_vals[row] = np.einsum(
-            "rm,rm->r", phi.gradient(t, con), replicator_field_array(con, matrix.entries)
-        )
-    xs = np.asarray(nodes)
-    contributions = (
-        np.trapezoid(dt_vals, xs, axis=0)
-        + np.trapezoid(adv_vals, xs, axis=0)
-        + phi.value(0.0, ensemble.affine[nodes[0]].array)
-    )
-    rng = _rng(ensemble.master_seed, "residual_bootstrap")
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        values[b] = abs(contributions[rng.integers(0, r, size=r)].mean())
+    term_dt, term_adv = _weak_form_terms(phi, nodes, ensemble.affine, ensemble.constant, matrix)
+    contributions = term_dt + term_adv + phi.value(0.0, ensemble.affine[nodes[0]].array)
     return ResidualEstimate(
         value=float(abs(contributions.mean())),
-        ci_halfwidth=float(1.96 * values.std(ddof=1)),
+        ci_halfwidth=_bootstrap_halfwidth(
+            [contributions], _rng(ensemble.master_seed, "residual_bootstrap")
+        ),
         node_count=len(nodes),
-        per_replica=contributions,
     )
-
-
-def _flow_term_values(law, matrix, nodes, ensemble_size, master_seed, stream, flow_cfg):
-    samples = np.array(
-        [law.sample_one(_rng(master_seed, stream, r)) for r in range(ensemble_size)]
-    )
-    return _limit_measures(EmpiricalMeasure(samples), matrix, nodes, flow_cfg)
 
 
 def residual_floor(
     law: InitialLaw,
     matrix: PayoffMatrix,
-    schedule: ScalingSchedule,
     ensemble_size: int,
     checkpoints,
     master_seed: int,
-    phi: TestFunction,
-    flow_cfg: FlowConfig | None = None,
-) -> ResidualEstimate:
-    """Statistical floor of the residual estimator under the exact dynamics.
+    phis,
+    flow_cfg: FlowConfig,
+) -> list[ResidualEstimate]:
+    """Statistical floor of the residual estimator under the exact dynamics, per ``phi``.
 
     The three weak-form terms are estimated from three independent replica
     sets transported by the exact flow.  The transported law satisfies the
     identity exactly, so nothing survives except Monte Carlo noise at
     ensemble size R (plus time quadrature): the level below which a measured
     residual is indistinguishable from zero.  (A single shared replica set
-    would telescope pathwise and report only quadrature error.)
+    would telescope pathwise and report only quadrature error.)  The replica
+    sets and their flow passes depend only on the law, the matrix, the nodes,
+    the seed and ``flow_cfg``, so they are computed once for all of ``phis``.
     """
     nodes = sorted(float(t) for t in checkpoints)
     if len(nodes) < 16:
         raise ResolutionError(f"time quadrature needs at least 16 nodes, got {len(nodes)}")
-    flow_cfg = flow_cfg or default_flow_config(schedule.horizon)
-    xs = np.asarray(nodes)
-    r = ensemble_size
-
-    states_dt = _flow_term_values(law, matrix, nodes, r, master_seed, "floor_dt", flow_cfg)
-    states_adv = _flow_term_values(law, matrix, nodes, r, master_seed, "floor_adv", flow_cfg)
-    initial = np.array(
-        [law.sample_one(_rng(master_seed, "floor_initial", i)) for i in range(r)]
-    )
-
-    dt_vals = np.empty((len(nodes), r))
-    adv_vals = np.empty((len(nodes), r))
-    for row, t in enumerate(nodes):
-        dt_vals[row] = phi.time_derivative(t, states_dt[t].array)
-        pts = states_adv[t].array
-        adv_vals[row] = np.einsum(
-            "rm,rm->r", phi.gradient(t, pts), replicator_field_array(pts, matrix.entries)
+    replicas = range(ensemble_size)
+    states_dt, states_adv = (
+        _limit_measures(
+            EmpiricalMeasure(_draws(law, master_seed, stream, replicas)), matrix, nodes, flow_cfg
         )
-    term_dt = np.trapezoid(dt_vals, xs, axis=0)
-    term_adv = np.trapezoid(adv_vals, xs, axis=0)
-    term_init = phi.value(0.0, initial)
-
-    rng = _rng(master_seed, "floor_bootstrap")
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        values[b] = abs(
-            term_dt[rng.integers(0, r, size=r)].mean()
-            + term_adv[rng.integers(0, r, size=r)].mean()
-            + term_init[rng.integers(0, r, size=r)].mean()
-        )
-    return ResidualEstimate(
-        value=float(abs(term_dt.mean() + term_adv.mean() + term_init.mean())),
-        ci_halfwidth=float(1.96 * values.std(ddof=1)),
-        node_count=len(nodes),
-        per_replica=None,
+        for stream in ("floor_dt", "floor_adv")
     )
+    initial = _draws(law, master_seed, "floor_initial", replicas)
+
+    floors = []
+    for phi in phis:
+        terms = [
+            *_weak_form_terms(phi, nodes, states_dt, states_adv, matrix),
+            phi.value(0.0, initial),
+        ]
+        floors.append(
+            ResidualEstimate(
+                value=float(abs(sum(term.mean() for term in terms))),
+                ci_halfwidth=_bootstrap_halfwidth(terms, _rng(master_seed, "floor_bootstrap")),
+                node_count=len(nodes),
+            )
+        )
+    return floors
 
 
 def quadrature_checkpoints(schedule: ScalingSchedule, stride: int = 1) -> tuple:

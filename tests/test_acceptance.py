@@ -70,18 +70,12 @@ def residual_data():
         ensemble = run_ensemble(
             HEADLINE_LAW, HEADLINE_MATRIX, schedule, 256, nodes, ACCEPTANCE_SEED
         )
-        for phi in standard_test_functions(2, 1.0):
+        phis = standard_test_functions(2, 1.0)
+        floors = residual_floor(
+            HEADLINE_LAW, HEADLINE_MATRIX, 256, nodes, ACCEPTANCE_SEED, phis, flow_cfg
+        )
+        for phi, floor in zip(phis, floors):
             est = weak_form_residual(ensemble, HEADLINE_MATRIX, phi)
-            floor = residual_floor(
-                HEADLINE_LAW,
-                HEADLINE_MATRIX,
-                schedule,
-                256,
-                nodes,
-                ACCEPTANCE_SEED,
-                phi,
-                flow_cfg,
-            )
             out[(k, phi.name)] = (est, floor)
     return out
 
@@ -206,8 +200,7 @@ def test_criterion_5_frozen_regime():
     report = regime_experiment(
         HEADLINE_LAW,
         HEADLINE_MATRIX,
-        alpha=1.0,
-        beta=0.5,
+        ScalingSchedule(horizon=1.0, resolution=64, alpha=1.0, beta=0.5),
         resolutions=[64, 256, 1024],
         ensemble_size=256,
         master_seed=ACCEPTANCE_SEED,

@@ -85,6 +85,14 @@ class TestConverge:
         assert "tau_k" in out and "N_k" in out and "w_k" in out
         assert len(out.strip().splitlines()) == 4
 
+    def test_regime_dry_run_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", alpha=1.0, beta=0.5, resolutions=[8, 16])
+        out = tmp_path / "out"
+        argv = ["converge", "--config", str(cfg), "--regime", "--dry-run", "--output-dir", str(out)]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert not out.exists()
+
     def test_small_run_writes_report_and_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", resolutions=[8, 16], ensemble_size=12)
         out = tmp_path / "out"
@@ -146,6 +154,22 @@ class TestRegimes:
 
 
 class TestResidual:
+    def test_floor_flow_runs_once_per_node_set(self, tmp_path, monkeypatch):
+        # k = 128 (stride 1) and k = 512 (stride 4) share 129 nodes: two
+        # flow passes of 129 pushforwards, whatever the number of k and phi
+        calls = []
+        real = lab.pushforward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "pushforward", counting)
+        cfg = write_config(tmp_path / "cfg.json", resolutions=[128, 512], ensemble_size=8)
+        argv = ["residual", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "1"]
+        assert main(argv) == 0
+        assert len(calls) == 258
+
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", resolutions=[16], ensemble_size=16, quadrature_stride=1
@@ -237,10 +261,14 @@ class TestConfigValidation:
             ("converge", {"verdict": {"final_checkpoint": 0.3}}, "verdict.final_checkpoint"),
             ("converge", {"ensemble_size": 5000}, "ensemble_size"),
             ("regimes", {"ensemble_size": 5000, "alpha": 1.0, "beta": 0.5}, "ensemble_size"),
+            ("converge", {"checkpoints": []}, "checkpoints"),
+            ("residual", {"quadrature_stride": -1}, "quadrature_stride"),
+            # k = 8 and 16 at stride 2 give 5 and 9 quadrature nodes
+            ("residual", {"quadrature_stride": 2}, "quadrature_stride"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
-        # each of these used to fail only after the run started, with exit 1
+        # each of these fails at load or before any chain step, naming the key
         cfg = write_config(tmp_path / "cfg.json", resolution=10, resolutions=[8, 16], **overrides)
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
@@ -314,9 +342,9 @@ SWEEPS = {
 }
 
 
-def run_sweep(tmp_path, command):
+def run_sweep(tmp_path, command, **extra):
     overrides, name, _ = SWEEPS[command]
-    cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
+    cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides, **extra})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]) == 0
     return out / name
@@ -340,6 +368,12 @@ class TestReports:
             read_report(path)
         with pytest.raises(ConfigurationError, match="schema"):
             read_report(path.parent / "manifest.json")
+
+    @pytest.mark.parametrize("command, records", [("converge", "resolutions"), ("regimes", "records")])
+    def test_sweep_honours_n_floor(self, tmp_path, command, records):
+        # tau^-alpha is below 50 at k = 8 and 16, so the floor sets N
+        payload = read_report(run_sweep(tmp_path, command, n_floor=50))
+        assert [rec["population"] for rec in payload[records]] == [50, 50]
 
 
 class TestStreams:

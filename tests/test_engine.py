@@ -212,6 +212,8 @@ class TestScalingSchedule:
         with pytest.raises(DomainError):
             ScalingSchedule(horizon=1.0, resolution=4, alpha=-1.0, beta=0.4)
         with pytest.raises(DomainError):
+            ScalingSchedule(horizon=1.0, resolution=4, alpha=0.0, beta=0.5)
+        with pytest.raises(DomainError):
             ScalingSchedule(horizon=-1.0, resolution=4, alpha=0.6, beta=0.4)
 
 

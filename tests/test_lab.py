@@ -1,4 +1,5 @@
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,9 +233,9 @@ class TestRegimeExperiment:
 
     def test_frozen_regime_drift_shrinks(self):
         law = InitialLaw.dirac(SimplexPoint([0.5, 0.5]))
+        base = ScalingSchedule(horizon=1.0, resolution=32, alpha=1.0, beta=0.5)
         report = regime_experiment(
-            law, A22, alpha=1.0, beta=0.5, resolutions=[32, 128], ensemble_size=64,
-            master_seed=16,
+            law, A22, base, resolutions=[32, 128], ensemble_size=64, master_seed=16
         )
         assert report.classification == "frozen"
         w1s = [r.w1_start_end for r in report.records]
@@ -244,9 +245,9 @@ class TestRegimeExperiment:
 
     def test_critical_matches_convergence_setup(self):
         law = InitialLaw.dirichlet([2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=16, alpha=0.6, beta=0.4)
         report = regime_experiment(
-            law, A22, alpha=0.6, beta=0.4, resolutions=[16], ensemble_size=16,
-            master_seed=17,
+            law, A22, base, resolutions=[16], ensemble_size=16, master_seed=17
         )
         assert report.classification == "critical"
         assert report.records[0].drift_scale == pytest.approx(
@@ -261,17 +262,16 @@ class TestRegimeExperiment:
         # transition table (martingale variance decomposition)
         law = InitialLaw.dirac(SimplexPoint([0.5, 0.5]))
         alpha, k, reps = 0.8, 32, 600
+        sched = ScalingSchedule(
+            horizon=1.0, resolution=k, alpha=alpha, beta=0.4, w_scale=0.0
+        )
         report = regime_experiment(
-            law, A22, alpha=alpha, beta=0.4, resolutions=[k], ensemble_size=reps,
-            master_seed=18, w_scale=0.0,
+            law, A22, sched, resolutions=[k], ensemble_size=reps, master_seed=18
         )
         rec = report.records[0]
         tau = rec.tau
         assert rec.w1_start_end <= np.sqrt(2.0) * np.sqrt(tau ** (2 * alpha - 1))
 
-        sched = ScalingSchedule(
-            horizon=1.0, resolution=k, alpha=alpha, beta=0.4, w_scale=0.0
-        )
         n = sched.population
         ens = run_ensemble(law, A22, sched, reps, quadrature_checkpoints(sched), 18)
         # per-count-value one-step variance of lam_1 from the exact table
@@ -296,17 +296,19 @@ class TestRegimeExperiment:
         assert empirical == pytest.approx(accumulated, rel=0.3)
 
     def test_rejects_nonpositive_alpha(self):
+        # the base schedule is the one check: alpha = 0 cannot reach the scan
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=1.0, beta=0.5)
         with pytest.raises(DomainError):
             regime_experiment(
-                InitialLaw.uniform(2), A22, alpha=0.0, beta=0.5, resolutions=[8],
+                InitialLaw.uniform(2), A22, replace(base, alpha=0.0), resolutions=[8],
                 ensemble_size=8, master_seed=19,
             )
 
     def test_report_files(self, tmp_path):
         law = InitialLaw.uniform(2)
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=1.0, beta=0.5)
         report = regime_experiment(
-            law, A22, alpha=1.0, beta=0.5, resolutions=[8], ensemble_size=8,
-            master_seed=20,
+            law, A22, base, resolutions=[8], ensemble_size=8, master_seed=20
         )
         write_report(tmp_path / "r.json", report.payload())
         write_csv(tmp_path / "r.csv", *report.table())
@@ -388,8 +390,8 @@ class TestWeakFormResidual:
         law = InitialLaw.dirichlet([2.0, 2.0])
         sched = ScalingSchedule(horizon=1.0, resolution=64, alpha=0.6, beta=0.4)
         phi = standard_test_functions(2, 1.0)[0]
-        floor = residual_floor(
-            law, A22, sched, 128, quadrature_checkpoints(sched), 28, phi,
+        (floor,) = residual_floor(
+            law, A22, 128, quadrature_checkpoints(sched), 28, [phi],
             FlowConfig(step_size=1 / 256),
         )
         # transported law solves the equation: only quadrature + MC noise left
@@ -415,7 +417,7 @@ class TestWeakFormResidual:
             nodes = quadrature_checkpoints(sched, stride=1 if k == 64 else 4)
             ens = run_ensemble(law, A22, sched, 256, nodes, master_seed=31)
             est = weak_form_residual(ens, A22, phi)
-            floor = residual_floor(law, A22, sched, 256, nodes, 31, phi, flow_cfg)
+            (floor,) = residual_floor(law, A22, 256, nodes, 31, [phi], flow_cfg)
             excesses.append(max(est.value - (floor.value + floor.ci_halfwidth), 0.0))
             scales.append(
                 (1.0 / sched.population + sched.selection_weight)
@@ -480,8 +482,9 @@ class TestWorkerPool:
 
     def test_regime_payload_independent_of_jobs(self):
         law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=16, alpha=1.0, beta=0.5)
         payloads = [
-            regime_experiment(law, RPS, 1.0, 0.5, [16, 64], 16, 35, jobs=jobs).payload()
+            regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=jobs).payload()
             for jobs in (1, 2)
         ]
         assert payloads[0] == payloads[1]
