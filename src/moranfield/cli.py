@@ -84,8 +84,8 @@ _NUMBER_READERS = {
     **dict.fromkeys(("max_exact_size", "resolution"), int),
     **dict.fromkeys(("horizon", "alpha", "beta", "n_scale", "w_scale", "flow_step"), float),
 }
-# initial_law keys besides "kind" and "dimension", by kind
-_LAW_KEYS = {"dirac": {"point"}, "dirichlet": {"concentration"}, "uniform": set()}
+# the initial_law key that holds each kind's value; every kind may carry "dimension"
+_LAW_KEYS = {"dirac": "point", "dirichlet": "concentration", "uniform": "dimension"}
 
 
 def _check_keys(data: dict) -> None:
@@ -112,20 +112,35 @@ def _check_values(merged: dict) -> None:
     values.append(("checkpoints", merged["checkpoints"], lambda ts: [float(t) for t in ts]))
     for key, value, read in values:
         try:
-            if value is not None:
-                read(value)
+            numbers = np.ravel(read(value)) if value is not None else []
+            if not np.isfinite([x for x in numbers if isinstance(x, float)]).all():
+                raise ValueError  # float() reads "nan", "inf" and 1e999
         except (TypeError, ValueError, OverflowError):
-            msg = f"config key {key!r} must be numeric, got {value!r}"
+            msg = f"config key {key!r} must be numeric and finite, got {value!r}"
             raise ConfigurationError(msg) from None
+    step = merged.get("flow_step", 1.0)
+    if float(step) <= 0.0:
+        raise ConfigurationError(f"config key 'flow_step' must be positive, got {step!r}")
     law = merged.get("initial_law", {})
     if not isinstance(law, dict):
         raise ConfigurationError("config key 'initial_law' must be an object")
     # an unknown kind is reported by InitialLaw.from_dict
-    extra = set(law) - {"kind", "dimension"} - _LAW_KEYS.get(law.get("kind"), set(law))
-    if extra:
+    extra = set(law) - {"kind", "dimension", _LAW_KEYS.get(law.get("kind"))}
+    if law.get("kind") in _LAW_KEYS and extra:
         raise ConfigurationError(
             f"unknown config key 'initial_law.{min(extra)}' for a {law['kind']} law"
         )
+
+
+def _read_value(merged: dict, key: str, read, name=None):
+    """``read(merged[key])``, a missing or bad value reported as a configuration
+    error that names ``name`` (default ``key``)."""
+    try:
+        return read(merged[key])
+    except KeyError as err:
+        raise ConfigurationError(f"config is missing required key {err}") from err
+    except (SimulationError, TypeError, ValueError) as err:
+        raise ConfigurationError(f"invalid config key {name or key!r}: {err}") from err
 
 
 class RunConfig:
@@ -141,9 +156,11 @@ class RunConfig:
         self.checkpoints = [float(t) for t in merged["checkpoints"]]
         self.master_seed = int(merged["master_seed"])
         self.verdict = dict(_DEFAULTS["verdict"], **merged.get("verdict", {}))
+        kind = merged.get("initial_law", {}).get("kind")
+        law_name = f"initial_law.{_LAW_KEYS.get(kind, 'kind')}"
+        self.matrix = _read_value(merged, "payoff_matrix", PayoffMatrix)
+        self.law = _read_value(merged, "initial_law", InitialLaw.from_dict, law_name)
         try:
-            self.matrix = PayoffMatrix(merged["payoff_matrix"])
-            self.law = InitialLaw.from_dict(merged["initial_law"])
             # every resolution's schedule is this one with its resolution
             # replaced; it checks its own ranges (horizon, exponents, prefactors)
             self.base = ScalingSchedule(
@@ -155,9 +172,7 @@ class RunConfig:
                 n_scale=float(merged["n_scale"]),
                 w_scale=float(merged["w_scale"]),
             )
-        except KeyError as err:
-            raise ConfigurationError(f"config is missing required key {err}") from err
-        except (SimulationError, TypeError, ValueError) as err:
+        except SimulationError as err:
             raise ConfigurationError(f"invalid config value: {err}") from err
         if self.law.dimension != self.matrix.dimension:
             raise ConfigurationError(
@@ -219,7 +234,7 @@ class RunConfig:
         return [int(k) for k in ks]
 
     def flow_config(self) -> FlowConfig:
-        step = self.data.get("flow_step") or self.base.horizon / 1024.0
+        step = self.data.get("flow_step", self.base.horizon / 1024.0)
         return FlowConfig(step_size=float(step))
 
     def require_exact_size(self) -> None:

@@ -116,41 +116,43 @@ def _outcome_moves(m: int) -> np.ndarray:
 
 
 def _increment_table(m: int) -> np.ndarray:
-    """(1 + M^2, M) count increment of each flat outcome; row 0 (stay) is zero."""
-    eye = np.eye(m, dtype=np.int64)
-    moves = _outcome_moves(m)[1:]
-    return np.vstack((np.zeros(m, dtype=np.int64), eye[moves[:, 0]] - eye[moves[:, 1]]))
+    """(M, 1 + M^2) count increment of each flat outcome; column 0 (stay) is zero."""
+    gainers, losers = _outcome_moves(m).T
+    eye = np.eye(m)
+    return eye[:, gainers] - eye[:, losers]
 
 
 def _birth_weights(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """``lam * fitness`` and mean fitness per row of ``lam`` (R, M); raises unless fbar > 0."""
-    if lam.shape[1] != entries.shape[0]:
+    """``lam * fitness`` and mean fitness per column of ``lam`` (M, R); raises unless fbar > 0."""
+    if lam.shape[0] != entries.shape[0]:
         raise DimensionError(
-            f"state has {lam.shape[1]} strategies, matrix has {entries.shape[0]}"
+            f"state has {lam.shape[0]} strategies, matrix has {entries.shape[0]}"
         )
     _, fit = payoff_fitness(lam, entries, population, w)
     lam_fit = lam * fit
-    fbar = lam_fit.sum(axis=1)
-    if np.any(fbar <= 0.0):
+    fbar = np.add.reduce(lam_fit, axis=0)
+    if (fbar <= 0.0).any():
         raise FitnessDegenerateError(
             "mean fitness is not positive; birth probabilities are undefined"
         )
     return lam_fit, fbar
 
 
-def _move_stay_arrays(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """Move/stay probabilities for a batch ``lam`` of shape (R, M).
-
-    Returns ``(moves, stay)`` with moves of shape (R, M, M) (diagonal zero)
-    and stay of shape (R,).
+def _fill_outcomes(
+    out: np.ndarray, lam: np.ndarray, entries: np.ndarray, population: int, w: float
+) -> None:
+    """Write the flat outcome probabilities of each column of ``lam`` (M, R) into
+    the C-ordered ``out`` (1 + M^2, R), in :meth:`TransitionTable.flat_probabilities`
+    order: ``move(i, j) = lam_i f_i lam_j / fbar`` off the diagonal, and the
+    stay row is the diagonal's sum ``sum_i lam_i^2 f_i / fbar``.
     """
+    m = lam.shape[0]
     lam_fit, fbar = _birth_weights(lam, entries, population, w)
-    moves = lam_fit[:, :, None] * lam[:, None, :] / fbar[:, None, None]
-    stay = np.einsum("ri,ri->r", lam_fit, lam) / fbar
-    r, m = lam.shape
-    idx = np.arange(m)
-    moves[:, idx, idx] = 0.0
-    return moves, stay
+    np.multiply(lam_fit[:, None], lam[None], out=out[1:].reshape(m, m, -1))
+    diagonal = out[1 :: m + 1]
+    np.add.reduce(diagonal, axis=0, out=out[0])
+    diagonal[:] = 0.0
+    out /= fbar
 
 
 def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTable:
@@ -159,39 +161,54 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     ``move_probs[i, j] = lam_i * f_i * lam_j / fbar`` for i != j and
     ``stay_prob = sum_i lam_i^2 f_i / fbar``; the table sums to one.
     """
-    lam = (state.counts / state.population)[None, :]
-    moves, stay = _move_stay_arrays(
-        lam, matrix.entries, state.population, state.selection_weight
-    )
-    mv = moves[0]
+    m = state.dimension
+    flat = np.empty((1 + m * m, 1))
+    lam = (state.counts / state.population)[:, None]
+    _fill_outcomes(flat, lam, matrix.entries, state.population, state.selection_weight)
+    mv = flat[1:, 0].reshape(m, m)
     mv.setflags(write=False)
-    return TransitionTable(move_probs=mv, stay_prob=float(stay[0]))
+    return TransitionTable(move_probs=mv, stay_prob=float(flat[0, 0]))
 
 
 def _lockstep(
-    counts0: np.ndarray, entries: np.ndarray, population: int, w: float, uniforms: np.ndarray
+    counts0: np.ndarray,
+    entries: np.ndarray,
+    population: int,
+    w: float,
+    uniforms: np.ndarray,
+    columns=None,
 ) -> np.ndarray:
     """The chain's sampling loop: R chains from ``counts0`` (R, M), one uniform
-    per replica per step from ``uniforms`` (R, k); returns counts (R, k+1, M).
+    per replica per step from ``uniforms`` (R, k); returns the counts at the
+    sorted grid indices ``columns`` (default all k+1) as (R, len(columns), M).
 
     Each step inverts the normalized cumulative of the flat outcome order
     (:meth:`TransitionTable.flat_probabilities`), taking the first outcome
-    whose cumulative exceeds u (``searchsorted(side="right")``).
+    whose cumulative exceeds u (``searchsorted(side="right")``).  Arrays are
+    (M, R) and (1 + M^2, R), so every numpy call's inner loop runs over
+    replicas; an F-ordered ``uniforms`` is read without a copy.
     """
     r, m = counts0.shape
     k = uniforms.shape[1]
+    slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
+    draws = np.asfortranarray(uniforms).T
     inc = _increment_table(m)
-    out = np.empty((r, k + 1, m), dtype=np.int64)
-    out[:, 0] = counts0
-    current = counts0.copy()
+    out = np.empty((len(slot), m, r), dtype=np.int64)
+    # float counts are exact below 2**53 and divide without an int cast
+    current = np.ascontiguousarray(counts0.T, dtype=float)
+    lam = np.empty((m, r))
+    flat = np.empty((1 + m * m, r))
+    if 0 in slot:
+        out[slot[0]] = current
     for h in range(k):
-        moves, stay = _move_stay_arrays(current / population, entries, population, w)
-        flat = np.concatenate((stay[:, None], moves.reshape(r, m * m)), axis=1)
-        cum = np.cumsum(flat, axis=1)
-        cum /= cum[:, -1:]
-        current += inc[(cum <= uniforms[:, h, None]).sum(axis=1)]
-        out[:, h + 1] = current
-    return out
+        np.divide(current, population, out=lam)
+        _fill_outcomes(flat, lam, entries, population, w)
+        np.add.accumulate(flat, axis=0, out=flat)
+        flat /= flat[-1]
+        current += np.take(inc, (flat <= draws[h]).sum(axis=0), axis=1)
+        if h + 1 in slot:
+            out[slot[h + 1]] = current
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def step(state: DiscreteState, matrix: PayoffMatrix, rng: np.random.Generator) -> DiscreteState:
@@ -223,20 +240,21 @@ class ScalingSchedule:
     w_scale: float = 1.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        # written so that nan fails every range check
+        if not 0 < self.horizon < np.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if int(self.resolution) < 1:
             raise DomainError(f"resolution must be >= 1, got {self.resolution}")
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be nonnegative, got {self.beta}")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.beta < np.inf:
+            raise DomainError(f"beta must be nonnegative and finite, got {self.beta}")
         if self.n_floor < 2:
             raise DomainError(f"n_floor must be at least 2, got {self.n_floor}")
-        if self.n_scale <= 0:
-            raise DomainError(f"n_scale must be positive, got {self.n_scale}")
-        if self.w_scale < 0:
-            raise DomainError(f"w_scale must be nonnegative, got {self.w_scale}")
+        if not 0 < self.n_scale < np.inf:
+            raise DomainError(f"n_scale must be positive and finite, got {self.n_scale}")
+        if not 0 <= self.w_scale < np.inf:
+            raise DomainError(f"w_scale must be nonnegative and finite, got {self.w_scale}")
 
     @property
     def tau(self) -> float:
@@ -361,8 +379,7 @@ def simulate(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     # one call for all k draws gives the same values as k scalar draws
     uniforms = rng.random((1, schedule.resolution))
-    n, w = schedule.population, schedule.selection_weight
-    counts = _lockstep(initial.counts[None, :], matrix.entries, n, w, uniforms)[0]
+    counts = simulate_counts_batch(initial.counts[None, :], matrix, schedule, uniforms)[0]
     return Trajectory(schedule=schedule, counts=counts, seed=int(seed))
 
 
@@ -371,8 +388,10 @@ def simulate_counts_batch(
     matrix: PayoffMatrix,
     schedule: ScalingSchedule,
     uniforms: np.ndarray,
+    columns=None,
 ) -> np.ndarray:
-    """Advance R chains in lockstep; returns counts of shape (R, k+1, M).
+    """Advance R chains in lockstep; returns counts of shape (R, k+1, M), or
+    (R, len(columns), M) holding only the sorted grid indices ``columns``.
 
     ``uniforms`` has shape (R, k), one draw per replica per step, so replica
     r reproduces exactly the scalar :func:`step` sequence driven by the same
@@ -382,8 +401,11 @@ def simulate_counts_batch(
     k = schedule.resolution
     if uniforms.shape != (counts0.shape[0], k):
         raise DimensionError(f"uniforms shape {uniforms.shape} != {(counts0.shape[0], k)}")
+    # strictly increasing from above -1 to below k + 1
+    if columns is not None and (np.diff(columns, prepend=-1, append=k + 1) <= 0).any():
+        raise DomainError(f"columns must be increasing grid indices in [0, {k}], got {columns}")
     n, w = schedule.population, schedule.selection_weight
-    return _lockstep(counts0, matrix.entries, n, w, uniforms)
+    return _lockstep(counts0, matrix.entries, n, w, uniforms, columns)
 
 
 def locate_on_grid(t: float, horizon: float, resolution: int):
@@ -434,9 +456,9 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
     transition table outcomes gives the same vector.
     """
     n = state.population
-    lam = (state.counts / n)[None, :]
+    lam = (state.counts / n)[:, None]
     lam_fit, fbar = _birth_weights(lam, matrix.entries, n, state.selection_weight)
-    return (lam_fit[0] - lam[0] * fbar[0]) / (n * fbar[0])
+    return (lam_fit[:, 0] - lam[:, 0] * fbar[0]) / (n * fbar[0])
 
 
 # -- trajectory file round-trip -----------------------------------------
@@ -452,7 +474,8 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     payoff matrix.
     """
     header = ["t"] + [f"lambda_{i + 1}" for i in range(traj.counts.shape[1])]
-    rows = ([t, *row] for t, row in zip(traj.times(), traj.proportions_matrix()))
+    # Python floats format faster than numpy scalars, to the same text
+    rows = ([t, *row] for t, row in zip(traj.times().tolist(), traj.proportions_matrix().tolist()))
     write_csv(csv_path, header, rows)
     sidecar = {
         "schema": TRAJECTORY_SCHEMA,

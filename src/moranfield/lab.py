@@ -83,8 +83,8 @@ class InitialLaw:
     @classmethod
     def dirichlet(cls, concentration) -> "InitialLaw":
         conc = np.asarray(concentration, dtype=float)
-        if conc.ndim != 1 or conc.size < 2 or np.any(conc <= 0):
-            raise DomainError(f"dirichlet concentrations must be positive, got {conc!r}")
+        if conc.ndim != 1 or conc.size < 2 or not np.all(np.isfinite(conc) & (conc > 0)):
+            raise DomainError(f"dirichlet concentrations must be finite and positive, got {conc!r}")
         return cls(kind="dirichlet", dimension=conc.size, concentration=conc)
 
     @classmethod
@@ -161,15 +161,13 @@ def _simulate_chunk(args):
     law = InitialLaw.from_dict(law_dict)
     matrix = PayoffMatrix(entries)
     n, k = schedule.population, schedule.resolution
-    size = r1 - r0
     lam0 = _draws(law, master_seed, "initial", range(r0, r1))
-    counts0 = np.empty((size, law.dimension), dtype=np.int64)
-    uniforms = np.empty((size, k))
+    counts0 = [largest_remainder_counts(SimplexPoint(lam), n) for lam in lam0]
+    # F order: the kernel reads one step's draws of all replicas contiguously
+    uniforms = np.empty((r1 - r0, k), order="F")
     for offset, r in enumerate(range(r0, r1)):
-        counts0[offset] = largest_remainder_counts(SimplexPoint(lam0[offset]), n)
         uniforms[offset] = _rng(master_seed, "chain", r).random(k)
-    paths = simulate_counts_batch(counts0, matrix, schedule, uniforms)
-    return lam0, paths[:, columns]
+    return lam0, simulate_counts_batch(counts0, matrix, schedule, uniforms, columns)
 
 
 def worker_pool(jobs: int):

@@ -42,10 +42,10 @@ class SimplexPoint:
         arr = _as_vector(coords)
         if arr.size < 2:
             raise DomainError("a simplex point needs at least two strategies (M >= 2)")
-        if np.any(arr < -SIMPLEX_TOL) or np.any(arr > 1.0 + SIMPLEX_TOL):
+        if not np.all((arr >= -SIMPLEX_TOL) & (arr <= 1.0 + SIMPLEX_TOL)):  # nan fails too
             raise DomainError(f"coordinates outside [0, 1]: {arr!r}")
         total = float(arr.sum())
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise DomainError(f"coordinates sum to {total!r}, not 1")
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
@@ -71,8 +71,8 @@ class PayoffMatrix:
     """Square matrix of nonnegative pairwise payoffs.
 
     ``entries[i, j]`` is the payoff of a strategy-i individual interacting
-    with a strategy-j individual.  Negative entries are rejected (the whole
-    toolkit assumes nonnegative payoffs).
+    with a strategy-j individual.  Negative and non-finite entries are
+    rejected (the whole toolkit assumes finite nonnegative payoffs).
     """
 
     entries: np.ndarray
@@ -83,10 +83,10 @@ class PayoffMatrix:
             raise DimensionError(f"payoff matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise DomainError("payoff matrix needs at least two strategies (M >= 2)")
-        bad = np.argwhere(arr < 0)
+        bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
         if bad.size:
             i, j = bad[0]
-            raise DomainError(f"negative payoff entry at ({i}, {j}): {arr[i, j]!r}")
+            raise DomainError(f"payoff entry at ({i}, {j}) is not finite and >= 0: {arr[i, j]}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -133,14 +133,14 @@ def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
 
 
 def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """Payoffs and fitnesses of an (R, M) array of proportions, as two (R, M) arrays.
+    """Payoffs and fitnesses of an (M, R) array of proportions, as two (M, R) arrays.
 
     The one payoff/fitness formula of the package: in a population of N an
-    individual never meets itself, so ``pay[r, i] = N/(N-1) * (A @ lam_r)_i -
+    individual never meets itself, so ``pay[i, r] = N/(N-1) * (A @ lam)[i, r] -
     A[i, i]/(N-1)``, and ``fit = (1 - w) + w * pay``.  Inputs are not checked.
     """
     n = population
-    pay = (n / (n - 1.0)) * (lam @ entries.T) - np.diagonal(entries) / (n - 1.0)
+    pay = (n / (n - 1.0)) * (entries @ lam) - entries.diagonal()[:, None] / (n - 1.0)
     return pay, (1.0 - w) + w * pay
 
 
@@ -177,8 +177,8 @@ def fitness_profile(
     n = int(population)
     if n < 2:
         raise DomainError(f"population must be at least 2, got {population}")
-    pay, fit = payoff_fitness(point.coords[None, :], matrix.entries, n, w)
-    pay, fit = pay[0], fit[0]
+    pay, fit = payoff_fitness(point.coords[:, None], matrix.entries, n, w)
+    pay, fit = pay[:, 0], fit[:, 0]
     fbar = float(point.coords @ fit)
     return FitnessProfile(
         payoffs=pay,

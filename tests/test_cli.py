@@ -131,6 +131,28 @@ class TestConverge:
         assert code == 2
         assert "critical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"payoff_matrix": [[1.0, 2.0], [float("nan"), 4.0]]}, ["'payoff_matrix'", "(1, 0)"]),
+            ({"payoff_matrix": [[1.0, float("inf")], [3.0, 4.0]]}, ["'payoff_matrix'", "(0, 1)"]),
+            (
+                {"initial_law": {"kind": "dirac", "point": [float("nan"), 1.0]}},
+                ["'initial_law.point'", "nan"],
+            ),
+            (
+                {"initial_law": {"kind": "dirichlet", "concentration": [1.0, float("inf")]}},
+                ["'initial_law.concentration'", "inf"],
+            ),
+        ],
+    )
+    def test_non_finite_matrix_or_law_rejected(self, tmp_path, capsys, overrides, named):
+        cfg = write_config(tmp_path / "cfg.json", resolutions=[8], **overrides)
+        assert main(["converge", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_payoff_entry_named(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", payoff_matrix=[[1.0, -2.0], [3.0, 4.0]], resolutions=[8]
@@ -265,6 +287,16 @@ class TestConfigValidation:
             ("residual", {"quadrature_stride": -1}, "quadrature_stride"),
             # k = 8 and 16 at stride 2 give 5 and 9 quadrature nodes
             ("residual", {"quadrature_stride": 2}, "quadrature_stride"),
+            # float() reads these as nan or inf; 1e999 is the JSON spelling of inf
+            ("simulate", {"w_scale": "nan"}, "w_scale"),
+            ("simulate", {"horizon": "inf"}, "horizon"),
+            ("simulate", {"horizon": 1e999}, "horizon"),
+            ("simulate", {"n_scale": "inf"}, "n_scale"),
+            ("simulate", {"alpha": "nan"}, "alpha"),
+            ("converge", {"checkpoints": ["nan"]}, "checkpoints"),
+            ("converge", {"verdict": {"final_ratio": "inf"}}, "verdict.final_ratio"),
+            ("converge", {"flow_step": 0}, "flow_step"),
+            ("residual", {"flow_step": -0.1}, "flow_step"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -325,7 +357,7 @@ class TestValidate:
         # the transition oracle enumerates pairs itself, so a payoff formula
         # that lets an individual meet itself must not pass
         def mean_field(lam, entries, population, w):
-            pay = lam @ entries.T
+            pay = entries @ lam
             return pay, (1.0 - w) + w * pay
 
         monkeypatch.setattr(moranfield.simplex, "payoff_fitness", mean_field)

@@ -216,6 +216,14 @@ class TestScalingSchedule:
         with pytest.raises(DomainError):
             ScalingSchedule(horizon=-1.0, resolution=4, alpha=0.6, beta=0.4)
 
+    @pytest.mark.parametrize("field", ["horizon", "alpha", "beta", "n_scale", "w_scale"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        # a nan w_scale used to give w = min(1, nan) = 1 silently
+        values = {"horizon": 1.0, "resolution": 4, "alpha": 0.6, "beta": 0.4, field: bad}
+        with pytest.raises(DomainError, match=field):
+            ScalingSchedule(**values)
+
 
 class TestLargestRemainder:
     def test_exact_lattice_point_is_fixed(self):

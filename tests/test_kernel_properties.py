@@ -143,6 +143,64 @@ def test_simulate_counts_are_pinned():
     )
 
 
+M4 = PayoffMatrix([[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 1.0], [3.0, 4.0, 1.0, 2.0],
+                   [4.0, 1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, lam, schedule, digest",
+    [
+        # M = 3 at N = 32768, the population of the largest frozen-regime resolution
+        (M3, [0.2, 0.3, 0.5],
+         ScalingSchedule(horizon=1.0, resolution=2048, alpha=1.0, beta=0.5, n_scale=16.0),
+         "e383a01edb7a6a761136905e1ba4b214eb6b9bb0e8508584427775dbf82e98cc"),
+        # M = 4 at N = 776, the population of a k = 65536 simulate run
+        (M4, [0.1, 0.2, 0.3, 0.4],
+         ScalingSchedule(horizon=1.0, resolution=2048, alpha=1.0, beta=0.4, n_scale=776 / 2048),
+         "3c64f1cd2d3d8c4342721a56a688dc47d26e6de759afe35e3d88bb397cc80366"),
+    ],
+    ids=["m3-n32768", "m4-n776"],
+)
+def test_lockstep_paths_are_pinned(matrix, lam, schedule, digest):
+    # sha256 of 16 replica paths, so a change that flips a single step shows
+    init = discretize_initial(SimplexPoint(lam), schedule)
+    uniforms = np.random.default_rng(20260810).random((16, schedule.resolution))
+    paths = simulate_counts_batch(np.tile(init.counts, (16, 1)), matrix, schedule, uniforms)
+    assert paths.shape == (16, 2049, matrix.dimension)
+    assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains(max_replicas=3), st.data())
+def test_kept_columns_are_the_full_path_columns(chain, data):
+    matrix, schedule, counts0, uniforms = chain
+    grid = range(schedule.resolution + 1)
+    columns = sorted(data.draw(st.sets(st.sampled_from(grid), min_size=1)))
+    full = simulate_counts_batch(counts0, matrix, schedule, uniforms)
+    kept = simulate_counts_batch(counts0, matrix, schedule, uniforms, columns)
+    assert np.array_equal(kept, full[:, columns])
+
+
+@pytest.mark.parametrize("columns", [[2, 1], [1, 1], [0, 7], [-1, 3]])
+def test_columns_must_be_increasing_grid_indices(columns):
+    sched = ScalingSchedule(horizon=1.0, resolution=6, alpha=0.6, beta=0.4, n_scale=5.0)
+    counts0 = [discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched).counts]
+    with pytest.raises(DomainError, match="columns"):
+        simulate_counts_batch(counts0, M3, sched, np.full((1, 6), 0.5), columns)
+
+
+def test_trajectory_export_bytes_are_pinned(tmp_path):
+    sched = ScalingSchedule(horizon=1.0, resolution=1024, alpha=0.6, beta=0.4)
+    init = discretize_initial(SimplexPoint([0.1, 0.2, 0.3, 0.4]), sched)
+    traj = simulate(init, M4, sched, seed=20260810)
+    export_trajectory(traj, tmp_path / "t.csv", tmp_path / "t.json", M4)
+    files = (tmp_path / "t.csv", tmp_path / "t.json")
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in files] == [
+        "283ec7634c22f931a0942fc41409126d1d4cb9cec707c5d07d4cf837c35c8591",
+        "65295c1521ba1d7be0a904fca59d87a456d1eec1c01ea96cb19d26c3e3b73c83",
+    ]
+
+
 def test_simulate_reads_one_stream_like_the_batch_kernel():
     sched = ScalingSchedule(horizon=1.0, resolution=300, alpha=0.6, beta=0.4)
     init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)

@@ -62,6 +62,11 @@ class TestInitialLaw:
         with pytest.raises(DomainError):
             InitialLaw.dirichlet([1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_concentration(self, bad):
+        with pytest.raises(DomainError):
+            InitialLaw.dirichlet([1.0, bad])
+
     def test_dict_roundtrip(self):
         for law in (
             InitialLaw.dirac(SimplexPoint([0.4, 0.6])),

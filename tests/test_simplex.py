@@ -58,6 +58,11 @@ class TestSimplexPoint:
         with pytest.raises(DomainError):
             SimplexPoint([1.2, -0.2])
 
+    @pytest.mark.parametrize("coords", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(DomainError):
+            SimplexPoint(coords)
+
     def test_clips_rounding_dust(self):
         p = SimplexPoint([1.0 + 5e-13, -5e-13])
         assert p.coords[1] == 0.0
@@ -77,6 +82,13 @@ class TestPayoffMatrix:
         with pytest.raises(DomainError) as err:
             PayoffMatrix([[1.0, -0.5], [0.0, 1.0]])
         assert "(0, 1)" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # a nan payoff made every outcome probability nan and froze the chain
+        with pytest.raises(DomainError) as err:
+            PayoffMatrix([[1.0, 2.0], [bad, 1.0]])
+        assert "(1, 0)" in str(err.value)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranfield.errors import (
     CapacityError,
@@ -181,6 +183,52 @@ class TestW1Exact:
         lines = path.read_text().splitlines()
         assert lines[0] == "src_id,dst_id,mass,cost"
         assert len(lines) == 5
+
+
+@st.composite
+def measure_tuples(draw, count, max_size=5):
+    """``count`` empirical measures of 1..max_size points on one simplex of M = 2..4."""
+    m = draw(st.integers(2, 4))
+    out = []
+    for _ in range(count):
+        r = draw(st.integers(1, max_size))
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=r * m, max_size=r * m))
+        points = np.reshape(weights, (r, m)) + 1e-3
+        out.append(EmpiricalMeasure(points / points.sum(axis=1, keepdims=True)))
+    return out
+
+
+class TestW1Properties:
+    """The metric axioms and the dual bound on hypothesis-drawn small measures,
+    equal and unequal sizes (assignment and transportation solvers)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure_tuples(2))
+    def test_symmetric(self, pair):
+        mu, nu = pair
+        assert w1_exact(mu, nu)[0] == pytest.approx(w1_exact(nu, mu)[0], abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure_tuples(3))
+    def test_triangle_inequality(self, triple):
+        a, b, c = triple
+        assert w1_exact(a, b)[0] <= w1_exact(a, c)[0] + w1_exact(c, b)[0] + 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure_tuples(1), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_zero_on_identical_measures(self, single, copies, random):
+        (mu,) = single
+        order = list(range(mu.size * copies))
+        random.shuffle(order)
+        same = EmpiricalMeasure(np.repeat(mu.array, copies, axis=0)[order])
+        assert w1_exact(mu, same)[0] == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure_tuples(2), st.integers(0, 2**32 - 1))
+    def test_dual_bound_below_exact(self, pair, seed):
+        mu, nu = pair
+        witnesses = random_witnesses(mu.dimension, 16, np.random.default_rng(seed))
+        assert w1_dual_lower_bound(mu, nu, witnesses) <= w1_exact(mu, nu)[0] + 1e-10
 
 
 class TestDualLowerBound:
