@@ -26,7 +26,7 @@ from .errors import (
     FitnessDegenerateError,
 )
 from .report import write_csv, write_json
-from .simplex import PayoffMatrix, SimplexPoint, payoff_fitness
+from .simplex import PayoffMatrix, SimplexPoint, fitness_map, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
 GRID_SNAP = 1e-9
@@ -116,43 +116,50 @@ def _outcome_moves(m: int) -> np.ndarray:
 
 
 def _increment_table(m: int) -> np.ndarray:
-    """(M, 1 + M^2) count increment of each flat outcome; column 0 (stay) is zero."""
-    gainers, losers = _outcome_moves(m).T
+    """(M, 1 + M(M-1)) count increment of each sampled outcome: column 0 (stay)
+    is zero, then the off-diagonal moves row-major."""
+    gainers, losers = np.nonzero(~np.eye(m, dtype=bool))
     eye = np.eye(m)
-    return eye[:, gainers] - eye[:, losers]
+    return np.hstack((np.zeros((m, 1)), eye[:, gainers] - eye[:, losers]))
 
 
-def _birth_weights(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """``lam * fitness`` and mean fitness per column of ``lam`` (M, R); raises unless fbar > 0."""
-    if lam.shape[0] != entries.shape[0]:
-        raise DimensionError(
-            f"state has {lam.shape[0]} strategies, matrix has {entries.shape[0]}"
-        )
-    _, fit = payoff_fitness(lam, entries, population, w)
-    lam_fit = lam * fit
-    fbar = np.add.reduce(lam_fit, axis=0)
-    if (fbar <= 0.0).any():
-        raise FitnessDegenerateError(
-            "mean fitness is not positive; birth probabilities are undefined"
-        )
-    return lam_fit, fbar
+def _check_dimension(m: int, entries: np.ndarray) -> None:
+    if m != entries.shape[0]:
+        raise DimensionError(f"state has {m} strategies, matrix has {entries.shape[0]}")
 
 
-def _fill_outcomes(
-    out: np.ndarray, lam: np.ndarray, entries: np.ndarray, population: int, w: float
-) -> None:
-    """Write the flat outcome probabilities of each column of ``lam`` (M, R) into
-    the C-ordered ``out`` (1 + M^2, R), in :meth:`TransitionTable.flat_probabilities`
-    order: ``move(i, j) = lam_i f_i lam_j / fbar`` off the diagonal, and the
-    stay row is the diagonal's sum ``sum_i lam_i^2 f_i / fbar``.
+_DEGENERATE = "mean fitness is not positive; birth probabilities are undefined"
+
+
+def _outcome_filler(lam: np.ndarray, fit: np.ndarray, out: np.ndarray):
+    """Return ``fill()``, which writes the sampled outcome probabilities of each
+    column of ``lam`` (M, R), at fitnesses ``fit`` (M, R), into ``out``
+    (1 + M(M-1), R): the stay row ``sum_i lam_i^2 f_i / fbar``, then
+    ``move(i, j) = lam_i f_i lam_j / fbar`` for i != j, row-major.
+
+    ``fill`` reads the buffers as they are when it runs, so one filler serves a
+    whole run; it raises FitnessDegenerateError unless every fbar > 0.
     """
-    m = lam.shape[0]
-    lam_fit, fbar = _birth_weights(lam, entries, population, w)
-    np.multiply(lam_fit[:, None], lam[None], out=out[1:].reshape(m, m, -1))
-    diagonal = out[1 :: m + 1]
-    np.add.reduce(diagonal, axis=0, out=out[0])
-    diagonal[:] = 0.0
-    out /= fbar
+    m, r = lam.shape
+    lam_fit, fbar, grid = np.empty((m, r)), np.empty(r), np.empty((m * m, r))
+    products, lam_fit_col, lam_row = grid.reshape(m, m, r), lam_fit[:, None], lam[None]
+    diagonal = grid[:: m + 1]
+    # grid rows 1 .. M^2 - 1 fall in runs of M + 1 that each end on a diagonal
+    # row, so the first M rows of each run are the off-diagonal moves, row-major
+    off_diagonal = grid[1:].reshape(m - 1, m + 1, r)[:, :m]
+    stay, moves = out[0], out[1:].reshape(m - 1, m, r)
+
+    def fill():
+        np.multiply(lam, fit, out=lam_fit)
+        np.add.reduce(lam_fit, axis=0, out=fbar)
+        if np.minimum.reduce(fbar) <= 0.0:
+            raise FitnessDegenerateError(_DEGENERATE)
+        np.multiply(lam_fit_col, lam_row, out=products)
+        np.add.reduce(diagonal, axis=0, out=stay)
+        np.copyto(moves, off_diagonal)
+        np.divide(out, fbar, out=out)
+
+    return fill
 
 
 def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTable:
@@ -161,11 +168,14 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     ``move_probs[i, j] = lam_i * f_i * lam_j / fbar`` for i != j and
     ``stay_prob = sum_i lam_i^2 f_i / fbar``; the table sums to one.
     """
-    m = state.dimension
-    flat = np.empty((1 + m * m, 1))
-    lam = (state.counts / state.population)[:, None]
-    _fill_outcomes(flat, lam, matrix.entries, state.population, state.selection_weight)
-    mv = flat[1:, 0].reshape(m, m)
+    m, n = state.dimension, state.population
+    _check_dimension(m, matrix.entries)
+    lam = (state.counts / n)[:, None]
+    _, fit = payoff_fitness(lam, matrix.entries, n, state.selection_weight)
+    flat = np.empty((1 + m * (m - 1), 1))
+    _outcome_filler(lam, fit, flat)()
+    mv = np.zeros((m, m))
+    mv[~np.eye(m, dtype=bool)] = flat[1:, 0]
     mv.setflags(write=False)
     return TransitionTable(move_probs=mv, stay_prob=float(flat[0, 0]))
 
@@ -182,32 +192,45 @@ def _lockstep(
     per replica per step from ``uniforms`` (R, k); returns the counts at the
     sorted grid indices ``columns`` (default all k+1) as (R, len(columns), M).
 
-    Each step inverts the normalized cumulative of the flat outcome order
-    (:meth:`TransitionTable.flat_probabilities`), taking the first outcome
-    whose cumulative exceeds u (``searchsorted(side="right")``).  Arrays are
-    (M, R) and (1 + M^2, R), so every numpy call's inner loop runs over
+    Each step inverts the normalized cumulative of the sampled outcomes (the
+    stay, then the off-diagonal moves of
+    :meth:`TransitionTable.flat_probabilities`, whose zero diagonal never
+    changes a cumulative), taking the first outcome whose cumulative exceeds u
+    (``searchsorted(side="right")``).  Arrays are (M, R) and (1 + M(M-1), R),
+    allocated once per run, so every numpy call's inner loop runs over
     replicas; an F-ordered ``uniforms`` is read without a copy.
     """
     r, m = counts0.shape
     k = uniforms.shape[1]
+    _check_dimension(m, entries)
     slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
     draws = np.asfortranarray(uniforms).T
     inc = _increment_table(m)
     out = np.empty((len(slot), m, r), dtype=np.int64)
     # float counts are exact below 2**53 and divide without an int cast
     current = np.ascontiguousarray(counts0.T, dtype=float)
-    lam = np.empty((m, r))
-    flat = np.empty((1 + m * m, r))
+    lam, pay, fit, delta = np.empty((4, m, r))
+    fitness = fitness_map(entries, population, w)
+    cum = np.empty((1 + m * (m - 1), r))
+    fill = _outcome_filler(lam, fit, cum)
+    # the last cumulative normalizes to exactly 1.0 > u, so it never counts
+    head, norm = cum[:-1], cum[-1]
+    passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
     if 0 in slot:
         out[slot[0]] = current
-    for h in range(k):
+    for h, u in enumerate(draws, 1):
         np.divide(current, population, out=lam)
-        _fill_outcomes(flat, lam, entries, population, w)
-        np.add.accumulate(flat, axis=0, out=flat)
-        flat /= flat[-1]
-        current += np.take(inc, (flat <= draws[h]).sum(axis=0), axis=1)
-        if h + 1 in slot:
-            out[slot[h + 1]] = current
+        fitness(lam, pay, fit)
+        fill()
+        np.add.accumulate(cum, axis=0, out=cum)
+        np.divide(head, norm, out=head)
+        np.less_equal(head, u, out=passed)
+        np.add.reduce(passed, axis=0, out=picked)
+        # picked never exceeds the last column; "raise" would buffer ``out``
+        inc.take(picked, axis=1, out=delta, mode="clip")
+        np.add(current, delta, out=current)
+        if h in slot:
+            out[slot[h]] = current
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
@@ -456,8 +479,13 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
     transition table outcomes gives the same vector.
     """
     n = state.population
+    _check_dimension(state.dimension, matrix.entries)
     lam = (state.counts / n)[:, None]
-    lam_fit, fbar = _birth_weights(lam, matrix.entries, n, state.selection_weight)
+    _, fit = payoff_fitness(lam, matrix.entries, n, state.selection_weight)
+    lam_fit = lam * fit
+    fbar = np.add.reduce(lam_fit, axis=0)
+    if fbar[0] <= 0.0:
+        raise FitnessDegenerateError(_DEGENERATE)
     return (lam_fit[:, 0] - lam[:, 0] * fbar[0]) / (n * fbar[0])
 
 

@@ -132,16 +132,35 @@ def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
         )
 
 
-def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """Payoffs and fitnesses of an (M, R) array of proportions, as two (M, R) arrays.
+def fitness_map(entries: np.ndarray, population: int, w: float):
+    """The one payoff/fitness formula of the package, at fixed ``(A, N, w)``.
 
-    The one payoff/fitness formula of the package: in a population of N an
-    individual never meets itself, so ``pay[i, r] = N/(N-1) * (A @ lam)[i, r] -
-    A[i, i]/(N-1)``, and ``fit = (1 - w) + w * pay``.  Inputs are not checked.
+    In a population of N an individual never meets itself, so ``pay[i, r] =
+    N/(N-1) * (A @ lam)[i, r] - A[i, i]/(N-1)``, and ``fit = (1 - w) + w * pay``.
+    Returns ``evaluate(lam, pay, fit)``, which writes both for an (M, R) array
+    of proportions into the caller's (M, R) buffers and returns them.  The
+    constants are computed once here, and each in-place step rounds like the
+    matching step of the two expressions.  Inputs are not checked.
     """
     n = population
-    pay = (n / (n - 1.0)) * (entries @ lam) - entries.diagonal()[:, None] / (n - 1.0)
-    return pay, (1.0 - w) + w * pay
+    scale, self_term = n / (n - 1.0), entries.diagonal()[:, None] / (n - 1.0)
+    neutral = 1.0 - w
+
+    def evaluate(lam, pay, fit):
+        np.matmul(entries, lam, out=pay)
+        np.multiply(pay, scale, out=pay)
+        np.subtract(pay, self_term, out=pay)
+        np.multiply(pay, w, out=fit)
+        np.add(fit, neutral, out=fit)
+        return pay, fit
+
+    return evaluate
+
+
+def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
+    """Payoffs and fitnesses of an (M, R) array of proportions, as two new (M, R)
+    arrays: :func:`fitness_map` evaluated once."""
+    return fitness_map(entries, population, w)(lam, np.empty(lam.shape), np.empty(lam.shape))
 
 
 def expected_payoff(point: SimplexPoint, matrix: PayoffMatrix, population: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import moranfield
 import moranfield.engine
 import moranfield.simplex
 from moranfield import lab
@@ -26,6 +29,18 @@ def write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config, indent=2) + "\n")
     return path
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is about a third of the package's start-up time and memory,
+    # and only the unequal-size branch of w1_sliced uses it
+    src = os.path.dirname(os.path.dirname(moranfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, moranfield.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSimulate:

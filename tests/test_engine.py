@@ -310,6 +310,24 @@ class TestSimulate:
                 state = step(state, A22, rng)
                 assert np.array_equal(batch[r, h + 1], state.counts), (r, h)
 
+    def test_fitness_degenerating_after_the_first_step_raises(self):
+        # zero diagonal at w = 1: at [1, 3] fbar = 1/2 and the outcomes are
+        # [stay 1/2, move(0, 1) 3/8, move(1, 0) 1/8], so u = 0.9 absorbs the
+        # chain at [0, 4], where every fitness is zero
+        anti = PayoffMatrix([[0.0, 1.0], [1.0, 0.0]])
+
+        def sched(k):
+            return ScalingSchedule(
+                horizon=1.0, resolution=k, alpha=1.0, beta=0.0, n_floor=4, n_scale=1e-9
+            )
+
+        counts0 = [[1, 3], [1, 3]]
+        uniforms = np.array([[0.9, 0.5], [0.1, 0.1]])
+        path = simulate_counts_batch(counts0, anti, sched(1), uniforms[:, :1])
+        assert path[:, 1].tolist() == [[0, 4], [1, 3]]
+        with pytest.raises(FitnessDegenerateError):
+            simulate_counts_batch(counts0, anti, sched(2), uniforms)
+
     def test_boundary_uniform_inverts_like_step(self):
         # a uniform equal to a cumulative boundary takes the outcome to its
         # right (searchsorted side="right"), in the batch kernel as in step

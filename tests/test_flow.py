@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moranfield.errors import DomainError
 from moranfield.flow import FlowConfig, default_flow_config, flow, pushforward
@@ -131,3 +133,48 @@ class TestPushforward:
         for idx in range(11):
             single = flow(SimplexPoint(mu.array[idx]), A22, 0.4, CFG)
             assert out.array[idx] == pytest.approx(single.coords, abs=1e-13)
+
+
+@st.composite
+def problems(draw, max_points=6, faces=True):
+    """(matrix, (R, M) points) at M = 2..4: payoffs in [0, 3], and coordinates
+    that are zero (on a face, when ``faces``) or at least 1/61."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(1, max_points))
+    entries = draw(st.lists(st.floats(0.0, 3.0), min_size=m * m, max_size=m * m))
+    weight = st.one_of(st.just(0.0), st.floats(1.0, 20.0)) if faces else st.floats(1.0, 20.0)
+    rows = draw(
+        st.lists(
+            st.lists(weight, min_size=m, max_size=m).filter(any), min_size=r, max_size=r
+        )
+    )
+    points = np.array(rows)
+    return PayoffMatrix(np.reshape(entries, (m, m))), points / points.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(max_points=1, faces=False))
+def test_rk4_order_four_on_drawn_problems(problem):
+    # halving the step divides the error to a fine-step reference by about 2^4
+    matrix, points = problem
+    p = SimplexPoint(points[0])
+    ref = flow(p, matrix, 1.0, FlowConfig(step_size=1.0 / 2048)).coords
+    errs = [
+        np.linalg.norm(flow(p, matrix, 1.0, FlowConfig(step_size=1.0 / d)).coords - ref)
+        for d in (16, 32, 64)
+    ]
+    assume(errs[-1] > 1e-13)  # a near-constant field leaves only rounding
+    assert min(np.log2(errs[i] / errs[i + 1]) for i in range(2)) >= 3.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.floats(0.0, 2.0))
+def test_flow_and_pushforward_keep_the_simplex_and_its_faces(problem, t):
+    matrix, points = problem
+    cfg = FlowConfig(step_size=1.0 / 128)
+    out = pushforward(EmpiricalMeasure(points), matrix, t, cfg).array
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(out[points > 0] > 0)  # the interior of each face stays inside it
+    assert np.all(out[points == 0] == 0)  # a strategy that is absent stays absent
+    single = flow(SimplexPoint(points[0]), matrix, t, cfg).coords
+    assert single == pytest.approx(out[0], abs=1e-13)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -327,5 +328,23 @@ class TestW1Sliced:
         rng = np.random.default_rng(22)
         mu = random_measure(rng, 40)
         nu = random_measure(rng, 25, conc=np.array([5.0, 1.0, 1.0]))
+        # the directions w1_sliced draws, from a copy of its generator
+        theta = copy.deepcopy(rng).normal(size=(3, 128))
+        theta /= np.linalg.norm(theta, axis=0, keepdims=True)
         approx = w1_sliced(mu, nu, 128, rng)
+        expected = np.mean([w1_line(mu.array @ d, nu.array @ d) for d in theta.T])
         assert approx > 0
+        assert approx == pytest.approx(expected / mean_abs_projection(3), rel=1e-12)
+
+    def test_line_oracle(self):
+        # F = 1/2 on [0, 1) and G jumps from 0 to 1 at 1/2: |F - G| = 1/2 throughout
+        assert w1_line(np.array([0.0, 1.0]), np.array([0.5])) == pytest.approx(0.5, abs=1e-15)
+
+
+def w1_line(x, y):
+    """W1 of two uniform empirical measures on the line: the integral of
+    |F - G| over the merged sorted support, F and G the empirical CDFs."""
+    support = np.sort(np.concatenate((x, y)))
+    cdf_x = np.searchsorted(np.sort(x), support[:-1], side="right") / x.size
+    cdf_y = np.searchsorted(np.sort(y), support[:-1], side="right") / y.size
+    return float(np.sum(np.abs(cdf_x - cdf_y) * np.diff(support)))
