@@ -44,7 +44,6 @@ from .lab import (
     run_ensemble,
     standard_test_functions,
     weak_form_residual,
-    worker_pool,
 )
 from .report import RESIDUAL_SCHEMA, payload_digest, write_csv, write_json, write_report
 from .simplex import PayoffMatrix, SimplexPoint
@@ -198,10 +197,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
             )
-        if int(merged["quadrature_stride"]) < 0:
-            raise ConfigurationError(
-                f"config key 'quadrature_stride' must be >= 0, got {merged['quadrature_stride']!r}"
-            )
+        for key, least in (("master_seed", 0), ("quadrature_stride", 0), ("resolution", 1)):
+            if merged.get(key) is not None and int(merged[key]) < least:
+                raise ConfigurationError(
+                    f"config key {key!r} must be >= {least}, got {merged[key]!r}"
+                )
         final = self.verdict.get("final_checkpoint")
         if final is not None and float(final) not in self.checkpoints:
             raise ConfigurationError(
@@ -298,11 +298,10 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = RunConfig.load(args.config, {"master_seed": args.seed, "resolutions": None})
-    resolution = args.k or config.data.get("resolution")
-    if not resolution:
+    config = RunConfig.load(args.config, {"master_seed": args.seed, "resolution": args.k})
+    if config.data.get("resolution") is None:
         raise ConfigurationError("simulate needs a resolution (config 'resolution' or --k)")
-    schedule = config.schedule(int(resolution))
+    schedule = config.schedule(config.data["resolution"])
     lam0 = draw_initial_samples(config.law, 1, config.master_seed)[0]
     initial = discretize_initial(SimplexPoint(lam0), schedule)
     traj = simulate(initial, config.matrix, schedule, seed=config.master_seed)
@@ -428,47 +427,39 @@ def cmd_residual(args) -> int:
     phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
     floors = {}
     records = []
-    with worker_pool(args.jobs) as pool:
-        for schedule, nodes in runs:
-            ensemble = run_ensemble(
+    for schedule, nodes in runs:
+        ensemble = run_ensemble(
+            config.law, config.matrix, schedule, config.ensemble_size, nodes, config.master_seed
+        )
+        if nodes not in floors:
+            # the floor does not depend on k, only on the node set
+            floors[nodes] = residual_floor(
                 config.law,
                 config.matrix,
-                schedule,
                 config.ensemble_size,
                 nodes,
                 config.master_seed,
-                jobs=args.jobs,
-                pool=pool,
+                phis,
+                config.flow_config(),
             )
-            if nodes not in floors:
-                # the floor does not depend on k, only on the node set
-                floors[nodes] = residual_floor(
-                    config.law,
-                    config.matrix,
-                    config.ensemble_size,
-                    nodes,
-                    config.master_seed,
-                    phis,
-                    config.flow_config(),
-                )
-            for phi, floor in zip(phis, floors[nodes]):
-                est = weak_form_residual(ensemble, config.matrix, phi)
-                records.append(
-                    {
-                        "k": schedule.resolution,
-                        "phi": phi.name,
-                        "family_version": phi.version,
-                        "residual": est.value,
-                        "ci_halfwidth": est.ci_halfwidth,
-                        "floor": floor.value,
-                        "floor_ci_halfwidth": floor.ci_halfwidth,
-                        "quadrature_nodes": est.node_count,
-                    }
-                )
-                print(
-                    f"k={schedule.resolution} phi={phi.name}: residual={est.value:.6g} "
-                    f"(ci {est.ci_halfwidth:.3g}, floor {floor.value + floor.ci_halfwidth:.3g})"
-                )
+        for phi, floor in zip(phis, floors[nodes]):
+            est = weak_form_residual(ensemble, config.matrix, phi)
+            records.append(
+                {
+                    "k": schedule.resolution,
+                    "phi": phi.name,
+                    "family_version": phi.version,
+                    "residual": est.value,
+                    "ci_halfwidth": est.ci_halfwidth,
+                    "floor": floor.value,
+                    "floor_ci_halfwidth": floor.ci_halfwidth,
+                    "quadrature_nodes": est.node_count,
+                }
+            )
+            print(
+                f"k={schedule.resolution} phi={phi.name}: residual={est.value:.6g} "
+                f"(ci {est.ci_halfwidth:.3g}, floor {floor.value + floor.ci_halfwidth:.3g})"
+            )
     outdir = _resolve_output_dir(args.output_dir, config)
     payload = {
         "schema": RESIDUAL_SCHEMA,
@@ -536,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker processes; one fork-started pool per run serves the chain "
-            "chunks and the bootstrap solves (results are identical for any value)",
+            help="worker processes for the bootstrap assignment solves of converge and "
+            "regimes (one fork-started pool per run; results are identical for any value); "
+            "chains run in the calling process, and simulate and residual ignore it",
         )
 
     p_sim = sub.add_parser("simulate", help="run a single chain at one resolution")

@@ -14,6 +14,7 @@ provided: piecewise affine and piecewise constant interpolation.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ from .simplex import PayoffMatrix, SimplexPoint, fitness_map, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
 GRID_SNAP = 1e-9
+#: steps of ``uniforms`` the chain kernel reads at a time
+DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +201,14 @@ def _lockstep(
     changes a cumulative), taking the first outcome whose cumulative exceeds u
     (``searchsorted(side="right")``).  Arrays are (M, R) and (1 + M(M-1), R),
     allocated once per run, so every numpy call's inner loop runs over
-    replicas; an F-ordered ``uniforms`` is read without a copy.
+    replicas.  ``uniforms`` is read once, in order, as column blocks
+    ``uniforms[:, a:a + DRAW_BLOCK]``, so it may draw each block when read; an
+    F-ordered block is read without a copy.
     """
     r, m = counts0.shape
     k = uniforms.shape[1]
     _check_dimension(m, entries)
     slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
-    draws = np.asfortranarray(uniforms).T
     inc = _increment_table(m)
     out = np.empty((len(slot), m, r), dtype=np.int64)
     # float counts are exact below 2**53 and divide without an int cast
@@ -218,7 +222,8 @@ def _lockstep(
     passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
     if 0 in slot:
         out[slot[0]] = current
-    for h, u in enumerate(draws, 1):
+    blocks = (np.asfortranarray(uniforms[:, a : a + DRAW_BLOCK]).T for a in range(0, k, DRAW_BLOCK))
+    for h, u in enumerate(itertools.chain.from_iterable(blocks), 1):
         np.divide(current, population, out=lam)
         fitness(lam, pay, fit)
         fill()

@@ -9,8 +9,9 @@ reflects only the count-lattice rounding.
 
 Every random draw comes from a named stream of :data:`STREAMS`, seeded by
 ``master_seed`` and a fixed spawn key: each replica owns its initial-draw
-and chain streams, so results are independent of replica scheduling and of
-the parallelism degree.
+and chain streams, and every chain runs in the calling process.  A process
+pool serves only the bootstrap assignment solves, whose resample indices are
+drawn here, so results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -154,54 +155,22 @@ class EnsembleResult:
     initial_discretized: EmpiricalMeasure
 
 
-def _simulate_chunk(args):
-    """Initial draws and the path columns ``columns`` of replicas ``r0..r1``."""
-    entries, schedule_dict, law_dict, master_seed, r0, r1, columns = args
-    schedule = ScalingSchedule.from_dict(schedule_dict)
-    law = InitialLaw.from_dict(law_dict)
-    matrix = PayoffMatrix(entries)
-    n, k = schedule.population, schedule.resolution
-    lam0 = _draws(law, master_seed, "initial", range(r0, r1))
-    counts0 = [largest_remainder_counts(SimplexPoint(lam), n) for lam in lam0]
-    # F order: the kernel reads one step's draws of all replicas contiguously
-    uniforms = np.empty((r1 - r0, k), order="F")
-    for offset, r in enumerate(range(r0, r1)):
-        uniforms[offset] = _rng(master_seed, "chain", r).random(k)
-    return lam0, simulate_counts_batch(counts0, matrix, schedule, uniforms, columns)
+class _ChainUniforms:
+    """The kernel's (R, k) ``uniforms``: row r is replica r's ``"chain"`` stream.
 
-
-def worker_pool(jobs: int):
-    """Context manager for one run's process pool; it yields None when ``jobs <= 1``.
-
-    Workers are forked: a spawned worker re-imports numpy, scipy and this
-    package, which made a headline ``converge`` run about 4 s slower on a
-    2-vCPU host.
+    The kernel reads column blocks once and in order, and each block is drawn
+    when read, so a run holds R * DRAW_BLOCK draws rather than R * k (33.5 MB
+    at R = 128, k = 32 768).
     """
-    import contextlib
-    import multiprocessing
 
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
-    )
+    def __init__(self, master_seed: int, replicas: int, steps: int):
+        self.shape = (replicas, steps)
+        self._rngs = [_rng(master_seed, "chain", r) for r in range(replicas)]
 
-
-def _chunk_bounds(count: int, jobs: int) -> list:
-    """Contiguous ``(start, stop)`` ranges splitting ``count`` items into ``jobs`` chunks."""
-    bounds = np.linspace(0, count, max(1, min(jobs, count)) + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _map_chunks(fn, chunk_args, jobs: int, pool) -> list:
-    """``fn`` over ``chunk_args`` in order: on ``pool``, else on a pool of its
-    own when ``jobs > 1``, else in this process."""
-    if len(chunk_args) < 2 or (pool is None and jobs <= 1):
-        return [fn(arg) for arg in chunk_args]
-    if pool is not None:
-        return list(pool.map(fn, chunk_args))
-    with worker_pool(jobs) as own:
-        return list(own.map(fn, chunk_args))
+    def __getitem__(self, key):
+        steps = len(range(self.shape[1])[key[1]])
+        # (steps, R) in C order is the F-ordered (R, steps) block
+        return np.stack([rng.random(steps) for rng in self._rngs], axis=1).T
 
 
 def run_ensemble(
@@ -211,15 +180,14 @@ def run_ensemble(
     ensemble_size: int,
     checkpoints,
     master_seed: int,
-    jobs: int = 1,
-    pool=None,
 ) -> EnsembleResult:
     """R independent replicas with snapshots through both interpolators.
 
     Each initial draw is rounded onto the count lattice by largest remainder;
-    snapshots are empirical measures over replicas at each checkpoint.  The
-    replicas run in ``jobs`` chunks, on ``pool`` when one is given.  Fully
-    reproducible from ``master_seed`` and independent of ``jobs``.
+    snapshots are empirical measures over replicas at each checkpoint.  All
+    replicas advance in one lockstep kernel call in this process.  Fully
+    reproducible from ``master_seed``; replica r's draws come from its own
+    streams, so a larger ensemble extends a smaller one.
     """
     if ensemble_size < 2:
         raise DomainError(f"ensemble size must be >= 2, got {ensemble_size}")
@@ -229,20 +197,17 @@ def run_ensemble(
         )
     checkpoints = tuple(float(t) for t in checkpoints)
     grid = {t: locate_on_grid(t, schedule.horizon, schedule.resolution) for t in checkpoints}
-    # workers send back only the grid columns the interpolators read
+    # the kernel keeps only the grid columns the interpolators read
     columns = sorted(
         {0} | {h for h, _ in grid.values()} | {h + 1 for h, frac in grid.values() if frac > 0}
     )
-    chunk_args = [
-        (matrix.entries, schedule.to_dict(), law.to_dict(), master_seed, a, b, columns)
-        for a, b in _chunk_bounds(ensemble_size, jobs)
-    ]
-    chunks = _map_chunks(_simulate_chunk, chunk_args, jobs, pool)
-    lam0 = np.concatenate([c[0] for c in chunks])
-    paths = np.concatenate([c[1] for c in chunks])
+    n = schedule.population
+    lam0 = draw_initial_samples(law, ensemble_size, master_seed)
+    counts0 = [largest_remainder_counts(SimplexPoint(lam), n) for lam in lam0]
+    uniforms = _ChainUniforms(master_seed, ensemble_size, schedule.resolution)
+    paths = simulate_counts_batch(counts0, matrix, schedule, uniforms, columns)
     at = {h: j for j, h in enumerate(columns)}
 
-    n = schedule.population
     affine, constant = {}, {}
     for t, (h, frac) in grid.items():
         left = paths[:, at[h]] / n
@@ -265,6 +230,30 @@ def run_ensemble(
 
 
 # -- bootstrap -------------------------------------------------------------
+
+
+def worker_pool(jobs: int):
+    """Context manager for one run's process pool of bootstrap assignment
+    solves; it yields None when ``jobs <= 1``.
+
+    Workers are forked: a spawned worker re-imports numpy, scipy and this
+    package, which made a headline ``converge`` run about 4 s slower on a
+    2-vCPU host.
+    """
+    import contextlib
+    import multiprocessing
+
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+    )
+
+
+def _chunk_bounds(count: int, jobs: int) -> list:
+    """Contiguous ``(start, stop)`` ranges splitting ``count`` items into ``jobs`` chunks."""
+    bounds = np.linspace(0, count, max(1, min(jobs, count)) + 1, dtype=int)
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _resample_means(args) -> np.ndarray:
@@ -295,8 +284,8 @@ def bootstrap_w1_ci(
     Replica indices are resampled once per draw and applied to both sides,
     matching the paired construction of chain and limit ensembles.  All
     draws come from ``rng`` here, one per resample in order; the assignment
-    solves run in ``jobs`` contiguous chunks (on ``pool`` when given), so the
-    value is bit-identical for any ``jobs``.
+    solves run in ``jobs`` contiguous chunks, on ``pool`` when given and in
+    this process otherwise, so the value is bit-identical for any ``jobs``.
     """
     from scipy.spatial.distance import cdist
 
@@ -308,7 +297,8 @@ def bootstrap_w1_ci(
     dist = cdist(mu.array, nu.array)
     draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
     chunk_args = [(dist, draws[a:b]) for a, b in _chunk_bounds(n_resamples, jobs)]
-    values = np.concatenate(_map_chunks(_resample_means, chunk_args, jobs, pool))
+    mapped = map if pool is None else pool.map
+    values = np.concatenate(list(mapped(_resample_means, chunk_args)))
     return float(1.96 * values.std(ddof=1))
 
 
@@ -417,20 +407,11 @@ def convergence_experiment(
     started = time.perf_counter()
     records = []
     limits = None
-    # one pool serves every chain chunk and bootstrap solve of the run
+    # one pool serves every bootstrap solve of the run
     with worker_pool(jobs) as pool:
         for k in ks:
             schedule = replace(base, resolution=k)
-            ensemble = run_ensemble(
-                law,
-                matrix,
-                schedule,
-                ensemble_size,
-                checkpoints,
-                master_seed,
-                jobs=jobs,
-                pool=pool,
-            )
+            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
             if limits is None:
                 # initial draws are keyed by (master_seed, replica) only, so
                 # the pushforward side is shared by all resolutions
@@ -560,16 +541,7 @@ def regime_experiment(
     with worker_pool(jobs) as pool:
         for k in resolutions:
             schedule = replace(base, resolution=int(k))
-            ensemble = run_ensemble(
-                law,
-                matrix,
-                schedule,
-                ensemble_size,
-                (0.0, horizon),
-                master_seed,
-                jobs=jobs,
-                pool=pool,
-            )
+            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
             start = ensemble.constant[0.0]
             end = ensemble.constant[horizon]
             dist, _ = w1_exact(start, end)

@@ -84,6 +84,25 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, config",
+        [(["--k", "0"], {"resolution": 10}), (["--k", "-5"], {}), ([], {"resolution": -5})],
+    )
+    def test_resolution_below_one_rejected(self, tmp_path, capsys, flag, config):
+        # --k 0 must not fall back to the config's resolution
+        cfg = write_config(tmp_path / "cfg.json", **config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out), *flag]) == 2
+        assert "'resolution'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_flag_overrides_config_and_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", resolution=10)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out), "--k", "12"]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 14
+        assert json.loads((out / "manifest.json").read_text())["config"]["resolution"] == 12
+
     def test_config_not_mutated(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", resolution=10)
         before = cfg.read_bytes()
@@ -207,6 +226,18 @@ class TestResidual:
         assert main(argv) == 0
         assert len(calls) == 258
 
+    def test_opens_no_process_pool(self, tmp_path, monkeypatch):
+        # residual has no assignment solves, so --jobs leaves it in one process
+        def refuse(*args, **kwargs):
+            raise AssertionError("residual opened a process pool")
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+        cfg = write_config(
+            tmp_path / "cfg.json", resolutions=[16], ensemble_size=16, quadrature_stride=1
+        )
+        argv = ["residual", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "2"]
+        assert main(argv) == 0
+
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", resolutions=[16], ensemble_size=16, quadrature_stride=1
@@ -312,6 +343,8 @@ class TestConfigValidation:
             ("converge", {"verdict": {"final_ratio": "inf"}}, "verdict.final_ratio"),
             ("converge", {"flow_step": 0}, "flow_step"),
             ("residual", {"flow_step": -0.1}, "flow_step"),
+            ("converge", {"master_seed": -2}, "master_seed"),
+            ("simulate", {"master_seed": -1}, "master_seed"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):

@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moranfield.engine import DiscreteState, ScalingSchedule, exact_drift, transition_table
+from moranfield.engine import (
+    DRAW_BLOCK,
+    DiscreteState,
+    ScalingSchedule,
+    exact_drift,
+    simulate_counts_batch,
+    transition_table,
+)
 from moranfield.errors import (
     CapacityError,
     ConfigurationError,
@@ -138,14 +145,30 @@ class TestRunEnsemble:
             gap, _ = w1_exact(res.affine[t], res.constant[t])
             assert gap <= np.sqrt(2) / sched.population + 1e-12
 
-    def test_reproducible_and_jobs_invariant(self):
+    def test_larger_ensemble_extends_a_smaller_one(self):
+        # each replica draws from its own streams, so the first R replicas
+        # of a 2R ensemble are the R-replica ensemble at every checkpoint
         law = InitialLaw.dirichlet([2.0, 2.0])
         sched = ScalingSchedule(horizon=1.0, resolution=20, alpha=0.6, beta=0.4)
-        a = run_ensemble(law, A22, sched, 24, (0.5, 1.0), master_seed=8, jobs=1)
-        b = run_ensemble(law, A22, sched, 24, (0.5, 1.0), master_seed=8, jobs=3)
-        for t in (0.5, 1.0):
-            assert np.array_equal(a.affine[t].array, b.affine[t].array)
-            assert np.array_equal(a.constant[t].array, b.constant[t].array)
+        checkpoints = (0.0, 0.33, 0.5, 1.0)
+        a = run_ensemble(law, A22, sched, 24, checkpoints, master_seed=8)
+        b = run_ensemble(law, A22, sched, 48, checkpoints, master_seed=8)
+        assert np.array_equal(a.initial.array, b.initial.array[:24])
+        for t in checkpoints:
+            assert np.array_equal(a.affine[t].array, b.affine[t].array[:24])
+            assert np.array_equal(a.constant[t].array, b.constant[t].array[:24])
+        assert not np.array_equal(b.constant[1.0].array[:24], b.constant[1.0].array[24:])
+
+    def test_chain_draws_made_block_by_block_match_one_array(self):
+        # k spans three kernel blocks of lazily drawn uniforms
+        k = 2 * DRAW_BLOCK + 6
+        sched = ScalingSchedule(horizon=1.0, resolution=k, alpha=0.6, beta=0.4)
+        res = run_ensemble(InitialLaw.uniform(3), RPS, sched, 4, (0.5, 1.0), master_seed=12)
+        uniforms = np.array([lab._rng(12, "chain", r).random(k) for r in range(4)])
+        counts0 = np.rint(res.initial_discretized.array * sched.population).astype(int)
+        paths = simulate_counts_batch(counts0, RPS, sched, uniforms)
+        for t, h in ((0.5, k // 2), (1.0, k)):
+            assert np.array_equal(res.constant[t].array, paths[:, h] / sched.population)
 
     def test_rejects_tiny_ensemble(self):
         law = InitialLaw.uniform(2)
@@ -445,7 +468,7 @@ class TestBootstrap:
 
 
 class TestWorkerPool:
-    """Results must not depend on ``jobs``; worker errors keep their type."""
+    """Results must not depend on ``jobs``; errors keep their type."""
 
     @pytest.fixture(autouse=True)
     def time_limit(self):
@@ -494,8 +517,8 @@ class TestWorkerPool:
         ]
         assert payloads[0] == payloads[1]
 
-    def test_chain_worker_error_keeps_its_type(self):
-        # all-zero payoffs at w = 1 leave no positive fitness in the workers
+    def test_chain_error_keeps_its_type_beside_a_pool(self):
+        # all-zero payoffs at w = 1 leave no positive fitness in the chain
         law = InitialLaw.dirichlet([2.0, 2.0])
         zero = PayoffMatrix(np.zeros((2, 2)))
         base = ScalingSchedule(
