@@ -51,11 +51,9 @@ from .lab import (
     weak_form_residual,
 )
 from .simplex import (
-    FitnessProfile,
     PayoffMatrix,
     SimplexPoint,
-    expected_payoff,
-    fitness_profile,
+    payoff_fitness,
     replicator_field,
 )
 from .transport import (

@@ -498,7 +498,7 @@ def _validate_checks(rng):
 
 def cmd_validate(args) -> int:
     failures = []
-    for name, passed, detail in _validate_checks(np.random.default_rng(args.seed or 0)):
+    for name, passed, detail in _validate_checks(np.random.default_rng(args.seed)):
         if passed:
             print(f"[ ok ] {name}")
         else:
@@ -509,6 +509,13 @@ def cmd_validate(args) -> int:
         return 1
     print("validate: all checks passed")
     return 0
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``validate --seed``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.set_defaults(fn=cmd_residual)
 
     p_val = sub.add_parser("validate", help="acceptance oracles at small counts")
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_seed, default=0)
     p_val.set_defaults(fn=cmd_validate)
 
     return parser

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     FitnessDegenerateError,
 )
 from .report import write_csv, write_json
-from .simplex import PayoffMatrix, SimplexPoint, fitness_map, payoff_fitness
+from .simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
 GRID_SNAP = 1e-9
@@ -87,30 +88,40 @@ class DiscreteState:
 class TransitionTable:
     """One-step transition distribution of the chain at a fixed state.
 
-    ``move_probs[i, j]`` is the probability that strategy i gains one bearer
-    while strategy j loses one (zero on the diagonal by convention; the
-    self-replacement events are folded into ``stay_prob``).
+    ``cumulative`` is the normalized cumulative that the chain kernel inverts,
+    bit for bit, over the flat outcomes ``[stay, move(0,0), move(0,1), ...,
+    move(M-1,M-1)]`` (moves row-major; ``move(i, j)``: strategy i gains one
+    bearer while j loses one).  It ends at exactly 1.0.  Self-replacements are
+    folded into the stay, so every diagonal move is a zero-width step.
     """
 
-    move_probs: np.ndarray
-    stay_prob: float
+    cumulative: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return math.isqrt(self.cumulative.size - 1)
+
+    @property
+    def move_probs(self) -> np.ndarray:
+        """(M, M) move probabilities, zero on the diagonal."""
+        return self.flat_probabilities()[1:].reshape(self.dimension, self.dimension)
+
+    @property
+    def stay_prob(self) -> float:
+        return float(self.cumulative[0])
 
     def flat_probabilities(self) -> np.ndarray:
-        """Outcome probabilities in the documented sampling order.
-
-        Order: ``[stay, move(0,0), move(0,1), ..., move(M-1,M-1)]`` (moves
-        row-major; diagonal entries are zero and never sampled).
-        """
-        return np.concatenate(([self.stay_prob], self.move_probs.ravel()))
+        """Outcome probabilities in the order of :meth:`flat_cumulative`: the
+        widths of the kernel's sampling intervals."""
+        return np.diff(self.cumulative, prepend=0.0)
 
     def flat_cumulative(self) -> np.ndarray:
-        """Normalized cumulative of :meth:`flat_probabilities` (ends at 1.0)."""
-        cum = np.cumsum(self.flat_probabilities())
-        return cum / cum[-1]
+        """The kernel's normalized cumulative over the flat outcomes (ends at 1.0)."""
+        return self.cumulative
 
     def outcome_moves(self) -> np.ndarray:
         """(1 + M^2, 2) array of (gainer, loser) per flat outcome; row 0 = stay = (-1, -1)."""
-        return _outcome_moves(self.move_probs.shape[0])
+        return _outcome_moves(self.dimension)
 
 
 def _outcome_moves(m: int) -> np.ndarray:
@@ -134,53 +145,63 @@ def _check_dimension(m: int, entries: np.ndarray) -> None:
 _DEGENERATE = "mean fitness is not positive; birth probabilities are undefined"
 
 
-def _outcome_filler(lam: np.ndarray, fit: np.ndarray, out: np.ndarray):
-    """Return ``fill()``, which writes the sampled outcome probabilities of each
-    column of ``lam`` (M, R), at fitnesses ``fit`` (M, R), into ``out``
-    (1 + M(M-1), R): the stay row ``sum_i lam_i^2 f_i / fbar``, then
-    ``move(i, j) = lam_i f_i lam_j / fbar`` for i != j, row-major.
+def _cumulative_filler(coeffs: np.ndarray, state: np.ndarray, cum: np.ndarray):
+    """Return ``fill()``, which writes the normalized cumulative of the sampled
+    outcomes of each column of ``state`` into ``cum`` (1 + M(M-1), R).
 
-    ``fill`` reads the buffers as they are when it runs, so one filler serves a
-    whole run; it raises FitnessDegenerateError unless every fbar > 0.
+    ``state`` (M + 1, R) holds counts c over a row of ones, so the fitness is
+    one product ``f = coeffs @ state`` (:func:`fitness_coefficients`).  The
+    outcome weights are left unnormalized: the stay ``sum_i c_i^2 f_i``, then
+    ``move(i, j) = c_i f_i c_j`` for i != j, row-major.  A sequential
+    ``np.add.accumulate`` sums them, so a move with an empty gainer or loser
+    adds exactly zero, and the head rows are divided by the last one, the
+    total weight, which stays in ``cum[-1]`` (normalized it is exactly 1.0).
+
+    ``fill`` reads ``state`` as it is when it runs, so one filler serves a
+    whole run; it raises FitnessDegenerateError unless every total is > 0.
     """
-    m, r = lam.shape
-    lam_fit, fbar, grid = np.empty((m, r)), np.empty(r), np.empty((m * m, r))
-    products, lam_fit_col, lam_row = grid.reshape(m, m, r), lam_fit[:, None], lam[None]
+    m, r = coeffs.shape[0], state.shape[1]
+    counts, fit, grid = state[:m], np.empty((m, r)), np.empty((m * m, r))
+    products, fit_col, counts_row = grid.reshape(m, m, r), fit[:, None], counts[None]
     diagonal = grid[:: m + 1]
     # grid rows 1 .. M^2 - 1 fall in runs of M + 1 that each end on a diagonal
     # row, so the first M rows of each run are the off-diagonal moves, row-major
     off_diagonal = grid[1:].reshape(m - 1, m + 1, r)[:, :m]
-    stay, moves = out[0], out[1:].reshape(m - 1, m, r)
+    stay, moves, head, total = cum[0], cum[1:].reshape(m - 1, m, r), cum[:-1], cum[-1]
 
     def fill():
-        np.multiply(lam, fit, out=lam_fit)
-        np.add.reduce(lam_fit, axis=0, out=fbar)
-        if np.minimum.reduce(fbar) <= 0.0:
-            raise FitnessDegenerateError(_DEGENERATE)
-        np.multiply(lam_fit_col, lam_row, out=products)
+        np.matmul(coeffs, state, out=fit)
+        # from here on fit holds c_i f_i, the weight of strategy i as parent
+        np.multiply(fit, counts, out=fit)
+        np.multiply(fit_col, counts_row, out=products)
         np.add.reduce(diagonal, axis=0, out=stay)
         np.copyto(moves, off_diagonal)
-        np.divide(out, fbar, out=out)
+        np.add.accumulate(cum, axis=0, out=cum)
+        if np.minimum.reduce(total) <= 0.0:
+            raise FitnessDegenerateError(_DEGENERATE)
+        np.divide(head, total, out=head)
 
     return fill
 
 
 def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTable:
-    """Exact one-step transition distribution at ``state``.
+    """Exact one-step transition distribution at ``state``: the chain kernel's
+    cumulative for this one state (R = 1).
 
-    ``move_probs[i, j] = lam_i * f_i * lam_j / fbar`` for i != j and
-    ``stay_prob = sum_i lam_i^2 f_i / fbar``; the table sums to one.
+    ``move_probs[i, j] = c_i f_i c_j / W`` for i != j and ``stay_prob = sum_i
+    c_i^2 f_i / W``, where W is the total weight ``N^2 fbar``.
     """
-    m, n = state.dimension, state.population
+    m = state.dimension
     _check_dimension(m, matrix.entries)
-    lam = (state.counts / n)[:, None]
-    _, fit = payoff_fitness(lam, matrix.entries, n, state.selection_weight)
-    flat = np.empty((1 + m * (m - 1), 1))
-    _outcome_filler(lam, fit, flat)()
-    mv = np.zeros((m, m))
-    mv[~np.eye(m, dtype=bool)] = flat[1:, 0]
-    mv.setflags(write=False)
-    return TransitionTable(move_probs=mv, stay_prob=float(flat[0, 0]))
+    coeffs = fitness_coefficients(matrix.entries, state.population, state.selection_weight)
+    cum = np.empty(1 + m * (m - 1))
+    _cumulative_filler(coeffs, np.append(state.counts, 1.0)[:, None], cum[:, None])()
+    cum[-1] = 1.0
+    # a diagonal move repeats the cumulative of the sampled outcome before it
+    sampled = np.concatenate(([True], ~np.eye(m, dtype=bool).ravel()))
+    flat = cum[np.cumsum(sampled) - 1]
+    flat.setflags(write=False)
+    return TransitionTable(cumulative=flat)
 
 
 def _lockstep(
@@ -196,14 +217,13 @@ def _lockstep(
     sorted grid indices ``columns`` (default all k+1) as (R, len(columns), M).
 
     Each step inverts the normalized cumulative of the sampled outcomes (the
-    stay, then the off-diagonal moves of
-    :meth:`TransitionTable.flat_probabilities`, whose zero diagonal never
-    changes a cumulative), taking the first outcome whose cumulative exceeds u
-    (``searchsorted(side="right")``).  Arrays are (M, R) and (1 + M(M-1), R),
-    allocated once per run, so every numpy call's inner loop runs over
-    replicas.  ``uniforms`` is read once, in order, as column blocks
-    ``uniforms[:, a:a + DRAW_BLOCK]``, so it may draw each block when read; an
-    F-ordered block is read without a copy.
+    one :func:`transition_table` holds, whose zero-width diagonal moves never
+    change a cumulative), taking the first outcome whose cumulative exceeds u
+    (``searchsorted(side="right")``).  A step is twelve numpy calls on arrays
+    of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once per run,
+    so every call's inner loop runs over replicas.  ``uniforms`` is read once,
+    in order, as column blocks ``uniforms[:, a:a + DRAW_BLOCK]``, so it may
+    draw each block when read; an F-ordered block is read without a copy.
     """
     r, m = counts0.shape
     k = uniforms.shape[1]
@@ -211,24 +231,20 @@ def _lockstep(
     slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
     inc = _increment_table(m)
     out = np.empty((len(slot), m, r), dtype=np.int64)
-    # float counts are exact below 2**53 and divide without an int cast
-    current = np.ascontiguousarray(counts0.T, dtype=float)
-    lam, pay, fit, delta = np.empty((4, m, r))
-    fitness = fitness_map(entries, population, w)
+    # counts over a row of ones; float counts are exact below 2**53
+    state = np.ones((m + 1, r))
+    current, delta = state[:m], np.empty((m, r))
+    current[...] = counts0.T
     cum = np.empty((1 + m * (m - 1), r))
-    fill = _outcome_filler(lam, fit, cum)
-    # the last cumulative normalizes to exactly 1.0 > u, so it never counts
-    head, norm = cum[:-1], cum[-1]
+    fill = _cumulative_filler(fitness_coefficients(entries, population, w), state, cum)
+    # picked counts the head rows <= u; the last row holds the total weight
+    head = cum[:-1]
     passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
     if 0 in slot:
         out[slot[0]] = current
     blocks = (np.asfortranarray(uniforms[:, a : a + DRAW_BLOCK]).T for a in range(0, k, DRAW_BLOCK))
     for h, u in enumerate(itertools.chain.from_iterable(blocks), 1):
-        np.divide(current, population, out=lam)
-        fitness(lam, pay, fit)
         fill()
-        np.add.accumulate(cum, axis=0, out=cum)
-        np.divide(head, norm, out=head)
         np.less_equal(head, u, out=passed)
         np.add.reduce(passed, axis=0, out=picked)
         # picked never exceeds the last column; "raise" would buffer ``out``

@@ -110,21 +110,6 @@ class PayoffMatrix:
         return f"PayoffMatrix({self.to_rows()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class FitnessProfile:
-    """Per-strategy payoffs and fitnesses at a fixed population state.
-
-    ``fitnesses[i] = (1 - w) + w * payoffs[i]`` and ``mean_fitness`` is the
-    proportion-weighted average of the fitnesses.
-    """
-
-    payoffs: np.ndarray
-    fitnesses: np.ndarray
-    mean_fitness: float
-    selection_weight: float
-    population: int
-
-
 def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
     if point.dimension != matrix.dimension:
         raise DimensionError(
@@ -132,80 +117,40 @@ def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
         )
 
 
-def fitness_map(entries: np.ndarray, population: int, w: float):
-    """The one payoff/fitness formula of the package, at fixed ``(A, N, w)``.
+def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
+    """The one payoff/fitness formula of the package: payoffs and fitnesses of
+    an (M, R) array of proportions, as two new (M, R) arrays.
 
-    In a population of N an individual never meets itself, so ``pay[i, r] =
-    N/(N-1) * (A @ lam)[i, r] - A[i, i]/(N-1)``, and ``fit = (1 - w) + w * pay``.
-    Returns ``evaluate(lam, pay, fit)``, which writes both for an (M, R) array
-    of proportions into the caller's (M, R) buffers and returns them.  The
-    constants are computed once here, and each in-place step rounds like the
-    matching step of the two expressions.  Inputs are not checked.
+    In a population of N an individual never meets itself, so with counts
+    ``c = N * lam`` the payoff is ``pay_i = (sum_j A_ij c_j - A_ii) / (N - 1)``
+    and the fitness is ``fit = (1 - w) + w * pay``.  Raises DomainError unless
+    N >= 2 and 0 <= w <= 1, and DimensionError unless A has M rows.
     """
     n = population
-    scale, self_term = n / (n - 1.0), entries.diagonal()[:, None] / (n - 1.0)
-    neutral = 1.0 - w
-
-    def evaluate(lam, pay, fit):
-        np.matmul(entries, lam, out=pay)
-        np.multiply(pay, scale, out=pay)
-        np.subtract(pay, self_term, out=pay)
-        np.multiply(pay, w, out=fit)
-        np.add(fit, neutral, out=fit)
-        return pay, fit
-
-    return evaluate
-
-
-def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
-    """Payoffs and fitnesses of an (M, R) array of proportions, as two new (M, R)
-    arrays: :func:`fitness_map` evaluated once."""
-    return fitness_map(entries, population, w)(lam, np.empty(lam.shape), np.empty(lam.shape))
-
-
-def expected_payoff(point: SimplexPoint, matrix: PayoffMatrix, population: int) -> np.ndarray:
-    """Expected payoff of each strategy against a uniform random opponent.
-
-    In a population of N individuals an individual never meets itself, so
-    the i-th payoff is ``N/(N-1) * (A @ lam)_i - A[i, i]/(N-1)``.
-
-    Parameters
-    ----------
-    point : SimplexPoint
-        Strategy proportions.  Lattice alignment with ``population`` is not
-        required for standalone evaluation.
-    matrix : PayoffMatrix
-    population : int
-        Population size N >= 2.
-    """
-    return fitness_profile(point, matrix, population, 0.0).payoffs
-
-
-def fitness_profile(
-    point: SimplexPoint, matrix: PayoffMatrix, population: int, selection_weight: float
-) -> FitnessProfile:
-    """Payoffs, fitnesses and mean fitness at the given proportions.
-
-    ``selection_weight`` w interpolates between neutral drift (w = 0, all
-    fitnesses equal 1) and payoff-driven selection (w = 1).
-    """
-    w = float(selection_weight)
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"selection weight must lie in [0, 1], got {selection_weight}")
-    _check_dims(point, matrix)
-    n = int(population)
     if n < 2:
-        raise DomainError(f"population must be at least 2, got {population}")
-    pay, fit = payoff_fitness(point.coords[:, None], matrix.entries, n, w)
-    pay, fit = pay[:, 0], fit[:, 0]
-    fbar = float(point.coords @ fit)
-    return FitnessProfile(
-        payoffs=pay,
-        fitnesses=fit,
-        mean_fitness=fbar,
-        selection_weight=w,
-        population=n,
-    )
+        raise DomainError(f"population must be at least 2, got {n}")
+    if not 0.0 <= w <= 1.0:
+        raise DomainError(f"selection weight must lie in [0, 1], got {w}")
+    if entries.shape[0] != lam.shape[0]:
+        raise DimensionError(
+            f"proportions have {lam.shape[0]} strategies, matrix has {entries.shape[0]}"
+        )
+    per_bearer = entries / (n - 1.0)
+    pay = per_bearer @ (n * lam) - per_bearer.diagonal()[:, None]
+    return pay, (1.0 - w) + w * pay
+
+
+def fitness_coefficients(entries: np.ndarray, population: int, w: float) -> np.ndarray:
+    """The (M, M + 1) matrix K of the fitness as an affine map of the counts:
+    ``fit = K @ [c; 1]``, that is ``K = [w A/(N-1) | (1-w) - w diag(A)/(N-1)]``.
+
+    The last column is :func:`payoff_fitness` at zero counts, where only the
+    self-interaction correction is left.  It subtracts the same bits as the
+    diagonal of the slope adds, so a strategy with a bearer never gets a
+    negative fitness from rounding.
+    """
+    _, intercept = payoff_fitness(np.zeros((entries.shape[0], 1)), entries, population, w)
+    return np.hstack((w * (entries / (population - 1.0)), intercept))
 
 
 def replicator_field(point: SimplexPoint, matrix: PayoffMatrix) -> np.ndarray:

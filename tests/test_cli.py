@@ -401,6 +401,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("[ ok ]") == 5
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_rejected_at_parse_time(self, seed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
     def test_fails_without_self_interaction_correction(self, monkeypatch, capsys):
         # the transition oracle enumerates pairs itself, so a payoff formula
         # that lets an individual meet itself must not pass

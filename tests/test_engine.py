@@ -421,15 +421,16 @@ class TestExactDrift:
 
     def test_weak_selection_expansion(self):
         # || N*drift - w*b/fbar || <= C*w/N with C calibrated on full M=2 grids
-        from moranfield.simplex import fitness_profile, replicator_field
+        from moranfield.simplex import payoff_fitness, replicator_field
 
         def remainder_scale(state, mat):
-            prof = fitness_profile(
-                state.proportions(), mat, state.population, state.selection_weight
+            lam = state.proportions().coords
+            _, fit = payoff_fitness(
+                lam[:, None], mat.entries, state.population, state.selection_weight
             )
             b = replicator_field(state.proportions(), mat)
             gap = state.population * exact_drift(state, mat) - (
-                state.selection_weight * b / prof.mean_fitness
+                state.selection_weight * b / (lam @ fit[:, 0])
             )
             return np.linalg.norm(gap) * state.population / state.selection_weight
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranfield.engine import (
@@ -21,7 +21,7 @@ from moranfield.engine import (
     step,
     transition_table,
 )
-from moranfield.errors import DomainError
+from moranfield.errors import DomainError, FitnessDegenerateError
 from moranfield.simplex import PayoffMatrix, SimplexPoint
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
@@ -126,6 +126,40 @@ def test_exact_drift_is_the_table_mean(chain):
     np.add.at(mean, moves[:, 0], probs / n)
     np.add.at(mean, moves[:, 1], -probs / n)
     assert np.max(np.abs(exact_drift(state, matrix) - mean)) <= 1e-13
+
+
+@st.composite
+def states_with_empty_strategies(draw):
+    """(state, matrix): M = 2..4 with at least one empty strategy, any w in
+    [0, 1], and payoffs that may be zero."""
+    m = draw(st.integers(2, 4))
+    bearers = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)))
+    n = draw(st.integers(max(2, len(bearers)), 40))
+    size = len(bearers) - 1
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size)))
+    counts = np.zeros(m, dtype=np.int64)
+    counts[bearers] = np.diff([0, *cuts, n])
+    w = draw(st.floats(0.0, 1.0, allow_nan=False))
+    payoff = st.just(0.0) | st.floats(0.01, 10.0)
+    entries = draw(st.lists(payoff, min_size=m * m, max_size=m * m))
+    return DiscreteState(counts, n, w), PayoffMatrix(np.reshape(entries, (m, m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(states_with_empty_strategies())
+def test_cumulative_is_monotone_and_empty_moves_have_zero_width(case):
+    state, matrix = case
+    try:
+        table = transition_table(state, matrix)
+    except FitnessDegenerateError:
+        assume(False)  # every bearer has zero fitness: no outcome law
+    cum = table.flat_cumulative()
+    widths = np.diff(cum, prepend=0.0)
+    assert np.all(widths >= 0.0)
+    assert cum[-1] == 1.0
+    gainers, losers = table.outcome_moves()[1:].T
+    empty = (state.counts[gainers] == 0) | (state.counts[losers] == 0)
+    assert np.all(widths[1:][empty] == 0.0)
 
 
 M3 = PayoffMatrix([[1.0, 0.0, 2.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]])

@@ -7,8 +7,8 @@ from moranfield.errors import DimensionError, DomainError
 from moranfield.simplex import (
     PayoffMatrix,
     SimplexPoint,
-    expected_payoff,
-    fitness_profile,
+    fitness_coefficients,
+    payoff_fitness,
     replicator_field,
     replicator_field_array,
 )
@@ -31,6 +31,12 @@ def enumerated_payoff(counts, entries):
             total += entries[i][j] * opponents
         pay[i] = total / (n - 1)
     return pay
+
+
+def profile(point, matrix, population, w=0.0):
+    """(payoffs, fitnesses, mean fitness) of one point by :func:`payoff_fitness`."""
+    pay, fit = payoff_fitness(point.coords[:, None], matrix.entries, population, w)
+    return pay[:, 0], fit[:, 0], float(point.coords @ fit[:, 0])
 
 
 def simplex_points(max_m=5):
@@ -111,23 +117,23 @@ class TestExpectedPayoff:
         # N=5, counts=(3,2): pi_1 = (1*2 + 2*2)/4, pi_2 = (3*3 + 4*1)/4
         oracle = enumerated_payoff([3, 2], A22.entries)
         assert oracle == pytest.approx([1.5, 3.25], abs=1e-15)
-        pay = expected_payoff(SimplexPoint([0.6, 0.4]), A22, 5)
+        pay, _, _ = profile(SimplexPoint([0.6, 0.4]), A22, 5)
         assert pay == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_enumeration_for_small_populations(self, m):
+        # the self-interaction correction: no individual meets itself
         rng = np.random.default_rng(101 + m)
         for n in range(2, 9):
             for _ in range(25):
                 entries = rng.random((m, m)) * 5
                 counts = rng.multinomial(n, np.full(m, 1.0 / m))
-                mat = PayoffMatrix(entries)
-                pay = expected_payoff(SimplexPoint(counts / n), mat, n)
+                pay, _, _ = profile(SimplexPoint(counts / n), PayoffMatrix(entries), n)
                 assert pay == pytest.approx(enumerated_payoff(counts, entries), abs=1e-12)
 
     def test_constant_matrix(self):
         mat = PayoffMatrix(np.full((3, 3), 2.5))
-        pay = expected_payoff(SimplexPoint([0.2, 0.3, 0.5]), mat, 7)
+        pay, _, _ = profile(SimplexPoint([0.2, 0.3, 0.5]), mat, 7)
         assert pay == pytest.approx([2.5, 2.5, 2.5], abs=1e-14)
 
     def test_large_population_limit(self):
@@ -135,36 +141,37 @@ class TestExpectedPayoff:
         a_lam = A22.entries @ p.coords
         bound = 2 * np.max(np.abs(A22.entries))
         for n in (10, 100, 1000, 10000):
-            pay = expected_payoff(p, A22, n)
+            pay, _, _ = profile(p, A22, n)
             assert np.max(np.abs(pay - a_lam)) <= bound / n
 
     def test_rejects_small_population(self):
-        with pytest.raises(DomainError):
-            expected_payoff(SimplexPoint([0.5, 0.5]), A22, 1)
+        with pytest.raises(DomainError, match="population"):
+            profile(SimplexPoint([0.5, 0.5]), A22, 1)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            expected_payoff(SimplexPoint([0.5, 0.5]), RPS, 5)
+            profile(SimplexPoint([0.5, 0.5]), RPS, 5)
 
 
 class TestFitnessProfile:
     def test_neutral_selection(self):
-        prof = fitness_profile(SimplexPoint([0.3, 0.7]), A22, 9, 0.0)
-        assert prof.fitnesses == pytest.approx([1.0, 1.0], abs=1e-15)
-        assert prof.mean_fitness == pytest.approx(1.0, abs=1e-15)
+        _, fit, fbar = profile(SimplexPoint([0.3, 0.7]), A22, 9, 0.0)
+        assert fit == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert fbar == pytest.approx(1.0, abs=1e-15)
 
     def test_full_selection_example(self):
-        prof = fitness_profile(SimplexPoint([0.6, 0.4]), A22, 5, 1.0)
-        assert prof.fitnesses == pytest.approx([1.5, 3.25], abs=1e-12)
-        assert prof.mean_fitness == pytest.approx(0.6 * 1.5 + 0.4 * 3.25, abs=1e-14)
+        _, fit, fbar = profile(SimplexPoint([0.6, 0.4]), A22, 5, 1.0)
+        assert fit == pytest.approx([1.5, 3.25], abs=1e-12)
+        assert fbar == pytest.approx(0.6 * 1.5 + 0.4 * 3.25, abs=1e-14)
 
     def test_vertex_population(self):
-        prof = fitness_profile(SimplexPoint([1.0, 0.0]), A22, 6, 0.5)
-        assert prof.mean_fitness == pytest.approx(prof.fitnesses[0], abs=1e-14)
+        _, fit, fbar = profile(SimplexPoint([1.0, 0.0]), A22, 6, 0.5)
+        assert fbar == pytest.approx(fit[0], abs=1e-14)
 
     def test_rejects_weight_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            fitness_profile(SimplexPoint([0.5, 0.5]), A22, 5, 1.5)
+        for w in (-0.1, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="selection weight"):
+                profile(SimplexPoint([0.5, 0.5]), A22, 5, w)
 
     def test_convex_combination_identity(self):
         rng = np.random.default_rng(3)
@@ -174,11 +181,9 @@ class TestFitnessProfile:
             mat = PayoffMatrix(rng.random((m, m)) * 4)
             w = rng.random()
             n = int(rng.integers(2, 40))
-            prof = fitness_profile(SimplexPoint(lam), mat, n, w)
-            assert prof.fitnesses == pytest.approx(
-                (1 - w) + w * prof.payoffs, abs=1e-14
-            )
-            assert prof.mean_fitness == pytest.approx(lam @ prof.fitnesses, abs=1e-14)
+            pay, fit, fbar = profile(SimplexPoint(lam), mat, n, w)
+            assert fit == pytest.approx((1 - w) + w * pay, abs=1e-14)
+            assert fbar == pytest.approx(lam @ fit, abs=1e-14)
 
     def test_mean_fitness_expansion(self):
         # fbar = 1 - w + w*N/(N-1)*(A lam).lam - w/(N-1)*diag(A).lam
@@ -189,7 +194,7 @@ class TestFitnessProfile:
             mat = PayoffMatrix(rng.random((m, m)) * 4)
             w = rng.random()
             n = int(rng.integers(2, 40))
-            prof = fitness_profile(SimplexPoint(lam), mat, n, w)
+            _, _, fbar = profile(SimplexPoint(lam), mat, n, w)
             a_lam = mat.entries @ lam
             expanded = (
                 1.0
@@ -197,7 +202,7 @@ class TestFitnessProfile:
                 + w * n / (n - 1) * (a_lam @ lam)
                 - w / (n - 1) * (mat.diagonal() @ lam)
             )
-            assert prof.mean_fitness == pytest.approx(expanded, abs=1e-12)
+            assert fbar == pytest.approx(expanded, abs=1e-12)
 
     def test_fitness_positivity(self):
         rng = np.random.default_rng(5)
@@ -206,10 +211,30 @@ class TestFitnessProfile:
             lam = rng.dirichlet(np.ones(m))
             mat = PayoffMatrix(rng.random((m, m)) * 8)
             w = rng.random()
-            prof = fitness_profile(SimplexPoint(lam), mat, int(rng.integers(2, 30)), w)
-            assert np.all(prof.fitnesses >= 0)
+            _, fit, fbar = profile(SimplexPoint(lam), mat, int(rng.integers(2, 30)), w)
+            assert np.all(fit >= 0)
             if w < 1:
-                assert prof.mean_fitness > 0
+                assert fbar > 0
+
+    def test_count_coefficients_give_the_fitness(self):
+        # fit = K @ [counts; 1] with K = [w A/(N-1) | (1-w) - w diag(A)/(N-1)]
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            m, n, w = int(rng.integers(2, 5)), int(rng.integers(2, 40)), rng.random()
+            counts = rng.multinomial(n, np.full(m, 1.0 / m))
+            mat = PayoffMatrix(rng.random((m, m)) * 4)
+            coeffs = fitness_coefficients(mat.entries, n, w)
+            assert coeffs.shape == (m, m + 1)
+            _, fit, _ = profile(SimplexPoint(counts / n), mat, n, w)
+            assert coeffs @ np.append(counts, 1.0) == pytest.approx(fit, abs=1e-13)
+
+    def test_a_lone_bearer_never_gets_a_negative_fitness(self):
+        # w = 1, no payoff against the others: the exact fitness is 0, and the
+        # intercept cancels the slope's diagonal bit for bit
+        for n in range(2, 200):
+            for a in (0.1, 1.0, 3.0, 7.3):
+                coeffs = fitness_coefficients(np.array([[a, 0.0], [0.0, a]]), n, 1.0)
+                assert (coeffs @ [1.0, n - 1.0, 1.0])[0] == 0.0
 
 
 class TestReplicatorField:
@@ -252,11 +277,9 @@ class TestReplicatorField:
                 replicator_field(lam, mat), abs=1e-12
             )
             n, w = int(rng.integers(2, 30)), rng.random()
-            prof = fitness_profile(lam, mat, n, w)
-            prof_shifted = fitness_profile(lam, shifted, n, w)
-            assert prof_shifted.fitnesses - prof_shifted.mean_fitness == pytest.approx(
-                prof.fitnesses - prof.mean_fitness, abs=1e-12
-            )
+            _, fit, fbar = profile(lam, mat, n, w)
+            _, fit_shifted, fbar_shifted = profile(lam, shifted, n, w)
+            assert fit_shifted - fbar_shifted == pytest.approx(fit - fbar, abs=1e-12)
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(9)
