@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,15 @@ class DiscreteState:
 class TransitionTable:
     """One-step transition distribution of the chain at a fixed state.
 
-    ``cumulative`` is the normalized cumulative that the chain kernel inverts,
-    bit for bit, over the flat outcomes ``[stay, move(0,0), move(0,1), ...,
-    move(M-1,M-1)]`` (moves row-major; ``move(i, j)``: strategy i gains one
-    bearer while j loses one).  It ends at exactly 1.0.  Self-replacements are
-    folded into the stay, so every diagonal move is a zero-width step.
+    ``cumulative`` is the normalized cumulative over the flat outcomes
+    ``[stay, move(0,0), move(0,1), ..., move(M-1,M-1)]`` (moves row-major;
+    ``move(i, j)``: strategy i gains one bearer while j loses one).  It ends at
+    exactly 1.0.  Self-replacements are folded into the stay, so every
+    diagonal move is a zero-width step.  It is, bit for bit, the cumulative
+    that the single-chain walk (``step``, ``simulate``) and a one-replica
+    lockstep run invert.  A lockstep run of R >= 2 replicas computes the
+    fitness in one matrix product whose rounding depends on R, so its
+    cumulative may differ from this one by a few ulp.
     """
 
     cumulative: np.ndarray
@@ -204,6 +209,20 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     return TransitionTable(cumulative=flat)
 
 
+def _draw_blocks(uniforms):
+    """Column blocks ``uniforms[:, a:a + DRAW_BLOCK]`` of the (R, k) draws, in
+    order, each as an F-ordered (steps, R) array (read without a copy when
+    the block is F-ordered).  Raises DomainError on a draw outside [0, 1),
+    nan included, which the inversion would read as a move or a stay."""
+    for a in range(0, uniforms.shape[1], DRAW_BLOCK):
+        block = np.asfortranarray(uniforms[:, a : a + DRAW_BLOCK]).T
+        # written so that nan fails
+        if not (block.min() >= 0.0 and block.max() < 1.0):
+            bad = block[~((block >= 0.0) & (block < 1.0))]
+            raise DomainError(f"uniform draws must lie in [0, 1), got {bad[0]!r}")
+        yield block
+
+
 def _lockstep(
     counts0: np.ndarray,
     entries: np.ndarray,
@@ -222,8 +241,7 @@ def _lockstep(
     (``searchsorted(side="right")``).  A step is twelve numpy calls on arrays
     of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once per run,
     so every call's inner loop runs over replicas.  ``uniforms`` is read once,
-    in order, as column blocks ``uniforms[:, a:a + DRAW_BLOCK]``, so it may
-    draw each block when read; an F-ordered block is read without a copy.
+    in order, by :func:`_draw_blocks`, so it may draw each block when read.
     """
     r, m = counts0.shape
     k = uniforms.shape[1]
@@ -242,8 +260,7 @@ def _lockstep(
     passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
     if 0 in slot:
         out[slot[0]] = current
-    blocks = (np.asfortranarray(uniforms[:, a : a + DRAW_BLOCK]).T for a in range(0, k, DRAW_BLOCK))
-    for h, u in enumerate(itertools.chain.from_iterable(blocks), 1):
+    for h, u in enumerate(itertools.chain.from_iterable(_draw_blocks(uniforms)), 1):
         fill()
         np.less_equal(head, u, out=passed)
         np.add.reduce(passed, axis=0, out=picked)
@@ -255,14 +272,55 @@ def _lockstep(
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
+def _walk(
+    counts0: np.ndarray, entries: np.ndarray, population: int, w: float, uniforms: np.ndarray
+) -> np.ndarray:
+    """One chain from ``counts0`` (M,), one step per draw of ``uniforms`` (k,);
+    returns the (k + 1, M) count path, equal to a one-replica :func:`_lockstep`
+    run on the same draws.
+
+    A path revisits few states, so within each block of ``DRAW_BLOCK`` draws a
+    dict maps each visited count state to the head of its normalized
+    cumulative, which the R = 1 :func:`_cumulative_filler` computes on first
+    visit; a block holds at most ``DRAW_BLOCK`` states.  A step takes
+    ``bisect_right(head, u)``: the head is nondecreasing, so that is the
+    lockstep kernel's count of head entries <= u.  The path is one cumulative
+    sum of the drawn outcomes' count increments.
+    """
+    m = counts0.size
+    _check_dimension(m, entries)
+    state, cum = np.ones((m + 1, 1)), np.empty((1 + m * (m - 1), 1))
+    fill = _cumulative_filler(fitness_coefficients(entries, population, w), state, cum)
+    inc = _increment_table(m).T.astype(np.int64)
+    # (gainer, loser) of each sampled outcome after the stay
+    moves = [None, *zip(inc[1:].argmax(axis=1).tolist(), inc[1:].argmin(axis=1).tolist())]
+    current, picks = counts0.tolist(), []
+    for block in _draw_blocks(uniforms[None]):
+        heads = {}
+        for u in block[:, 0].tolist():
+            key = tuple(current)
+            head = heads.get(key)
+            if head is None:
+                state[:m, 0] = key
+                fill()
+                head = heads[key] = cum[:-1, 0].tolist()
+            picked = bisect_right(head, u)
+            if picked:
+                gainer, loser = moves[picked]
+                current[gainer] += 1
+                current[loser] -= 1
+            picks.append(picked)
+    return np.cumsum(np.vstack((counts0, inc[picks])), axis=0)
+
+
 def step(state: DiscreteState, matrix: PayoffMatrix, rng: np.random.Generator) -> DiscreteState:
-    """Sample one birth-death step: a one-step, one-replica run of the chain loop.
+    """Sample one birth-death step: a one-step walk of the chain.
 
     Consumes exactly one uniform draw from ``rng``.
     """
     n, w = state.population, state.selection_weight
-    path = _lockstep(state.counts[None, :], matrix.entries, n, w, np.array([[rng.random()]]))
-    return DiscreteState(path[0, 1], n, w)
+    path = _walk(state.counts, matrix.entries, n, w, np.array([rng.random()]))
+    return DiscreteState(path[1], n, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,8 +480,9 @@ def simulate(
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     # one call for all k draws gives the same values as k scalar draws
-    uniforms = rng.random((1, schedule.resolution))
-    counts = simulate_counts_batch(initial.counts[None, :], matrix, schedule, uniforms)[0]
+    uniforms = rng.random(schedule.resolution)
+    n, w = schedule.population, schedule.selection_weight
+    counts = _walk(initial.counts, matrix.entries, n, w, uniforms)
     return Trajectory(schedule=schedule, counts=counts, seed=int(seed))
 
 
@@ -437,9 +496,12 @@ def simulate_counts_batch(
     """Advance R chains in lockstep; returns counts of shape (R, k+1, M), or
     (R, len(columns), M) holding only the sorted grid indices ``columns``.
 
-    ``uniforms`` has shape (R, k), one draw per replica per step, so replica
-    r reproduces exactly the scalar :func:`step` sequence driven by the same
-    stream.  All replicas share the schedule's population and weight.
+    ``uniforms`` has shape (R, k), one draw per replica per step, each in
+    [0, 1).  All replicas share the schedule's population and weight.  At
+    R = 1 the path is exactly the walk of :func:`step` and :func:`simulate` on
+    the same draws.  For R >= 2 the fitness is one matrix product whose
+    rounding depends on R, so a replica's cumulative may differ by a few ulp
+    and a draw that close to an outcome boundary may pick the next outcome.
     """
     counts0 = np.asarray(counts0, dtype=np.int64)
     k = schedule.resolution
@@ -523,8 +585,15 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     payoff matrix.
     """
     header = ["t"] + [f"lambda_{i + 1}" for i in range(traj.counts.shape[1])]
-    # Python floats format faster than numpy scalars, to the same text
-    rows = ([t, *row] for t, row in zip(traj.times().tolist(), traj.proportions_matrix().tolist()))
+    # a proportion takes one of the N + 1 values j / N: format each once
+    n = traj.schedule.population
+    if traj.counts.min() < 0 or traj.counts.max() > n:
+        raise DomainError(f"trajectory counts must lie in [0, {n}]")
+    text = [f"{x:.17g}" for x in (np.arange(n + 1) / n).tolist()]
+    rows = (
+        [f"{t:.17g}", *map(text.__getitem__, row)]
+        for t, row in zip(traj.times().tolist(), traj.counts.tolist())
+    )
     write_csv(csv_path, header, rows)
     sidecar = {
         "schema": TRAJECTORY_SCHEMA,

@@ -186,8 +186,11 @@ def run_ensemble(
     Each initial draw is rounded onto the count lattice by largest remainder;
     snapshots are empirical measures over replicas at each checkpoint.  All
     replicas advance in one lockstep kernel call in this process.  Fully
-    reproducible from ``master_seed``; replica r's draws come from its own
-    streams, so a larger ensemble extends a smaller one.
+    reproducible from ``master_seed``.  Replica r's draws come from its own
+    streams, so a larger ensemble draws the same initial points and uniforms
+    for its first replicas as a smaller one.  Their paths agree up to the
+    fitness product's rounding, which depends on R (a few ulp in a
+    cumulative), so a draw that close to an outcome boundary may move.
     """
     if ensemble_size < 2:
         raise DomainError(f"ensemble size must be >= 2, got {ensemble_size}")

@@ -470,3 +470,13 @@ class TestTrajectoryFiles:
         export_trajectory(traj, csv_path, tmp_path / "t.json", A22)
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,lambda_1,lambda_2"
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_export_rejects_counts_off_the_lattice(self, tmp_path, bad):
+        # the export looks each count up among the N + 1 formatted proportions
+        sched = ScalingSchedule(
+            horizon=1.0, resolution=1, alpha=1.0, beta=0.0, n_floor=5, n_scale=1e-9
+        )
+        traj = Trajectory(schedule=sched, counts=np.array([[2, 3], [bad, 5 - bad]]), seed=0)
+        with pytest.raises(DomainError, match=r"\[0, 5\]"):
+            export_trajectory(traj, tmp_path / "t.csv", tmp_path / "t.json", A22)

@@ -1,7 +1,10 @@
-"""Property tests of the one chain kernel behind ``step``, ``simulate`` and
-``simulate_counts_batch``, against the exact transition table."""
+"""Property tests of the chain's two samplers, against the exact transition
+table and against each other: the lockstep loop ``simulate_counts_batch`` for
+R replicas, and the single-chain walk behind ``step`` and ``simulate``, which
+must equal the lockstep loop at R = 1."""
 
 import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from moranfield import engine
 from moranfield.engine import (
+    DRAW_BLOCK,
     DiscreteState,
     ScalingSchedule,
     discretize_initial,
@@ -22,7 +27,7 @@ from moranfield.engine import (
     transition_table,
 )
 from moranfield.errors import DomainError, FitnessDegenerateError
-from moranfield.simplex import PayoffMatrix, SimplexPoint
+from moranfield.simplex import PayoffMatrix, SimplexPoint, fitness_coefficients
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -95,9 +100,86 @@ def test_step_is_one_kernel_step_on_one_draw(chain):
     one_draw = SimpleNamespace(random=lambda: next(draws))
     moved = step(DiscreteState(counts0[0], n, w), matrix, one_draw)
     assert next(draws, None) is None  # exactly one draw consumed
+    walked = engine._walk(counts0[0], matrix.entries, n, w, uniforms[0])
+    assert np.array_equal(moved.counts, walked[1])
     assert np.array_equal(
         moved.counts, simulate_counts_batch(counts0, matrix, schedule, uniforms)[0, 1]
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(max_steps=30), st.sampled_from([None, 0.0, 1.0]), st.data())
+def test_walk_is_the_one_replica_lockstep_loop(chain, pinned_w, data):
+    matrix, schedule, counts0, uniforms = chain
+    m = matrix.dimension
+    if pinned_w is not None:
+        schedule = replace(schedule, w_scale=pinned_w)
+    # zero payoffs leave every bearer without fitness in some states at w = 1
+    zeros = data.draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    matrix = PayoffMatrix(np.where(np.reshape(zeros, (m, m)), 0.0, matrix.entries))
+    n, w = schedule.population, schedule.selection_weight
+    # follow the path, putting some draws on a cumulative boundary of the state they move
+    u, counts, degenerate_at = uniforms[0].copy(), counts0[0], None
+    for h in range(schedule.resolution):
+        try:
+            cum = transition_table(DiscreteState(counts, n, w), matrix).flat_cumulative()
+        except FitnessDegenerateError:
+            degenerate_at = h
+            break
+        bounds = cum[cum < 1.0].tolist()
+        if bounds and data.draw(st.booleans()):
+            u[h] = data.draw(st.sampled_from(bounds))
+        counts = oracle_step(counts, matrix, schedule, u[h])
+
+    def walk(draws):
+        return engine._walk(counts0[0], matrix.entries, n, w, draws)
+
+    def lockstep(draws):
+        steps = replace(schedule, resolution=draws.size)
+        return simulate_counts_batch(counts0, matrix, steps, draws[None])[0]
+
+    if degenerate_at is None:
+        assert np.array_equal(walk(u), lockstep(u))
+        return
+    # both raise on the step that leaves the degenerate state, and not before
+    for run in (walk, lockstep):
+        with pytest.raises(FitnessDegenerateError):
+            run(u[: degenerate_at + 1])
+    if degenerate_at:
+        assert np.array_equal(walk(u[:degenerate_at]), lockstep(u[:degenerate_at]))
+
+
+def test_walk_across_draw_blocks_is_unchanged_by_the_rebuilt_tables(monkeypatch):
+    # N = 6: the path revisits its states in every block, so each block refills them
+    k = 2 * DRAW_BLOCK + 6
+    sched = ScalingSchedule(
+        horizon=1.0, resolution=k, alpha=1.0, beta=0.0, n_floor=6, n_scale=1e-9, w_scale=0.5
+    )
+    init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)
+    uniforms = np.random.default_rng(5).random((1, k))
+    n, w = sched.population, sched.selection_weight
+    path = engine._walk(init.counts, M3.entries, n, w, uniforms[0])
+    assert np.array_equal(path, simulate_counts_batch([init.counts], M3, sched, uniforms)[0])
+    monkeypatch.setattr(engine, "DRAW_BLOCK", k)
+    assert np.array_equal(path, engine._walk(init.counts, M3.entries, n, w, uniforms[0]))
+
+
+@pytest.mark.parametrize("bad", [1.0, np.nan, -0.5])
+@pytest.mark.parametrize("sampler", ["step", "walk", "lockstep"])
+def test_draws_outside_the_unit_interval_are_rejected(sampler, bad):
+    # u = 1.0 at [4, 0, 10] used to move a bearer out of the empty strategy
+    sched = ScalingSchedule(
+        horizon=1.0, resolution=3, alpha=1.0, beta=0.0, n_floor=14, n_scale=1e-9
+    )
+    n, w = sched.population, sched.selection_weight
+    counts0, uniforms = np.array([4, 0, 10]), np.array([0.5, bad, 0.5])
+    with pytest.raises(DomainError, match=r"\[0, 1\)"):
+        if sampler == "step":
+            step(DiscreteState(counts0, n, w), M3, SimpleNamespace(random=lambda: bad))
+        elif sampler == "walk":
+            engine._walk(counts0, M3.entries, n, w, uniforms)
+        else:
+            simulate_counts_batch([counts0], M3, sched, uniforms[None])
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,6 +284,42 @@ def test_lockstep_paths_are_pinned(matrix, lam, schedule, digest):
     paths = simulate_counts_batch(np.tile(init.counts, (16, 1)), matrix, schedule, uniforms)
     assert paths.shape == (16, 2049, matrix.dimension)
     assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+
+def kernel_head(matrix, schedule, counts):
+    """Head of the lockstep loop's normalized cumulative for each column of counts (M, R)."""
+    m, r = counts.shape
+    coeffs = fitness_coefficients(matrix.entries, schedule.population, schedule.selection_weight)
+    cum = np.empty((1 + m * (m - 1), r))
+    engine._cumulative_filler(coeffs, np.vstack((counts, np.ones(r))), cum)()
+    return cum[:-1]
+
+
+@pytest.mark.parametrize(
+    "matrix, schedule",
+    [
+        # the benchmark's payoff matrices at the population and weight of their workloads
+        (PayoffMatrix([[1.0, 2.0], [3.0, 4.0]]),
+         ScalingSchedule(horizon=1.0, resolution=512, alpha=0.6, beta=0.4)),
+        (M3, ScalingSchedule(horizon=1.0, resolution=32768, alpha=1.0, beta=0.5)),
+        (M4, ScalingSchedule(horizon=1.0, resolution=65536, alpha=0.6, beta=0.4)),
+    ],
+    ids=["m2", "m3", "m4"],
+)
+def test_cumulative_is_exact_at_one_replica_and_within_3_ulp_at_more(matrix, schedule):
+    # the fitness product's rounding depends on R, so only R = 1 is bit for bit
+    m, n, w = matrix.dimension, schedule.population, schedule.selection_weight
+    sampled = np.concatenate(([True], ~np.eye(m, dtype=bool).ravel()))
+    rng = np.random.default_rng(20260810)
+    for r in (2, 3, 4, 8, 16, 31, 64, 128, 200, 256):
+        cuts = np.sort(rng.integers(0, n + 1, (m - 1, r)), axis=0)
+        counts = np.diff(cuts, axis=0, prepend=0, append=n)
+        alone = np.empty((m * (m - 1), r))
+        for j in range(r):
+            alone[:, j] = kernel_head(matrix, schedule, counts[:, j : j + 1])[:, 0]
+            table = transition_table(DiscreteState(counts[:, j], n, w), matrix)
+            assert np.array_equal(table.flat_cumulative()[sampled][:-1], alone[:, j])
+        np.testing.assert_array_max_ulp(kernel_head(matrix, schedule, counts), alone, maxulp=3)
 
 
 @settings(max_examples=100, deadline=None)
