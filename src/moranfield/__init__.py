@@ -15,8 +15,6 @@ from .engine import (
     exact_drift,
     export_trajectory,
     import_trajectory,
-    interpolate_affine,
-    interpolate_constant,
     largest_remainder_counts,
     simulate,
     step,
@@ -62,14 +60,10 @@ from .transport import (
     Witness,
     coordinate_witness,
     distance_witness,
-    max_affine_witness,
-    measure_from_csv,
-    measure_to_csv,
     potential_witness,
     random_witnesses,
     w1_dual_lower_bound,
     w1_exact,
-    w1_sliced,
 )
 
 __version__ = "0.1.0"

@@ -77,10 +77,12 @@ _OPTIONAL_KEYS = {
     "output_dir",
 }
 _VERDICT_KEYS = {"max_consecutive_ratio", "final_ratio", "final_checkpoint"}
+_INTEGER_KEYS = (
+    "n_floor", "ensemble_size", "master_seed", "quadrature_stride", "max_exact_size", "resolution"
+)
 # how each numeric key is read later; a value its reader rejects fails at load
 _NUMBER_READERS = {
-    **dict.fromkeys(("n_floor", "ensemble_size", "master_seed", "quadrature_stride"), int),
-    **dict.fromkeys(("max_exact_size", "resolution"), int),
+    **dict.fromkeys(_INTEGER_KEYS, int),
     **dict.fromkeys(("horizon", "alpha", "beta", "n_scale", "w_scale", "flow_step"), float),
 }
 # the initial_law key that holds each kind's value; every kind may carry "dimension"
@@ -104,6 +106,11 @@ def _check_keys(data: dict) -> None:
             raise ConfigurationError(f"unknown config key 'verdict.{key}'")
 
 
+def _truncated(value) -> bool:
+    """Whether ``int(value)`` would drop a fractional part, which the manifest keeps."""
+    return isinstance(value, float) and not value.is_integer()
+
+
 def _check_values(merged: dict) -> None:
     """Reject at load, naming the key, a value that a reader would fail on later."""
     values = [(key, merged.get(key), read) for key, read in _NUMBER_READERS.items()]
@@ -117,6 +124,9 @@ def _check_values(merged: dict) -> None:
         except (TypeError, ValueError, OverflowError):
             msg = f"config key {key!r} must be numeric and finite, got {value!r}"
             raise ConfigurationError(msg) from None
+    for key in _INTEGER_KEYS:
+        if _truncated(merged.get(key)):
+            raise ConfigurationError(f"config key {key!r} must be an integer, got {merged[key]!r}")
     step = merged.get("flow_step", 1.0)
     if float(step) <= 0.0:
         raise ConfigurationError(f"config key 'flow_step' must be positive, got {step!r}")
@@ -184,12 +194,12 @@ class RunConfig:
             )
         ks = merged.get("resolutions") or []
         try:
-            valid = isinstance(ks, list) and all(int(k) > 0 for k in ks)
+            valid = isinstance(ks, list) and all(int(k) > 0 and not _truncated(k) for k in ks)
         except (TypeError, ValueError):
             valid = False
         if not valid:
             raise ConfigurationError(
-                f"resolutions must be a list of positive integers, got {ks!r}"
+                f"config key 'resolutions' must be a list of positive integers, got {ks!r}"
             )
         if not self.checkpoints:
             raise ConfigurationError("config key 'checkpoints' must list at least one time")
@@ -333,11 +343,13 @@ def _verdict(report, thresholds) -> tuple[bool, str]:
         for t in ts
     )
     t_final = float(thresholds.get("final_checkpoint", max(ts)))
-    final_ok = by_kt[(ks[-1], t_final)] <= final_ratio * by_kt[(ks[0], t_final)]
-    observed = by_kt[(ks[-1], t_final)] / by_kt[(ks[0], t_final)]
+    first, last = by_kt[(ks[0], t_final)], by_kt[(ks[-1], t_final)]
+    final_ok = last <= final_ratio * first
+    # a W1 of 0 at the first k leaves the ratio undefined
+    observed = f"{last / first:.3f}" if first > 0 else "undefined"
     detail = (
         f"monotone(slack {ratio_cap:g}): {'ok' if monotone else 'violated'}; "
-        f"final ratio {observed:.3f} (threshold {final_ratio:g}) at t={t_final:g}"
+        f"final ratio {observed} (threshold {final_ratio:g}) at t={t_final:g}"
     )
     return monotone and final_ok, detail
 

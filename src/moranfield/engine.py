@@ -7,8 +7,8 @@ chain is simulated on counts rather than on individual agents.
 
 The chain runs on an equispaced grid ``t_h = h * T / k`` whose population
 size and selection weight are tied to the step size by power laws
-(``ScalingSchedule``).  Two continuous-time extensions of a trajectory are
-provided: piecewise affine and piecewise constant interpolation.
+(``ScalingSchedule``).  ``locate_on_grid`` places a time on that grid for the
+piecewise affine and piecewise constant interpolations of the chain.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class DiscreteState:
     def proportions(self) -> SimplexPoint:
         return SimplexPoint(self.counts / self.population)
 
-    def is_monomorphic(self) -> bool:
-        return bool(np.max(self.counts) == self.population)
-
     def __repr__(self) -> str:
         return (
             f"DiscreteState(counts={self.counts.tolist()}, population={self.population}, "
@@ -116,13 +113,9 @@ class TransitionTable:
         return float(self.cumulative[0])
 
     def flat_probabilities(self) -> np.ndarray:
-        """Outcome probabilities in the order of :meth:`flat_cumulative`: the
-        widths of the kernel's sampling intervals."""
+        """Outcome probabilities in the order of ``cumulative``: the widths of
+        the kernel's sampling intervals."""
         return np.diff(self.cumulative, prepend=0.0)
-
-    def flat_cumulative(self) -> np.ndarray:
-        """The kernel's normalized cumulative over the flat outcomes (ends at 1.0)."""
-        return self.cumulative
 
     def outcome_moves(self) -> np.ndarray:
         """(1 + M^2, 2) array of (gainer, loser) per flat outcome; row 0 = stay = (-1, -1)."""
@@ -223,61 +216,12 @@ def _draw_blocks(uniforms):
         yield block
 
 
-def _lockstep(
-    counts0: np.ndarray,
-    entries: np.ndarray,
-    population: int,
-    w: float,
-    uniforms: np.ndarray,
-    columns=None,
-) -> np.ndarray:
-    """The chain's sampling loop: R chains from ``counts0`` (R, M), one uniform
-    per replica per step from ``uniforms`` (R, k); returns the counts at the
-    sorted grid indices ``columns`` (default all k+1) as (R, len(columns), M).
-
-    Each step inverts the normalized cumulative of the sampled outcomes (the
-    one :func:`transition_table` holds, whose zero-width diagonal moves never
-    change a cumulative), taking the first outcome whose cumulative exceeds u
-    (``searchsorted(side="right")``).  A step is twelve numpy calls on arrays
-    of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once per run,
-    so every call's inner loop runs over replicas.  ``uniforms`` is read once,
-    in order, by :func:`_draw_blocks`, so it may draw each block when read.
-    """
-    r, m = counts0.shape
-    k = uniforms.shape[1]
-    _check_dimension(m, entries)
-    slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
-    inc = _increment_table(m)
-    out = np.empty((len(slot), m, r), dtype=np.int64)
-    # counts over a row of ones; float counts are exact below 2**53
-    state = np.ones((m + 1, r))
-    current, delta = state[:m], np.empty((m, r))
-    current[...] = counts0.T
-    cum = np.empty((1 + m * (m - 1), r))
-    fill = _cumulative_filler(fitness_coefficients(entries, population, w), state, cum)
-    # picked counts the head rows <= u; the last row holds the total weight
-    head = cum[:-1]
-    passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
-    if 0 in slot:
-        out[slot[0]] = current
-    for h, u in enumerate(itertools.chain.from_iterable(_draw_blocks(uniforms)), 1):
-        fill()
-        np.less_equal(head, u, out=passed)
-        np.add.reduce(passed, axis=0, out=picked)
-        # picked never exceeds the last column; "raise" would buffer ``out``
-        inc.take(picked, axis=1, out=delta, mode="clip")
-        np.add(current, delta, out=current)
-        if h in slot:
-            out[slot[h]] = current
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
-
-
 def _walk(
     counts0: np.ndarray, entries: np.ndarray, population: int, w: float, uniforms: np.ndarray
 ) -> np.ndarray:
     """One chain from ``counts0`` (M,), one step per draw of ``uniforms`` (k,);
-    returns the (k + 1, M) count path, equal to a one-replica :func:`_lockstep`
-    run on the same draws.
+    returns the (k + 1, M) count path, equal to a one-replica
+    :func:`simulate_counts_batch` run on the same draws.
 
     A path revisits few states, so within each block of ``DRAW_BLOCK`` draws a
     dict maps each visited count state to the head of its normalized
@@ -373,21 +317,6 @@ class ScalingSchedule:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.resolution + 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "resolution": self.resolution,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "n_floor": self.n_floor,
-            "n_scale": self.n_scale,
-            "w_scale": self.w_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalingSchedule":
-        return cls(**data)
-
 
 class _StateView:
     """Read-only sequence of ``DiscreteState`` over the rows of a counts array."""
@@ -424,12 +353,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return self.schedule.times()
-
-    def counts_matrix(self) -> np.ndarray:
-        return self.counts
-
-    def proportions_matrix(self) -> np.ndarray:
-        return self.counts / self.schedule.population
 
 
 def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray:
@@ -497,9 +420,17 @@ def simulate_counts_batch(
     (R, len(columns), M) holding only the sorted grid indices ``columns``.
 
     ``uniforms`` has shape (R, k), one draw per replica per step, each in
-    [0, 1).  All replicas share the schedule's population and weight.  At
-    R = 1 the path is exactly the walk of :func:`step` and :func:`simulate` on
-    the same draws.  For R >= 2 the fitness is one matrix product whose
+    [0, 1).  All replicas share the schedule's population and weight.  Each
+    step inverts the normalized cumulative of the sampled outcomes (the one
+    :func:`transition_table` holds, whose zero-width diagonal moves never
+    change a cumulative), taking the first outcome whose cumulative exceeds u
+    (``searchsorted(side="right")``).  A step is twelve numpy calls on arrays
+    of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once per run,
+    so every call's inner loop runs over replicas.  ``uniforms`` is read once,
+    in order, by :func:`_draw_blocks`, so it may draw each block when read.
+
+    At R = 1 the path is exactly the walk of :func:`step` and :func:`simulate`
+    on the same draws.  For R >= 2 the fitness is one matrix product whose
     rounding depends on R, so a replica's cumulative may differ by a few ulp
     and a draw that close to an outcome boundary may pick the next outcome.
     """
@@ -510,8 +441,33 @@ def simulate_counts_batch(
     # strictly increasing from above -1 to below k + 1
     if columns is not None and (np.diff(columns, prepend=-1, append=k + 1) <= 0).any():
         raise DomainError(f"columns must be increasing grid indices in [0, {k}], got {columns}")
-    n, w = schedule.population, schedule.selection_weight
-    return _lockstep(counts0, matrix.entries, n, w, uniforms, columns)
+    r, m = counts0.shape
+    _check_dimension(m, matrix.entries)
+    slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
+    inc = _increment_table(m)
+    out = np.empty((len(slot), m, r), dtype=np.int64)
+    # counts over a row of ones; float counts are exact below 2**53
+    state = np.ones((m + 1, r))
+    current, delta = state[:m], np.empty((m, r))
+    current[...] = counts0.T
+    cum = np.empty((1 + m * (m - 1), r))
+    coeffs = fitness_coefficients(matrix.entries, schedule.population, schedule.selection_weight)
+    fill = _cumulative_filler(coeffs, state, cum)
+    # picked counts the head rows <= u; the last row holds the total weight
+    head = cum[:-1]
+    passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
+    if 0 in slot:
+        out[slot[0]] = current
+    for h, u in enumerate(itertools.chain.from_iterable(_draw_blocks(uniforms)), 1):
+        fill()
+        np.less_equal(head, u, out=passed)
+        np.add.reduce(passed, axis=0, out=picked)
+        # picked never exceeds the last column; "raise" would buffer ``out``
+        inc.take(picked, axis=1, out=delta, mode="clip")
+        np.add(current, delta, out=current)
+        if h in slot:
+            out[slot[h]] = current
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def locate_on_grid(t: float, horizon: float, resolution: int):
@@ -529,30 +485,6 @@ def locate_on_grid(t: float, horizon: float, resolution: int):
         return int(nearest), 0.0
     h = int(np.floor(pos))
     return h, pos - h
-
-
-def interpolate_affine(traj: Trajectory, t: float) -> SimplexPoint:
-    """Piecewise affine interpolation of the trajectory at time ``t``.
-
-    Exact at grid nodes (queries within ``GRID_SNAP * tau`` of a node snap to
-    it); between nodes returns the convex combination of the endpoints.
-    """
-    h, frac = locate_on_grid(t, traj.schedule.horizon, traj.schedule.resolution)
-    lam0 = traj.counts[h] / traj.schedule.population
-    if frac == 0.0:
-        return SimplexPoint(lam0)
-    lam1 = traj.counts[h + 1] / traj.schedule.population
-    return SimplexPoint(lam0 + frac * (lam1 - lam0))
-
-
-def interpolate_constant(traj: Trajectory, t: float) -> SimplexPoint:
-    """Piecewise constant interpolation of the trajectory at time ``t``.
-
-    Returns the state at ``t_h`` for ``t`` in ``[t_h, t_{h+1})`` and the final
-    state at ``t = horizon``; node snapping as in :func:`interpolate_affine`.
-    """
-    h, _ = locate_on_grid(t, traj.schedule.horizon, traj.schedule.resolution)
-    return SimplexPoint(traj.counts[h] / traj.schedule.population)
 
 
 def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
@@ -597,7 +529,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     write_csv(csv_path, header, rows)
     sidecar = {
         "schema": TRAJECTORY_SCHEMA,
-        "schedule": traj.schedule.to_dict(),
+        "schedule": asdict(traj.schedule),
         "seed": traj.seed,
         "payoff_matrix": matrix.to_rows(),
     }
@@ -610,8 +542,8 @@ def import_trajectory(csv_path, sidecar_path):
         sidecar = json.load(fh)
     if sidecar.get("schema") != TRAJECTORY_SCHEMA:
         raise ConfigurationError(f"unexpected sidecar schema {sidecar.get('schema')!r}")
-    schedule = ScalingSchedule.from_dict(sidecar["schedule"])
-    matrix = PayoffMatrix.from_rows(sidecar["payoff_matrix"])
+    schedule = ScalingSchedule(**sidecar["schedule"])
+    matrix = PayoffMatrix(sidecar["payoff_matrix"])
     n = schedule.population
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)

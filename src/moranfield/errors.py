@@ -22,7 +22,7 @@ class FitnessDegenerateError(SimulationError, ArithmeticError):
 
 
 class CapacityError(SimulationError, ValueError):
-    """Problem size exceeds the exact solver's cap; use w1_sliced instead."""
+    """Problem size exceeds the exact solver's cap."""
 
 
 class InvalidWitnessError(SimulationError, ValueError):

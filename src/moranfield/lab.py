@@ -253,12 +253,6 @@ def worker_pool(jobs: int):
     )
 
 
-def _chunk_bounds(count: int, jobs: int) -> list:
-    """Contiguous ``(start, stop)`` ranges splitting ``count`` items into ``jobs`` chunks."""
-    bounds = np.linspace(0, count, max(1, min(jobs, count)) + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _resample_means(args) -> np.ndarray:
     """Optimal mean assignment cost of ``dist[idx][:, idx]`` for each ``idx`` row."""
     # looked up per call, so instrumentation installed on scipy.optimize
@@ -299,7 +293,7 @@ def bootstrap_w1_ci(
         )
     dist = cdist(mu.array, nu.array)
     draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
-    chunk_args = [(dist, draws[a:b]) for a, b in _chunk_bounds(n_resamples, jobs)]
+    chunk_args = [(dist, chunk) for chunk in np.array_split(draws, max(jobs, 1))]
     mapped = map if pool is None else pool.map
     values = np.concatenate(list(mapped(_resample_means, chunk_args)))
     return float(1.96 * values.std(ddof=1))

@@ -102,10 +102,6 @@ class PayoffMatrix:
         """Row-major list of rows; floats round-trip exactly via repr."""
         return [list(map(float, row)) for row in self.entries]
 
-    @classmethod
-    def from_rows(cls, rows) -> "PayoffMatrix":
-        return cls(rows)
-
     def __repr__(self) -> str:
         return f"PayoffMatrix({self.to_rows()!r})"
 

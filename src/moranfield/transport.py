@@ -3,15 +3,13 @@
 Equal-size uniform empirical measures reduce to a linear assignment problem;
 unequal sizes are solved exactly on the transportation polytope (LP, with
 the optimal vertex masses snapped to their exact lattice).  A Kantorovich-dual
-certifier produces guaranteed lower bounds from 1-Lipschitz witnesses, and a
-sliced approximation handles ensembles too large for the exact solver.
+certifier produces guaranteed lower bounds from 1-Lipschitz witnesses.
 
 The ground metric is Euclidean on R^M restricted to the simplex.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,7 +24,6 @@ from .errors import (
     InvalidWitnessError,
     SimulationError,
 )
-from .report import write_csv
 from .simplex import SIMPLEX_TOL, SimplexPoint
 
 #: largest ensemble size accepted by the exact solver
@@ -67,10 +64,6 @@ class EmpiricalMeasure:
     def dimension(self) -> int:
         return self._array.shape[1]
 
-    @property
-    def points(self) -> tuple:
-        return tuple(SimplexPoint(row) for row in self._array)
-
     def __len__(self) -> int:
         return self.size
 
@@ -102,10 +95,6 @@ class TransportPlan:
         np.add.at(mu, self.pairs[:, 0], self.masses)
         np.add.at(nu, self.pairs[:, 1], self.masses)
         return mu, nu
-
-    def to_csv(self, path) -> None:
-        rows = zip(self.pairs[:, 0], self.pairs[:, 1], self.masses, self.pair_costs)
-        write_csv(path, ["src_id", "dst_id", "mass", "cost"], rows)
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
@@ -175,12 +164,11 @@ def w1_exact(
 
     Equal sizes solve a linear assignment problem; unequal sizes solve the
     transportation polytope exactly.  Raises CapacityError above ``max_size``
-    points per side (use :func:`w1_sliced` there).
+    points per side.
     """
     if mu.size > max_size or nu.size > max_size:
         raise CapacityError(
-            f"ensemble sizes ({mu.size}, {nu.size}) exceed the exact-solver cap "
-            f"{max_size}; use w1_sliced for large ensembles"
+            f"ensemble sizes ({mu.size}, {nu.size}) exceed the exact-solver cap {max_size}"
         )
     dist = _cost_matrix(mu, nu)
     if mu.size == nu.size:
@@ -216,15 +204,6 @@ def distance_witness(anchor) -> Witness:
     )
 
 
-def max_affine_witness(slopes, offsets, name: str = "max_affine") -> Witness:
-    g = np.atleast_2d(np.asarray(slopes, float))
-    norms = np.linalg.norm(g, axis=1)
-    if np.any(norms > 1.0 + 1e-12):
-        raise InvalidWitnessError(f"max-affine slopes must have norm <= 1, got {norms}")
-    c = np.asarray(offsets, float)
-    return Witness(name, lambda pts: np.max(pts @ g.T + c, axis=1))
-
-
 def random_witnesses(dimension: int, count: int, rng: np.random.Generator) -> list[Witness]:
     """Mixed library of random certified witnesses (max-of-affine with unit slopes)."""
     out = []
@@ -233,7 +212,7 @@ def random_witnesses(dimension: int, count: int, rng: np.random.Generator) -> li
         g = rng.normal(size=(k, dimension))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         c = rng.normal(size=k)
-        out.append(max_affine_witness(g, c, name=f"rand[{n}]"))
+        out.append(Witness(f"rand[{n}]", lambda pts, g=g, c=c: np.max(pts @ g.T + c, axis=1)))
     return out
 
 
@@ -302,66 +281,3 @@ def w1_dual_lower_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure, witnesses) -
         _check_lipschitz(witness, pooled)
         best = max(best, float(witness(nu.array).mean() - witness(mu.array).mean()))
     return best
-
-
-def mean_abs_projection(dimension: int) -> float:
-    """E|<theta, e>| for theta uniform on the unit sphere of R^dimension.
-
-    The sliced distance of a common translation underestimates the true W1
-    by exactly this factor.
-    """
-    d = dimension
-    return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d + 1) / 2.0))
-
-
-def w1_sliced(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    n_projections: int,
-    rng: np.random.Generator,
-    corrected: bool = True,
-) -> float:
-    """Sliced approximation of W1: average 1-D distance over random directions.
-
-    By default the average is divided by :func:`mean_abs_projection` so that
-    common translations are estimated without bias; ``corrected=False`` gives
-    the plain average, which is always a lower bound for translations.
-    """
-    if n_projections < 1:
-        raise DomainError(f"n_projections must be >= 1, got {n_projections}")
-    if mu.dimension != nu.dimension:
-        raise DimensionError(
-            f"measures live in different dimensions: {mu.dimension} vs {nu.dimension}"
-        )
-    theta = rng.normal(size=(mu.dimension, n_projections))
-    theta /= np.linalg.norm(theta, axis=0, keepdims=True)
-    x = mu.array @ theta
-    y = nu.array @ theta
-    if mu.size == nu.size:
-        total = float(np.mean(np.abs(np.sort(x, axis=0) - np.sort(y, axis=0))))
-    else:
-        # imported here: scipy.stats is about a third of the package's import
-        # time and memory, and no command reaches this branch
-        from scipy.stats import wasserstein_distance
-
-        total = float(
-            np.mean([wasserstein_distance(x[:, c], y[:, c]) for c in range(n_projections)])
-        )
-    return total / mean_abs_projection(mu.dimension) if corrected else total
-
-
-# -- empirical-measure file round-trip -----------------------------------
-
-def measure_to_csv(measure: EmpiricalMeasure, path) -> None:
-    header = ["sample_id"] + [f"lambda_{i + 1}" for i in range(measure.dimension)]
-    write_csv(path, header, ([idx, *row] for idx, row in enumerate(measure.array)))
-
-
-def measure_from_csv(path) -> EmpiricalMeasure:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append([float(x) for x in row[1:]])
-    return EmpiricalMeasure(np.array(rows))

@@ -114,7 +114,7 @@ def test_criterion_2_drift_consistency():
         state = DiscreteState(rng.multinomial(n, np.full(m, 1.0 / m)), n, w)
         mat = PayoffMatrix(rng.random((m, m)) * 6)
         table = transition_table(state, mat)
-        cum = table.flat_cumulative()
+        cum = table.cumulative
         idx = np.searchsorted(cum, rng.random(n_draws), side="right")
         moves = table.outcome_moves()
         deltas = np.zeros((cum.size, m))

@@ -33,7 +33,7 @@ def write_config(path, **overrides):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is about a third of the package's start-up time and memory,
-    # and only the unequal-size branch of w1_sliced uses it
+    # and no module of the package uses it
     src = os.path.dirname(os.path.dirname(moranfield.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, moranfield.cli; print('scipy.stats' in sys.modules)"
@@ -141,6 +141,20 @@ class TestConverge:
         assert header == "k,t,w1,ci,w1_bar_gap,n_k,w_k,tau_k"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"]
+
+    def test_zero_w1_leaves_the_final_ratio_undefined(self, tmp_path, capsys):
+        # a vertex is a fixed point of chain and flow, so W1 is 0 at every k
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            resolutions=[8, 16],
+            initial_law={"kind": "dirac", "point": [1.0, 0.0]},
+        )
+        out = tmp_path / "out"
+        code = main(["converge", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"])
+        assert code == 0
+        assert "final ratio undefined (threshold 0.5) at t=1" in capsys.readouterr().out
+        first_k = read_report(out / "report.json")["resolutions"][0]
+        assert first_k["checkpoints"][-1]["w1_to_limit"] == 0.0
 
     def test_supercritical_sum_rejected_without_regime_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", alpha=1.0, beta=0.5, resolutions=[8, 16])
@@ -288,7 +302,7 @@ class TestConfigValidation:
         assert code == 2
         assert "ensemble_size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ks", [[0, 8], [8, -16], "64", [8, "x"]])
+    @pytest.mark.parametrize("ks", [[0, 8], [8, -16], "64", [8, "x"], [8.7, 16]])
     def test_bad_resolutions_rejected(self, tmp_path, capsys, ks):
         code, out = self.run_converge(tmp_path, resolutions=ks)
         assert code == 2
@@ -345,16 +359,28 @@ class TestConfigValidation:
             ("residual", {"flow_step": -0.1}, "flow_step"),
             ("converge", {"master_seed": -2}, "master_seed"),
             ("simulate", {"master_seed": -1}, "master_seed"),
+            # int() would truncate these, while the manifest records them as given
+            ("converge", {"ensemble_size": 8.9}, "ensemble_size"),
+            ("converge", {"master_seed": 3.5}, "master_seed"),
+            ("simulate", {"resolution": 10.5}, "resolution"),
+            ("simulate", {"n_floor": 2.5}, "n_floor"),
+            ("simulate", {"quadrature_stride": 1.5}, "quadrature_stride"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
         # each of these fails at load or before any chain step, naming the key
-        cfg = write_config(tmp_path / "cfg.json", resolution=10, resolutions=[8, 16], **overrides)
+        overrides = {"resolution": 10, "resolutions": [8, 16], **overrides}
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", resolutions=[8.0, 16], ensemble_size=12.0)
+        config = RunConfig.load(str(cfg), {})
+        assert (config.ensemble_size, config.resolutions()) == (12, [8, 16])
 
     @pytest.mark.parametrize(
         "law, key",

@@ -11,8 +11,6 @@ from moranfield.engine import (
     exact_drift,
     export_trajectory,
     import_trajectory,
-    interpolate_affine,
-    interpolate_constant,
     largest_remainder_counts,
     simulate,
     simulate_counts_batch,
@@ -24,6 +22,8 @@ from moranfield.errors import (
     DomainError,
     FitnessDegenerateError,
 )
+from moranfield import lab
+from moranfield.lab import InitialLaw, run_ensemble
 from moranfield.simplex import PayoffMatrix, SimplexPoint
 
 A22 = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
@@ -180,7 +180,7 @@ class TestStep:
         s = DiscreteState([3, 4, 5], 12, 0.6)
         mat = PayoffMatrix([[1.0, 2.0, 0.5], [3.0, 0.2, 1.0], [0.7, 1.5, 2.0]])
         table = transition_table(s, mat)
-        cum = table.flat_cumulative()
+        cum = table.cumulative
         n_draws = 10**6
         u = np.random.default_rng(7).random(n_draws)
         idx = np.searchsorted(cum, u, side="right")
@@ -266,14 +266,14 @@ class TestSimulate:
         init = discretize_initial(SimplexPoint([0.5, 0.5]), sched)
         t1 = simulate(init, A22, sched, seed=99)
         t2 = simulate(init, A22, sched, seed=99)
-        assert np.array_equal(t1.counts_matrix(), t2.counts_matrix())
+        assert np.array_equal(t1.counts, t2.counts)
 
     def test_step_size_bound(self):
         # every increment obeys ||dlam||_2 <= sqrt(2)/N
         sched = ScalingSchedule(horizon=1.0, resolution=200, alpha=0.55, beta=0.45)
         init = discretize_initial(SimplexPoint([0.4, 0.6]), sched)
         traj = simulate(init, A22, sched, seed=3)
-        props = traj.proportions_matrix()
+        props = traj.counts / sched.population
         jumps = np.linalg.norm(np.diff(props, axis=0), axis=1)
         assert np.max(jumps) <= np.sqrt(2) / sched.population + 1e-15
 
@@ -334,7 +334,7 @@ class TestSimulate:
         sched = ScalingSchedule(horizon=1.0, resolution=1, alpha=0.6, beta=0.4, n_scale=6.0)
         mat = PayoffMatrix([[1.0, 2.0, 0.5], [3.0, 0.2, 1.0], [0.7, 1.5, 2.0]])
         state = DiscreteState([1, 2, 3], sched.population, sched.selection_weight)
-        cum = transition_table(state, mat).flat_cumulative()
+        cum = transition_table(state, mat).cumulative
         for u in cum[cum < 1.0]:  # random() never returns 1.0
             batch = simulate_counts_batch([state.counts], mat, sched, np.array([[u]]))
             scalar = step(state, mat, SimpleNamespace(random=lambda: u))
@@ -345,49 +345,65 @@ class TestSimulate:
 
 
 class TestInterpolation:
-    @pytest.fixture()
-    def traj(self):
+    """``run_ensemble``'s affine and constant snapshots against the grid path
+    that the lockstep kernel walks on the same draws."""
+
+    SEED = 21
+    OFF_GRID = np.random.default_rng(5).random(100).tolist()
+
+    @pytest.fixture(scope="class")
+    def run(self):
         sched = ScalingSchedule(horizon=1.0, resolution=20, alpha=0.6, beta=0.4)
-        init = discretize_initial(SimplexPoint([0.5, 0.5]), sched)
-        return simulate(init, A22, sched, seed=21)
-
-    def test_exact_at_grid_points(self, traj):
-        for h, t in enumerate(traj.times()):
-            lam = traj.states[h].proportions().coords
-            assert interpolate_affine(traj, t).coords == pytest.approx(lam, abs=0)
-            assert interpolate_constant(traj, t).coords == pytest.approx(lam, abs=0)
-
-    def test_midpoint_is_mean(self, traj):
-        tau = traj.schedule.tau
-        for h in (0, 7, 19):
-            mid = (h + 0.5) * tau
-            expected = 0.5 * (
-                traj.states[h].proportions().coords + traj.states[h + 1].proportions().coords
-            )
-            assert interpolate_affine(traj, mid).coords == pytest.approx(expected, abs=1e-15)
-
-    def test_affine_output_is_simplex_point(self, traj):
-        rng = np.random.default_rng(5)
-        for t in rng.random(1000):
-            pt = interpolate_affine(traj, t)
-            assert abs(pt.coords.sum() - 1.0) <= 1e-12
-
-    def test_constant_left_limit(self, traj):
-        tau = traj.schedule.tau
-        just_below = 5 * tau - 1e-6
-        assert interpolate_constant(traj, just_below).coords == pytest.approx(
-            traj.states[4].proportions().coords, abs=0
+        tau = sched.tau
+        checkpoints = (
+            *sched.times().tolist(),
+            *((h + 0.5) * tau for h in (0, 7, 19)),
+            5 * tau - 1e-6,
+            *self.OFF_GRID,
         )
+        res = run_ensemble(
+            InitialLaw.dirichlet([2.0, 2.0]), A22, sched, 4, checkpoints, self.SEED
+        )
+        uniforms = np.array([lab._rng(self.SEED, "chain", r).random(20) for r in range(4)])
+        counts0 = np.rint(res.initial_discretized.array * sched.population).astype(int)
+        # (R, k + 1, M) proportions at every grid node
+        lam = simulate_counts_batch(counts0, A22, sched, uniforms) / sched.population
+        return res, lam
 
-    def test_horizon_boundary(self, traj):
-        lam_final = traj.states[-1].proportions().coords
-        assert interpolate_constant(traj, 1.0).coords == pytest.approx(lam_final, abs=0)
+    def test_exact_at_grid_points(self, run):
+        res, lam = run
+        for h, t in enumerate(res.schedule.times().tolist()):
+            assert np.array_equal(res.affine[t].array, lam[:, h])
+            assert np.array_equal(res.constant[t].array, lam[:, h])
 
-    def test_out_of_range_rejected(self, traj):
-        with pytest.raises(DomainError):
-            interpolate_affine(traj, 1.5)
-        with pytest.raises(DomainError):
-            interpolate_constant(traj, -0.1)
+    def test_midpoint_is_mean(self, run):
+        res, lam = run
+        for h in (0, 7, 19):
+            mid = (h + 0.5) * res.schedule.tau
+            expected = 0.5 * (lam[:, h] + lam[:, h + 1])
+            assert res.affine[mid].array == pytest.approx(expected, abs=1e-15)
+
+    def test_affine_output_is_simplex_point(self, run):
+        res, _ = run
+        for t in self.OFF_GRID:
+            assert np.all(np.abs(res.affine[t].array.sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_constant_left_limit(self, run):
+        res, lam = run
+        just_below = 5 * res.schedule.tau - 1e-6
+        assert np.array_equal(res.constant[just_below].array, lam[:, 4])
+
+    def test_horizon_boundary(self, run):
+        res, lam = run
+        assert np.array_equal(res.affine[1.0].array, lam[:, -1])
+        assert np.array_equal(res.constant[1.0].array, lam[:, -1])
+
+    def test_out_of_range_rejected(self, run):
+        res, _ = run
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        for t in (1.5, -0.1):
+            with pytest.raises(DomainError):
+                run_ensemble(law, A22, res.schedule, 4, (t,), self.SEED)
 
 
 class TestExactDrift:
@@ -459,7 +475,7 @@ class TestTrajectoryFiles:
         export_trajectory(traj, csv_path, json_path, A22)
         loaded, mat = import_trajectory(csv_path, json_path)
         assert loaded.seed == traj.seed
-        assert np.array_equal(loaded.counts_matrix(), traj.counts_matrix())
+        assert np.array_equal(loaded.counts, traj.counts)
         assert np.array_equal(mat.entries, A22.entries)
 
     def test_csv_header(self, tmp_path):

@@ -60,7 +60,7 @@ def oracle_step(counts, matrix, schedule, u):
     """Inverse-CDF draw on the exact table, then the drawn (gainer, loser) move."""
     state = DiscreteState(counts, schedule.population, schedule.selection_weight)
     table = transition_table(state, matrix)
-    idx = int(np.searchsorted(table.flat_cumulative(), u, side="right"))
+    idx = int(np.searchsorted(table.cumulative, u, side="right"))
     gainer, loser = table.outcome_moves()[idx]
     out = np.array(counts)
     if idx:
@@ -85,7 +85,7 @@ def test_every_kernel_step_matches_the_table_oracle(chain):
 def test_uniforms_on_cumulative_boundaries_match_the_oracle(chain):
     matrix, schedule, counts0, _ = chain
     state = DiscreteState(counts0[0], schedule.population, schedule.selection_weight)
-    cum = transition_table(state, matrix).flat_cumulative()
+    cum = transition_table(state, matrix).cumulative
     for u in cum[cum < 1.0]:
         moved = simulate_counts_batch(counts0, matrix, schedule, np.array([[u]]))[0, 1]
         assert np.array_equal(moved, oracle_step(counts0[0], matrix, schedule, u)), u
@@ -122,7 +122,7 @@ def test_walk_is_the_one_replica_lockstep_loop(chain, pinned_w, data):
     u, counts, degenerate_at = uniforms[0].copy(), counts0[0], None
     for h in range(schedule.resolution):
         try:
-            cum = transition_table(DiscreteState(counts, n, w), matrix).flat_cumulative()
+            cum = transition_table(DiscreteState(counts, n, w), matrix).cumulative
         except FitnessDegenerateError:
             degenerate_at = h
             break
@@ -235,7 +235,7 @@ def test_cumulative_is_monotone_and_empty_moves_have_zero_width(case):
         table = transition_table(state, matrix)
     except FitnessDegenerateError:
         assume(False)  # every bearer has zero fitness: no outcome law
-    cum = table.flat_cumulative()
+    cum = table.cumulative
     widths = np.diff(cum, prepend=0.0)
     assert np.all(widths >= 0.0)
     assert cum[-1] == 1.0
@@ -318,7 +318,7 @@ def test_cumulative_is_exact_at_one_replica_and_within_3_ulp_at_more(matrix, sch
         for j in range(r):
             alone[:, j] = kernel_head(matrix, schedule, counts[:, j : j + 1])[:, 0]
             table = transition_table(DiscreteState(counts[:, j], n, w), matrix)
-            assert np.array_equal(table.flat_cumulative()[sampled][:-1], alone[:, j])
+            assert np.array_equal(table.cumulative[sampled][:-1], alone[:, j])
         np.testing.assert_array_max_ulp(kernel_head(matrix, schedule, counts), alone, maxulp=3)
 
 

@@ -489,11 +489,13 @@ class TestWorkerPool:
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=24))
         nu = EmpiricalMeasure(rng.dirichlet(np.full(3, 4.0), size=24))
         serial = bootstrap_w1_ci(mu, nu, np.random.default_rng(33), n_resamples=40)
+        # uneven chunks at 3 jobs; at 41 jobs one chunk is empty
         with worker_pool(2) as pool:
-            pooled = bootstrap_w1_ci(
-                mu, nu, np.random.default_rng(33), n_resamples=40, jobs=2, pool=pool
-            )
-        assert pooled == serial
+            for jobs in (2, 3, 41):
+                pooled = bootstrap_w1_ci(
+                    mu, nu, np.random.default_rng(33), n_resamples=40, jobs=jobs, pool=pool
+                )
+                assert pooled == serial, jobs
 
     def test_convergence_digest_independent_of_jobs(self):
         law = InitialLaw.dirichlet([2.0, 2.0])

@@ -108,7 +108,7 @@ class TestPayoffMatrix:
         rng = np.random.default_rng(7)
         entries = rng.random((3, 3)) * 10
         mat = PayoffMatrix(entries)
-        again = PayoffMatrix.from_rows(mat.to_rows())
+        again = PayoffMatrix(mat.to_rows())
         assert np.array_equal(again.entries, mat.entries)
 
 
