@@ -56,11 +56,9 @@ from .simplex import (
 )
 from .transport import (
     EmpiricalMeasure,
-    TransportPlan,
     Witness,
     coordinate_witness,
     distance_witness,
-    potential_witness,
     random_witnesses,
     w1_dual_lower_bound,
     w1_exact,

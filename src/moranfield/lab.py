@@ -39,6 +39,8 @@ from .report import REGIME_SCHEMA, REPORT_SCHEMA
 from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from .transport import (
     EmpiricalMeasure,
+    _cost_matrix,
+    assignment_mean,
     coordinate_witness,
     distance_witness,
     w1_dual_lower_bound,
@@ -255,17 +257,8 @@ def worker_pool(jobs: int):
 
 def _resample_means(args) -> np.ndarray:
     """Optimal mean assignment cost of ``dist[idx][:, idx]`` for each ``idx`` row."""
-    # looked up per call, so instrumentation installed on scipy.optimize
-    # after import still sees every solve
-    from scipy.optimize import linear_sum_assignment
-
     dist, draws = args
-    values = np.empty(len(draws))
-    for b, idx in enumerate(draws):
-        sub = dist[np.ix_(idx, idx)]
-        rows, cols = linear_sum_assignment(sub)
-        values[b] = sub[rows, cols].mean()
-    return values
+    return np.array([assignment_mean(dist[np.ix_(idx, idx)]) for idx in draws])
 
 
 def bootstrap_w1_ci(
@@ -284,14 +277,14 @@ def bootstrap_w1_ci(
     solves run in ``jobs`` contiguous chunks, on ``pool`` when given and in
     this process otherwise, so the value is bit-identical for any ``jobs``.
     """
-    from scipy.spatial.distance import cdist
-
     r = mu.size
     if nu.size != r:
         raise ConfigurationError(
             f"paired bootstrap needs equal sizes, got {mu.size} vs {nu.size}"
         )
-    dist = cdist(mu.array, nu.array)
+    if n_resamples < 2:
+        raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
+    dist = _cost_matrix(mu, nu)
     draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
     chunk_args = [(dist, chunk) for chunk in np.array_split(draws, max(jobs, 1))]
     mapped = map if pool is None else pool.map
@@ -419,7 +412,7 @@ def convergence_experiment(
             for idx, t in enumerate(checkpoints):
                 chain = ensemble.affine[t]
                 limit = limits[t]
-                dist, _ = w1_exact(chain, limit)
+                dist = w1_exact(chain, limit)
                 ci = bootstrap_w1_ci(
                     chain,
                     limit,
@@ -430,7 +423,7 @@ def convergence_experiment(
                 dual = w1_dual_lower_bound(
                     chain, limit, _distance_witnesses(chain, limit)
                 )
-                gap, _ = w1_exact(ensemble.affine[t], ensemble.constant[t])
+                gap = w1_exact(ensemble.affine[t], ensemble.constant[t])
                 rows.append(
                     CheckpointRecord(
                         t=t,
@@ -541,7 +534,7 @@ def regime_experiment(
             ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
             start = ensemble.constant[0.0]
             end = ensemble.constant[horizon]
-            dist, _ = w1_exact(start, end)
+            dist = w1_exact(start, end)
             ci = bootstrap_w1_ci(
                 start,
                 end,

@@ -1,9 +1,10 @@
 """Exact 1-Wasserstein distance between empirical measures on the simplex.
 
-Equal-size uniform empirical measures reduce to a linear assignment problem;
-unequal sizes are solved exactly on the transportation polytope (LP, with
-the optimal vertex masses snapped to their exact lattice).  A Kantorovich-dual
-certifier produces guaranteed lower bounds from 1-Lipschitz witnesses.
+Every distance the package measures is between two uniform empirical
+measures of equal size, so W1 is the mean cost of an optimal matching: one
+linear assignment solve (:func:`assignment_mean`), shared by :func:`w1_exact`
+and every bootstrap resample.  A Kantorovich-dual certifier produces
+guaranteed lower bounds from 1-Lipschitz witnesses.
 
 The ground metric is Euclidean on R^M restricted to the simplex.
 """
@@ -11,10 +12,9 @@ The ground metric is Euclidean on R^M restricted to the simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -22,7 +22,6 @@ from .errors import (
     DimensionError,
     DomainError,
     InvalidWitnessError,
-    SimulationError,
 )
 from .simplex import SIMPLEX_TOL, SimplexPoint
 
@@ -43,10 +42,12 @@ class EmpiricalMeasure:
             arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise DimensionError(f"expected an (R, M>=2) point array, got shape {arr.shape}")
-        if np.any(arr < -SIMPLEX_TOL) or np.any(
-            np.abs(arr.sum(axis=1) - 1.0) > SIMPLEX_TOL
-        ):
-            bad = int(np.argmax(np.abs(arr.sum(axis=1) - 1.0)))
+        # written so that nan fails
+        on_simplex = np.all(arr >= -SIMPLEX_TOL, axis=1) & (
+            np.abs(arr.sum(axis=1) - 1.0) <= SIMPLEX_TOL
+        )
+        if not on_simplex.all():
+            bad = int(np.argmin(on_simplex))
             raise DomainError(f"row {bad} is not a simplex point: {arr[bad]!r}")
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
@@ -71,111 +72,40 @@ class EmpiricalMeasure:
         return f"EmpiricalMeasure(size={self.size}, dimension={self.dimension})"
 
 
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """Optimal coupling between two uniform empirical measures.
-
-    ``pairs[n] = (i, j)`` carries ``masses[n]`` from source point i to target
-    point j at ground cost ``pair_costs[n]``; ``cost`` is the total (the W1
-    value).  ``kind`` is "assignment" for the equal-size permutation case and
-    "coupling" otherwise.
-    """
-
-    kind: str
-    pairs: np.ndarray
-    masses: np.ndarray
-    pair_costs: np.ndarray
-    cost: float
-    source_size: int
-    target_size: int
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        mu = np.zeros(self.source_size)
-        nu = np.zeros(self.target_size)
-        np.add.at(mu, self.pairs[:, 0], self.masses)
-        np.add.at(nu, self.pairs[:, 1], self.masses)
-        return mu, nu
-
-
-def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
+def _check_dimensions(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
     if mu.dimension != nu.dimension:
         raise DimensionError(
             f"measures live in different dimensions: {mu.dimension} vs {nu.dimension}"
         )
+
+
+def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
+    _check_dimensions(mu, nu)
     return cdist(mu.array, nu.array)
 
 
-def _assignment_plan(dist: np.ndarray) -> TransportPlan:
+def assignment_mean(dist: np.ndarray) -> float:
+    """Mean cost of an optimal matching on the square cost matrix ``dist``:
+    the W1 distance between the two uniform measures of equal size."""
+    # read from this module's globals per call, so instrumentation installed
+    # on transport.linear_sum_assignment after import sees every solve
     rows, cols = linear_sum_assignment(dist)
-    r = dist.shape[0]
-    pair_costs = dist[rows, cols]
-    masses = np.full(r, 1.0 / r)
-    return TransportPlan(
-        kind="assignment",
-        pairs=np.column_stack((rows, cols)),
-        masses=masses,
-        pair_costs=pair_costs,
-        cost=float(pair_costs.mean()),
-        source_size=r,
-        target_size=r,
-    )
+    return float(dist[rows, cols].mean())
 
 
-def _transportation_plan(dist: np.ndarray, r_mu: int, r_nu: int) -> TransportPlan:
-    a_rows, a_cols, a_vals = [], [], []
-    for i in range(r_mu):
-        a_rows.extend([i] * r_nu)
-        a_cols.extend(range(i * r_nu, (i + 1) * r_nu))
-        a_vals.extend([1.0] * r_nu)
-    for j in range(r_nu):
-        a_rows.extend([r_mu + j] * r_mu)
-        a_cols.extend(range(j, r_mu * r_nu, r_nu))
-        a_vals.extend([1.0] * r_mu)
-    from scipy.sparse import coo_matrix
+def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Exact 1-Wasserstein distance between two measures of equal size.
 
-    a_eq = coo_matrix((a_vals, (a_rows, a_cols)), shape=(r_mu + r_nu, r_mu * r_nu))
-    b_eq = np.concatenate((np.full(r_mu, 1.0 / r_mu), np.full(r_nu, 1.0 / r_nu)))
-    res = linprog(dist.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SimulationError(f"transportation solve failed: {res.message}")
-    # a vertex is integral in units of 1/(r_mu r_nu): the scaled marginals
-    # r_nu and r_mu are integers and the constraint matrix is totally unimodular
-    units = np.rint(res.x.reshape(r_mu, r_nu) * (r_mu * r_nu)).astype(np.int64)
-    if np.any(units.sum(axis=1) != r_nu) or np.any(units.sum(axis=0) != r_mu):
-        raise SimulationError("failed to reconstruct exact transportation masses")
-    pairs = np.argwhere(units > 0)
-    masses = units[units > 0] / (r_mu * r_nu)
-    pair_costs = dist[pairs[:, 0], pairs[:, 1]]
-    return TransportPlan(
-        kind="coupling",
-        pairs=pairs,
-        masses=masses,
-        pair_costs=pair_costs,
-        cost=float(masses @ pair_costs),
-        source_size=r_mu,
-        target_size=r_nu,
-    )
-
-
-def w1_exact(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, max_size: int = EXACT_SIZE_CAP
-) -> tuple[float, TransportPlan]:
-    """Exact 1-Wasserstein distance and an optimal plan.
-
-    Equal sizes solve a linear assignment problem; unequal sizes solve the
-    transportation polytope exactly.  Raises CapacityError above ``max_size``
-    points per side.
+    Raises CapacityError above EXACT_SIZE_CAP points per side and
+    DimensionError when the sizes or the dimensions differ.
     """
-    if mu.size > max_size or nu.size > max_size:
+    if mu.size > EXACT_SIZE_CAP or nu.size > EXACT_SIZE_CAP:
         raise CapacityError(
-            f"ensemble sizes ({mu.size}, {nu.size}) exceed the exact-solver cap {max_size}"
+            f"ensemble sizes ({mu.size}, {nu.size}) exceed the exact-solver cap {EXACT_SIZE_CAP}"
         )
-    dist = _cost_matrix(mu, nu)
-    if mu.size == nu.size:
-        plan = _assignment_plan(dist)
-    else:
-        plan = _transportation_plan(dist, mu.size, nu.size)
-    return plan.cost, plan
+    if mu.size != nu.size:
+        raise DimensionError(f"exact W1 needs equal sizes, got {mu.size} vs {nu.size}")
+    return assignment_mean(_cost_matrix(mu, nu))
 
 
 class Witness:
@@ -216,39 +146,6 @@ def random_witnesses(dimension: int, count: int, rng: np.random.Generator) -> li
     return out
 
 
-def potential_witness(mu: EmpiricalMeasure, nu: EmpiricalMeasure, max_points: int = 256) -> Witness:
-    """Kantorovich potential attaining W1(mu, nu), extended off the support.
-
-    Solves the dual LP over potential values on the pooled support and
-    extends by sup-convolution, which preserves the 1-Lipschitz bound and the
-    support values; the resulting witness makes the duality gap vanish.
-    """
-    pooled = np.vstack((mu.array, nu.array))
-    p = pooled.shape[0]
-    if p > max_points:
-        raise CapacityError(f"potential witness limited to {max_points} pooled points, got {p}")
-    dist = cdist(pooled, pooled)
-    c = np.concatenate((np.full(mu.size, 1.0 / mu.size), np.full(nu.size, -1.0 / nu.size)))
-    rows = []
-    rhs = []
-    for a in range(p):
-        for b in range(p):
-            if a != b:
-                row = np.zeros(p)
-                row[a], row[b] = 1.0, -1.0
-                rows.append(row)
-                rhs.append(dist[a, b])
-    bounds = [(0.0, 0.0)] + [(None, None)] * (p - 1)
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
-    if not res.success:
-        raise SimulationError(f"dual potential solve failed: {res.message}")
-    values = res.x
-    return Witness(
-        "optimal_potential",
-        lambda pts: np.max(values - cdist(np.atleast_2d(pts), pooled), axis=1),
-    )
-
-
 def _check_lipschitz(witness: Witness, points: np.ndarray, rng=None) -> None:
     p = points.shape[0]
     vals = witness(points)
@@ -275,6 +172,7 @@ def w1_dual_lower_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure, witnesses) -
     """
     if not witnesses:
         raise DomainError("at least one witness is required")
+    _check_dimensions(mu, nu)
     pooled = np.vstack((mu.array, nu.array))
     best = -math.inf
     for witness in witnesses:

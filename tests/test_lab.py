@@ -15,13 +15,14 @@ from moranfield.engine import (
 from moranfield.errors import (
     CapacityError,
     ConfigurationError,
+    DimensionError,
     DomainError,
     FitnessDegenerateError,
     RegimeError,
     ResolutionError,
 )
 from moranfield.flow import FlowConfig
-from moranfield import lab
+from moranfield import lab, transport
 from moranfield.lab import (
     InitialLaw,
     TestFunction,
@@ -109,7 +110,7 @@ class TestRunEnsemble:
         law = InitialLaw.uniform(3)
         sched = ScalingSchedule(horizon=1.0, resolution=64, alpha=0.6, beta=0.4)
         res = run_ensemble(law, RPS, sched, 64, (0.0,), master_seed=5)
-        dist, _ = w1_exact(res.initial_discretized, res.initial)
+        dist = w1_exact(res.initial_discretized, res.initial)
         assert dist <= np.sqrt(3) / sched.population
 
     def test_mean_first_step_matches_exact_drift(self):
@@ -142,7 +143,7 @@ class TestRunEnsemble:
         off_grid = (0.3, 0.71)
         res = run_ensemble(law, A22, sched, 64, off_grid, master_seed=7)
         for t in off_grid:
-            gap, _ = w1_exact(res.affine[t], res.constant[t])
+            gap = w1_exact(res.affine[t], res.constant[t])
             assert gap <= np.sqrt(2) / sched.population + 1e-12
 
     def test_larger_ensemble_extends_a_smaller_one(self):
@@ -463,8 +464,35 @@ class TestBootstrap:
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=64))
         nu = EmpiricalMeasure(rng.dirichlet(np.full(2, 4.0), size=64))
         ci = bootstrap_w1_ci(mu, nu, np.random.default_rng(30))
-        dist, _ = w1_exact(mu, nu)
+        dist = w1_exact(mu, nu)
         assert 0 < ci < dist
+
+    def test_each_resample_is_the_exact_w1_of_the_resampled_pair(self):
+        rng = np.random.default_rng(38)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=16))
+        nu = EmpiricalMeasure(rng.dirichlet(np.full(3, 4.0), size=16))
+        draws = np.random.default_rng(39)
+        values = np.array(
+            [
+                w1_exact(EmpiricalMeasure(mu.array[idx]), EmpiricalMeasure(nu.array[idx]))
+                for idx in (draws.integers(0, 16, size=16) for _ in range(12))
+            ]
+        )
+        ci = bootstrap_w1_ci(mu, nu, np.random.default_rng(39), n_resamples=12)
+        assert ci == float(1.96 * values.std(ddof=1))
+
+    @pytest.mark.parametrize("n_resamples", [0, 1])
+    def test_too_few_resamples_raise(self, n_resamples):
+        mu = EmpiricalMeasure(np.random.default_rng(40).dirichlet(np.ones(2), size=8))
+        with pytest.raises(DomainError, match="at least 2 resamples"):
+            bootstrap_w1_ci(mu, mu, np.random.default_rng(41), n_resamples=n_resamples)
+
+    def test_dimension_mismatch_raises(self):
+        rng = np.random.default_rng(42)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
+        nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8))
+        with pytest.raises(DimensionError, match="different dimensions: 2 vs 3"):
+            bootstrap_w1_ci(mu, nu, rng)
 
 
 class TestWorkerPool:
@@ -530,13 +558,11 @@ class TestWorkerPool:
             convergence_experiment(law, zero, base, [8], 16, (1.0,), master_seed=36, jobs=2)
 
     def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
-        import scipy.optimize
-
         def failing(cost):
             raise CapacityError("solver refused")
 
         # workers fork after the patch, so they inherit it
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", failing)
+        monkeypatch.setattr(transport, "linear_sum_assignment", failing)
         rng = np.random.default_rng(37)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
         with worker_pool(2) as pool, pytest.raises(CapacityError):
