@@ -28,7 +28,7 @@ from .errors import (
     DomainError,
     FitnessDegenerateError,
 )
-from .report import write_csv, write_json
+from .report import csv_cells, write_csv, write_json
 from .simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, payoff_fitness
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
@@ -509,24 +509,29 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
 TRAJECTORY_SCHEMA = "moranfield-trajectory/v1"
 
 
+def _trajectory_header(m: int) -> list[str]:
+    return ["t"] + [f"lambda_{i + 1}" for i in range(m)]
+
+
 def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMatrix) -> None:
     """Write grid-point proportions as CSV plus a JSON sidecar.
 
     The CSV keeps 17 significant digits so proportions (and hence integer
     counts) round-trip bit-exactly; the sidecar holds schedule, seed and
-    payoff matrix.
+    payoff matrix.  A proportion takes one of the N + 1 values j / N, so each
+    is formatted once, and the rows go to :func:`write_csv` in blocks of
+    ``DRAW_BLOCK``, each a column of times and one column of formatted
+    proportions per strategy.
     """
-    header = ["t"] + [f"lambda_{i + 1}" for i in range(traj.counts.shape[1])]
-    # a proportion takes one of the N + 1 values j / N: format each once
-    n = traj.schedule.population
-    if traj.counts.min() < 0 or traj.counts.max() > n:
+    n, counts = traj.schedule.population, traj.counts
+    if counts.min() < 0 or counts.max() > n:
         raise DomainError(f"trajectory counts must lie in [0, {n}]")
-    text = [f"{x:.17g}" for x in (np.arange(n + 1) / n).tolist()]
-    rows = (
-        [f"{t:.17g}", *map(text.__getitem__, row)]
-        for t, row in zip(traj.times().tolist(), traj.counts.tolist())
+    text, times = csv_cells(np.arange(n + 1) / n), traj.times()
+    blocks = (
+        [times[a : a + DRAW_BLOCK], *text[counts[a : a + DRAW_BLOCK]].T]
+        for a in range(0, len(counts), DRAW_BLOCK)
     )
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, _trajectory_header(counts.shape[1]), blocks)
     sidecar = {
         "schema": TRAJECTORY_SCHEMA,
         "schedule": asdict(traj.schedule),
@@ -536,31 +541,85 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
     write_json(sidecar_path, sidecar)
 
 
-def import_trajectory(csv_path, sidecar_path):
-    """Inverse of :func:`export_trajectory`; returns (Trajectory, PayoffMatrix)."""
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+def _read_sidecar(sidecar_path):
+    """(schedule, seed, matrix) of a trajectory sidecar; ConfigurationError
+    names the key that is missing or bad."""
+    try:
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"trajectory sidecar is not valid JSON: {err}") from None
+    if not isinstance(sidecar, dict):
+        raise ConfigurationError("trajectory sidecar must be a JSON object")
     if sidecar.get("schema") != TRAJECTORY_SCHEMA:
         raise ConfigurationError(f"unexpected sidecar schema {sidecar.get('schema')!r}")
-    schedule = ScalingSchedule(**sidecar["schedule"])
-    matrix = PayoffMatrix(sidecar["payoff_matrix"])
-    n = schedule.population
+    for key in ("schedule", "seed", "payoff_matrix"):
+        if key not in sidecar:
+            raise ConfigurationError(f"trajectory sidecar is missing key {key!r}")
+    seed = sidecar["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigurationError(f"trajectory sidecar key 'seed' must be an integer, got {seed!r}")
+    try:
+        schedule = ScalingSchedule(**sidecar["schedule"])
+    except TypeError as err:
+        # an unknown or missing field, or a value of the wrong type
+        raise ConfigurationError(f"trajectory sidecar key 'schedule': {err}") from None
+    return schedule, seed, PayoffMatrix(sidecar["payoff_matrix"])
+
+
+def import_trajectory(csv_path, sidecar_path):
+    """Inverse of :func:`export_trajectory`; returns (Trajectory, PayoffMatrix).
+
+    The CSV must carry the export's header for the sidecar's M, one row per
+    grid time with ``t`` equal to ``schedule.times()``, and proportions within
+    1e-9 / N of the 1/N lattice.  ConfigurationError names the row of a file
+    that is not such an export, DomainError the row of an off-lattice
+    proportion or of counts that do not sum to N; rows are numbered from 1
+    after the header.
+    """
+    schedule, seed, matrix = _read_sidecar(sidecar_path)
+    n, times = schedule.population, schedule.times()
+    header = _trajectory_header(matrix.dimension)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        m = len(next(reader)) - 1
-        rows = [[float(x) for x in row[1:]] for row in reader]
-    if len(rows) != schedule.resolution + 1 or any(len(row) != m for row in rows):
-        raise ConfigurationError("trajectory CSV does not match its sidecar schedule")
-    if m < 2:
-        raise DimensionError(f"trajectory CSV has {m} strategy columns, need M >= 2")
-    counts = np.rint(np.array(rows) * n).astype(np.int64)
+        if next(reader, None) != header:
+            raise ConfigurationError(f"trajectory CSV header is not {','.join(header)}")
+        rows = []
+        for row, cells in enumerate(reader, 1):
+            if len(cells) != len(header):
+                raise ConfigurationError(
+                    f"trajectory CSV row {row} has {len(cells)} cells, expected {len(header)}"
+                )
+            try:
+                rows.append([float(x) for x in cells])
+            except ValueError as err:
+                raise ConfigurationError(f"trajectory CSV row {row}: {err}") from None
+    if len(rows) != len(times):
+        raise ConfigurationError(
+            f"trajectory CSV has {len(rows)} rows, its sidecar schedule {len(times)}"
+        )
+    values = np.array(rows)
+    wrong_time = values[:, 0] != times
+    if wrong_time.any():
+        row = int(np.argmax(wrong_time))
+        raise ConfigurationError(
+            f"trajectory CSV row {row + 1}: t = {values[row, 0]:.17g}, expected {times[row]:.17g}"
+        )
+    scaled = values[:, 1:] * n
+    counts = np.rint(scaled)
+    # written so that nan fails
+    off = ~(np.abs(scaled - counts) <= 1e-9)
+    if off.any():
+        row, col = np.argwhere(off)[0]
+        raise DomainError(
+            f"trajectory CSV row {row + 1}: {values[row, col + 1]:.17g} is not a multiple of 1/{n}"
+        )
+    counts = counts.astype(np.int64)
     if np.any(counts < 0):
-        raise DomainError("negative strategy count in trajectory CSV")
+        row = int(np.argmax((counts < 0).any(axis=1)))
+        raise DomainError(f"negative strategy count in trajectory CSV row {row + 1}")
     sums = counts.sum(axis=1)
     if np.any(sums != n):
         row = int(np.argmax(sums != n))
         raise DomainError(f"trajectory CSV row {row + 1} sums to {sums[row]}, expected {n}")
-    return (
-        Trajectory(schedule=schedule, counts=counts, seed=int(sidecar["seed"])),
-        matrix,
-    )
+    return Trajectory(schedule=schedule, counts=counts, seed=seed), matrix

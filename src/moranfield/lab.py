@@ -335,7 +335,8 @@ class ConvergenceReport:
         return {"schema": REPORT_SCHEMA, **data}
 
     def table(self) -> tuple[list, list]:
-        """CSV header and rows: one row per (resolution, checkpoint)."""
+        """CSV header and one block of columns for ``report.write_csv``: one row
+        per (resolution, checkpoint)."""
         header = ["k", "t", "w1", "ci", "w1_bar_gap", "n_k", "w_k", "tau_k"]
         rows = [
             [rec.k, c.t, c.w1_to_limit, c.ci_halfwidth, c.affine_constant_gap,
@@ -343,7 +344,7 @@ class ConvergenceReport:
             for rec in self.resolutions
             for c in rec.checkpoints
         ]
-        return header, rows
+        return header, [list(zip(*rows))]
 
 
 def _limit_measures(initial, matrix, checkpoints, flow_cfg):
@@ -489,7 +490,8 @@ class RegimeReport:
         return {"schema": REGIME_SCHEMA, **asdict(self)}
 
     def table(self) -> tuple[list, list]:
-        """CSV header and rows: one row per resolution."""
+        """CSV header and one block of columns for ``report.write_csv``: one row
+        per resolution."""
         header = ["k", "tau_k", "n_k", "w_k", "drift_scale", "w1_start_end", "ci",
                   "mean_displacement_rate"]
         rows = [
@@ -497,7 +499,7 @@ class RegimeReport:
              r.w1_start_end, r.ci_halfwidth, r.mean_displacement_rate]
             for r in self.records
         ]
-        return header, rows
+        return header, [list(zip(*rows))]
 
 
 def classify_regime(alpha: float, beta: float, tol: float = 1e-9) -> str:

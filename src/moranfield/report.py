@@ -8,10 +8,12 @@ and digest; :func:`read_report` checks both before returning the payload.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -30,13 +32,37 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """Floats as ``.17g`` (they round-trip exactly), every other cell as-is."""
+def csv_cells(column) -> np.ndarray:
+    """One column as an object array of CSV cells: floats as ``.17g`` (they
+    round-trip exactly), any other value as ``str``; an object array is taken
+    to hold cells already.  The type is read once per column: a column mixing
+    integers and floats is a float column, in which an integer below 2**53
+    prints as it would alone."""
+    values = np.asarray(column)
+    if values.dtype == object:
+        return values
+    cell = "{:.17g}".format if values.dtype.kind == "f" else str
+    return np.array([cell(x) for x in values.tolist()], dtype=object)
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write ``header``, then each block of rows, given as a list of columns of
+    equal length that :func:`csv_cells` turns into cells.
+
+    The one CSV format of the package: cells joined by ``,`` and lines ended
+    by ``\\r\\n``, with no quoting, since every cell is a number or a fixed
+    identifier.  These are the bytes ``csv.writer``'s default dialect writes
+    for the same cells.  Each block is assembled column by column and written
+    in one piece, so a caller bounds the memory by the size of its blocks.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+        for columns in itertools.chain([[[name] for name in header]], blocks):
+            lines = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
+            lines[:, 1::2] = ","
+            lines[:, -1] = "\r\n"
+            for j, column in enumerate(columns):
+                lines[:, 2 * j] = csv_cells(column)
+            fh.write("".join(lines.ravel().tolist()))
 
 
 def payload_digest(payload: dict) -> str:
