@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -28,18 +29,15 @@ import numpy as np
 
 from . import __version__, oracles
 from .engine import ScalingSchedule, discretize_initial, export_trajectory, simulate
-from .errors import (
-    ConfigurationError,
-    RegimeError,
-    SimulationError,
-)
-from .flow import FlowConfig
+from .errors import ConfigurationError, DomainError, RegimeError, SimulationError
+from .flow import FlowConfig, default_flow_config
 from .lab import (
     InitialLaw,
     convergence_experiment,
     draw_initial_samples,
     quadrature_checkpoints,
     regime_experiment,
+    require_convergent_regime,
     residual_floor,
     run_ensemble,
     standard_test_functions,
@@ -52,154 +50,140 @@ from .transport import EXACT_SIZE_CAP
 OUTPUT_DIR_ENV = "MORANFIELD_OUTPUT_DIR"
 MANIFEST_SCHEMA = "moranfield-manifest/v1"
 
-_DEFAULTS = {
-    "horizon": 1.0,
-    "alpha": 0.6,
-    "beta": 0.4,
-    "n_floor": 2,
-    "n_scale": 1.0,
-    "w_scale": 1.0,
-    "ensemble_size": 256,
-    "checkpoints": [0.25, 0.5, 1.0],
-    "master_seed": 0,
-    "quadrature_stride": 0,
-    "max_exact_size": 4096,
-    "verdict": {"max_consecutive_ratio": 1.2, "final_ratio": 0.5},
-}
 
-# keys a config may carry besides the defaulted ones
-_OPTIONAL_KEYS = {
-    "payoff_matrix",
-    "initial_law",
-    "resolutions",
-    "resolution",
-    "flow_step",
-    "output_dir",
-}
-_VERDICT_KEYS = {"max_consecutive_ratio", "final_ratio", "final_checkpoint"}
-_INTEGER_KEYS = (
-    "n_floor", "ensemble_size", "master_seed", "quadrature_stride", "max_exact_size", "resolution"
-)
-# how each numeric key is read later; a value its reader rejects fails at load
-_NUMBER_READERS = {
-    **dict.fromkeys(_INTEGER_KEYS, int),
-    **dict.fromkeys(("horizon", "alpha", "beta", "n_scale", "w_scale", "flow_step"), float),
-}
-# the initial_law key that holds each kind's value; every kind may carry "dimension"
-_LAW_KEYS = {"dirac": "point", "dirichlet": "concentration", "uniform": "dimension"}
+def _number(integral=False, least=None):
+    """Reader of a finite number, an int when ``integral``, of at least ``least``.
 
+    A numeric string is read as ``float()`` or ``int()`` reads it.  A bool is
+    rejected, and so is a fractional float where an int is due, which
+    ``int()`` would truncate while the manifest records the value as given.
+    """
 
-def _check_keys(data: dict) -> None:
-    """Reject keys no command reads, so a typo cannot fall back to a default."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    for key in data:
-        if key not in _DEFAULTS and key not in _OPTIONAL_KEYS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    verdict = data.get("verdict")
-    if verdict is None:
-        return
-    if not isinstance(verdict, dict):
-        raise ConfigurationError("config key 'verdict' must be an object")
-    for key in verdict:
-        if key not in _VERDICT_KEYS:
-            raise ConfigurationError(f"unknown config key 'verdict.{key}'")
-
-
-def _truncated(value) -> bool:
-    """Whether ``int(value)`` would drop a fractional part, which the manifest keeps."""
-    return isinstance(value, float) and not value.is_integer()
-
-
-def _check_values(merged: dict) -> None:
-    """Reject at load, naming the key, a value that a reader would fail on later."""
-    values = [(key, merged.get(key), read) for key, read in _NUMBER_READERS.items()]
-    values += [(f"verdict.{key}", value, float) for key, value in merged["verdict"].items()]
-    values.append(("checkpoints", merged["checkpoints"], lambda ts: [float(t) for t in ts]))
-    for key, value, read in values:
+    def read(key, value):
         try:
-            numbers = np.ravel(read(value)) if value is not None else []
-            if not np.isfinite([x for x in numbers if isinstance(x, float)]).all():
+            if isinstance(value, bool):
+                raise TypeError
+            number = int(value) if integral else float(value)
+            if not integral and not math.isfinite(number):
                 raise ValueError  # float() reads "nan", "inf" and 1e999
         except (TypeError, ValueError, OverflowError):
             msg = f"config key {key!r} must be numeric and finite, got {value!r}"
             raise ConfigurationError(msg) from None
-    for key in _INTEGER_KEYS:
-        if _truncated(merged.get(key)):
-            raise ConfigurationError(f"config key {key!r} must be an integer, got {merged[key]!r}")
-    step = merged.get("flow_step", 1.0)
-    if float(step) <= 0.0:
-        raise ConfigurationError(f"config key 'flow_step' must be positive, got {step!r}")
-    law = merged.get("initial_law", {})
-    if not isinstance(law, dict):
-        raise ConfigurationError("config key 'initial_law' must be an object")
-    # an unknown kind is reported by InitialLaw.from_dict
-    extra = set(law) - {"kind", "dimension", _LAW_KEYS.get(law.get("kind"))}
-    if law.get("kind") in _LAW_KEYS and extra:
-        raise ConfigurationError(
-            f"unknown config key 'initial_law.{min(extra)}' for a {law['kind']} law"
-        )
+        if isinstance(value, float) and number != value:
+            raise ConfigurationError(f"config key {key!r} must be an integer, got {value!r}")
+        if least is not None and number < least:
+            raise ConfigurationError(f"config key {key!r} must be >= {least}, got {value!r}")
+        return number
+
+    return read
 
 
-def _read_value(merged: dict, key: str, read, name=None):
-    """``read(merged[key])``, a missing or bad value reported as a configuration
-    error that names ``name`` (default ``key``)."""
-    try:
-        return read(merged[key])
-    except KeyError as err:
-        raise ConfigurationError(f"config is missing required key {err}") from err
-    except (SimulationError, TypeError, ValueError) as err:
-        raise ConfigurationError(f"invalid config key {name or key!r}: {err}") from err
+def _list_of(read):
+    """Reader of a list, item ``i`` read by ``read`` as the key ``key[i]``."""
+
+    def read_list(key, value):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"config key {key!r} must be a list, got {value!r}")
+        return [read(f"{key}[{i}]", item) for i, item in enumerate(value)]
+
+    return read_list
+
+
+def _built(make):
+    """Reader that builds ``make(value)``, which checks the value itself."""
+
+    def read(key, value):
+        try:
+            return make(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(f"invalid config key {key!r}: {err}") from err
+
+    return read
+
+
+def _read_flow_step(key, value):
+    return _built(FlowConfig)(key, _number()(key, value))
+
+
+# the verdict thresholds given none; final_checkpoint defaults to the last checkpoint
+_VERDICT = {"max_consecutive_ratio": 1.2, "final_ratio": 0.5}
+
+
+def _read_verdict(key, value):
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config key {key!r} must be an object")
+    for name in value:
+        if name not in (*_VERDICT, "final_checkpoint"):
+            raise ConfigurationError(f"unknown config key '{key}.{name}'")
+    return {name: _number()(f"{key}.{name}", v) for name, v in {**_VERDICT, **value}.items()}
+
+
+#: each config key's reader and default (None: no default; payoff_matrix and
+#: initial_law are required, the others optional).  A reader takes (key, value)
+#: and returns the value typed, or raises ConfigurationError naming the key.
+#: ScalingSchedule checks the ranges of the six schedule keys, FlowConfig that
+#: of flow_step, PayoffMatrix and InitialLaw their own.
+_SCHEMA = {
+    "horizon": (_number(), 1.0),
+    "alpha": (_number(), 0.6),
+    "beta": (_number(), 0.4),
+    "n_floor": (_number(integral=True), 2),
+    "n_scale": (_number(), 1.0),
+    "w_scale": (_number(), 1.0),
+    "ensemble_size": (_number(integral=True, least=2), 256),
+    "checkpoints": (_list_of(_number()), [0.25, 0.5, 1.0]),
+    "master_seed": (_number(integral=True, least=0), 0),
+    "quadrature_stride": (_number(integral=True, least=0), 0),
+    "max_exact_size": (_number(integral=True), 4096),
+    "verdict": (_read_verdict, _VERDICT),
+    "payoff_matrix": (_built(PayoffMatrix), None),
+    "initial_law": (lambda key, value: InitialLaw.from_dict(value), None),
+    "resolutions": (_list_of(_number(integral=True, least=1)), None),
+    "resolution": (_number(integral=True, least=1), None),
+    "flow_step": (_read_flow_step, None),
+    "output_dir": (_built(os.fspath), None),
+}
 
 
 class RunConfig:
-    """Resolved run configuration with module preconditions checked up front."""
+    """A run's config, each key read once, at load, by its reader in ``_SCHEMA``.
+
+    ``data`` keeps every value as given, over the defaults: the manifest
+    records it and :meth:`sha256` hashes it.  The commands read the typed
+    attributes.
+    """
 
     def __init__(self, data: dict):
-        _check_keys(data)
-        merged = dict(_DEFAULTS)
-        merged.update({k: v for k, v in data.items() if v is not None})
-        self.data = merged
-        _check_values(merged)
-        self.ensemble_size = int(merged["ensemble_size"])
-        self.checkpoints = [float(t) for t in merged["checkpoints"]]
-        self.master_seed = int(merged["master_seed"])
-        self.verdict = dict(_DEFAULTS["verdict"], **merged.get("verdict", {}))
-        kind = merged.get("initial_law", {}).get("kind")
-        law_name = f"initial_law.{_LAW_KEYS.get(kind, 'kind')}"
-        self.matrix = _read_value(merged, "payoff_matrix", PayoffMatrix)
-        self.law = _read_value(merged, "initial_law", InitialLaw.from_dict, law_name)
+        for key in data:
+            if key not in _SCHEMA:
+                raise ConfigurationError(f"unknown config key {key!r}")
+        defaults = {key: default for key, (_, default) in _SCHEMA.items() if default is not None}
+        self.data = {**defaults, **{k: v for k, v in data.items() if v is not None}}
+        for key in ("payoff_matrix", "initial_law"):
+            if key not in self.data:
+                raise ConfigurationError(f"config is missing required key {key!r}")
+        values = {key: _SCHEMA[key][0](key, value) for key, value in self.data.items()}
+        self.matrix = values["payoff_matrix"]
+        self.law = values["initial_law"]
+        self.ensemble_size = values["ensemble_size"]
+        self.checkpoints = values["checkpoints"]
+        self.master_seed = values["master_seed"]
+        self.quadrature_stride = values["quadrature_stride"]
+        self.verdict = values["verdict"]
+        self.resolution = values.get("resolution")
+        self.output_dir = values.get("output_dir")
+        self._resolutions = values.get("resolutions")
+        schedule_keys = ("horizon", "alpha", "beta", "n_floor", "n_scale", "w_scale")
         try:
-            # every resolution's schedule is this one with its resolution
-            # replaced; it checks its own ranges (horizon, exponents, prefactors)
-            self.base = ScalingSchedule(
-                horizon=float(merged["horizon"]),
-                resolution=1,
-                alpha=float(merged["alpha"]),
-                beta=float(merged["beta"]),
-                n_floor=int(merged["n_floor"]),
-                n_scale=float(merged["n_scale"]),
-                w_scale=float(merged["w_scale"]),
-            )
-        except SimulationError as err:
+            # every resolution's schedule is this one with its resolution replaced
+            self.base = ScalingSchedule(resolution=1, **{key: values[key] for key in schedule_keys})
+        except DomainError as err:
             raise ConfigurationError(f"invalid config value: {err}") from err
+        self.flow = values.get("flow_step") or default_flow_config(self.base.horizon)
         if self.law.dimension != self.matrix.dimension:
             raise ConfigurationError(
                 f"initial law dimension {self.law.dimension} does not match "
                 f"payoff matrix dimension {self.matrix.dimension}"
-            )
-        if self.ensemble_size < 2:
-            raise ConfigurationError(
-                f"ensemble_size must be at least 2, got {self.ensemble_size}"
-            )
-        ks = merged.get("resolutions") or []
-        try:
-            valid = isinstance(ks, list) and all(int(k) > 0 and not _truncated(k) for k in ks)
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigurationError(
-                f"config key 'resolutions' must be a list of positive integers, got {ks!r}"
             )
         if not self.checkpoints:
             raise ConfigurationError("config key 'checkpoints' must list at least one time")
@@ -207,13 +191,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
             )
-        for key, least in (("master_seed", 0), ("quadrature_stride", 0), ("resolution", 1)):
-            if merged.get(key) is not None and int(merged[key]) < least:
-                raise ConfigurationError(
-                    f"config key {key!r} must be >= {least}, got {merged[key]!r}"
-                )
         final = self.verdict.get("final_checkpoint")
-        if final is not None and float(final) not in self.checkpoints:
+        if final is not None and final not in self.checkpoints:
             raise ConfigurationError(
                 f"config key 'verdict.final_checkpoint' ({final!r}) is not one of "
                 f"the checkpoints {self.checkpoints}"
@@ -231,42 +210,17 @@ class RunConfig:
                 raise ConfigurationError(
                     f"config file {path} line {err.lineno}: {err.msg}"
                 ) from err
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(data)
+        if not isinstance(data, dict):
+            raise ConfigurationError("config must be a JSON object")
+        return cls({**data, **{k: v for k, v in overrides.items() if v is not None}})
 
     def schedule(self, resolution: int) -> ScalingSchedule:
-        return replace(self.base, resolution=int(resolution))
+        return replace(self.base, resolution=resolution)
 
     def resolutions(self) -> list[int]:
-        ks = self.data.get("resolutions")
-        if not ks:
+        if not self._resolutions:
             raise ConfigurationError("config key 'resolutions' (list of k) is required")
-        return [int(k) for k in ks]
-
-    def flow_config(self) -> FlowConfig:
-        step = self.data.get("flow_step", self.base.horizon / 1024.0)
-        return FlowConfig(step_size=float(step))
-
-    def require_exact_size(self) -> None:
-        """Reject, before any chain step, an ensemble too large for exact W1."""
-        if self.ensemble_size > EXACT_SIZE_CAP:
-            raise ConfigurationError(
-                f"ensemble_size {self.ensemble_size} exceeds the exact W1 cap {EXACT_SIZE_CAP}"
-            )
-
-    def require_convergent_regime(self) -> None:
-        alpha, beta = self.base.alpha, self.base.beta
-        if alpha <= 0.5:
-            raise ConfigurationError(
-                f"converge requires alpha > 1/2 (the critical threshold below "
-                f"which fluctuations dominate); got alpha={alpha}"
-            )
-        if abs(alpha + beta - 1.0) > 1e-9:
-            raise ConfigurationError(
-                f"converge requires alpha + beta = 1, got "
-                f"{alpha} + {beta} = {alpha + beta}; "
-                f"use `regimes` (or --regime) for other exponents"
-            )
+        return self._resolutions
 
     def to_dict(self) -> dict:
         out = dict(self.data)
@@ -281,7 +235,7 @@ class RunConfig:
 def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
     candidate = (
         flag_value
-        or config.data.get("output_dir")
+        or config.output_dir
         or os.environ.get(OUTPUT_DIR_ENV)
         or "moranfield-out"
     )
@@ -309,9 +263,9 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig) -> None:
 
 def cmd_simulate(args) -> int:
     config = RunConfig.load(args.config, {"master_seed": args.seed, "resolution": args.k})
-    if config.data.get("resolution") is None:
+    if config.resolution is None:
         raise ConfigurationError("simulate needs a resolution (config 'resolution' or --k)")
-    schedule = config.schedule(config.data["resolution"])
+    schedule = config.schedule(config.resolution)
     lam0 = draw_initial_samples(config.law, 1, config.master_seed)[0]
     initial = discretize_initial(SimplexPoint(lam0), schedule)
     traj = simulate(initial, config.matrix, schedule, seed=config.master_seed)
@@ -328,8 +282,7 @@ def cmd_simulate(args) -> int:
 
 
 def _verdict(report, thresholds) -> tuple[bool, str]:
-    ratio_cap = float(thresholds["max_consecutive_ratio"])
-    final_ratio = float(thresholds["final_ratio"])
+    ratio_cap, final_ratio = thresholds["max_consecutive_ratio"], thresholds["final_ratio"]
     by_kt = {
         (rec.k, c.t): c.w1_to_limit
         for rec in report.resolutions
@@ -342,7 +295,7 @@ def _verdict(report, thresholds) -> tuple[bool, str]:
         for ka, kb in zip(ks, ks[1:])
         for t in ts
     )
-    t_final = float(thresholds.get("final_checkpoint", max(ts)))
+    t_final = thresholds.get("final_checkpoint", max(ts))
     first, last = by_kt[(ks[0], t_final)], by_kt[(ks[-1], t_final)]
     final_ok = last <= final_ratio * first
     # a W1 of 0 at the first k leaves the ratio undefined
@@ -365,9 +318,12 @@ def _load_sweep_config(args) -> RunConfig:
 def cmd_converge(args) -> int:
     """``converge``; with ``args.regime`` (``converge --regime`` or ``regimes``) the regime scan."""
     config = _load_sweep_config(args)
-    config.require_exact_size()
+    if config.ensemble_size > EXACT_SIZE_CAP:
+        raise ConfigurationError(
+            f"ensemble_size {config.ensemble_size} exceeds the exact W1 cap {EXACT_SIZE_CAP}"
+        )
     if not args.regime:
-        config.require_convergent_regime()
+        require_convergent_regime(config.base)
     ks = config.resolutions()
     if args.dry_run:
         print("k        tau_k        N_k      w_k")
@@ -388,7 +344,7 @@ def cmd_converge(args) -> int:
         config.ensemble_size,
         config.checkpoints,
         config.master_seed,
-        config.flow_config(),
+        config.flow,
         jobs=args.jobs,
     )
     outdir = _resolve_output_dir(args.output_dir, config)
@@ -424,7 +380,7 @@ def _run_regimes(args, config: RunConfig) -> int:
 
 def cmd_residual(args) -> int:
     config = _load_sweep_config(args)
-    stride = int(config.data["quadrature_stride"])
+    stride = config.quadrature_stride
     runs = []
     # every node set is checked before the first chain step
     for k in config.resolutions():
@@ -452,7 +408,7 @@ def cmd_residual(args) -> int:
                 nodes,
                 config.master_seed,
                 phis,
-                config.flow_config(),
+                config.flow,
             )
         for phi, floor in zip(phis, floors[nodes]):
             est = weak_form_residual(ensemble, config.matrix, phi)
@@ -537,9 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=False, help="JSON run config file")
+    def common(p):
+        p.add_argument("--config", required=False, help="JSON run config file")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--output-dir", default=None, help="output directory")
         p.add_argument(
@@ -556,29 +511,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", type=int, default=None, help="grid resolution")
     p_sim.set_defaults(fn=cmd_simulate)
 
-    p_conv = sub.add_parser("converge", help="resolution sweep against the flow limit")
-    common(p_conv)
-    p_conv.add_argument("--resolutions", type=int, nargs="+", default=None)
-    p_conv.add_argument("--ensemble-size", type=int, default=None)
+    def sweep(name, summary, **defaults):
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--resolutions", type=int, nargs="+", default=None)
+        p.add_argument("--ensemble-size", type=int, default=None)
+        p.set_defaults(**defaults)
+        return p
+
+    p_conv = sweep("converge", "resolution sweep against the flow limit", fn=cmd_converge)
     p_conv.add_argument("--dry-run", action="store_true", help="print the schedule table only")
     p_conv.add_argument(
         "--regime",
         action="store_true",
         help="allow alpha+beta != 1 and run the regime scan instead",
     )
-    p_conv.set_defaults(fn=cmd_converge)
-
-    p_reg = sub.add_parser("regimes", help="scaling-regime scan")
-    common(p_reg)
-    p_reg.add_argument("--resolutions", type=int, nargs="+", default=None)
-    p_reg.add_argument("--ensemble-size", type=int, default=None)
-    p_reg.set_defaults(fn=cmd_converge, regime=True, dry_run=False)
-
-    p_res = sub.add_parser("residual", help="weak-form residual of the chain law")
-    common(p_res)
-    p_res.add_argument("--resolutions", type=int, nargs="+", default=None)
-    p_res.add_argument("--ensemble-size", type=int, default=None)
-    p_res.set_defaults(fn=cmd_residual)
+    sweep("regimes", "scaling-regime scan", fn=cmd_converge, regime=True, dry_run=False)
+    sweep("residual", "weak-form residual of the chain law", fn=cmd_residual)
 
     p_val = sub.add_parser("validate", help="acceptance oracles at small counts")
     p_val.add_argument("--seed", type=_seed, default=0)

@@ -267,6 +267,11 @@ def step(state: DiscreteState, matrix: PayoffMatrix, rng: np.random.Generator) -
     return DiscreteState(path[1], n, w)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int (numpy's included) and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ScalingSchedule:
     """Resolution-indexed scaling of step size, population and selection.
@@ -289,14 +294,14 @@ class ScalingSchedule:
         # written so that nan fails every range check
         if not 0 < self.horizon < np.inf:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
-        if int(self.resolution) < 1:
-            raise DomainError(f"resolution must be >= 1, got {self.resolution}")
+        if not _is_integer(self.resolution) or self.resolution < 1:
+            raise DomainError(f"resolution must be an integer >= 1, got {self.resolution!r}")
         if not 0 < self.alpha < np.inf:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.beta < np.inf:
             raise DomainError(f"beta must be nonnegative and finite, got {self.beta}")
-        if self.n_floor < 2:
-            raise DomainError(f"n_floor must be at least 2, got {self.n_floor}")
+        if not _is_integer(self.n_floor) or self.n_floor < 2:
+            raise DomainError(f"n_floor must be an integer >= 2, got {self.n_floor!r}")
         if not 0 < self.n_scale < np.inf:
             raise DomainError(f"n_scale must be positive and finite, got {self.n_scale}")
         if not 0 <= self.w_scale < np.inf:
@@ -557,14 +562,18 @@ def _read_sidecar(sidecar_path):
         if key not in sidecar:
             raise ConfigurationError(f"trajectory sidecar is missing key {key!r}")
     seed = sidecar["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_integer(seed):
         raise ConfigurationError(f"trajectory sidecar key 'seed' must be an integer, got {seed!r}")
     try:
         schedule = ScalingSchedule(**sidecar["schedule"])
-    except TypeError as err:
-        # an unknown or missing field, or a value of the wrong type
+    except (TypeError, DomainError) as err:
+        # an unknown or missing field, or a value of the wrong type or range
         raise ConfigurationError(f"trajectory sidecar key 'schedule': {err}") from None
-    return schedule, seed, PayoffMatrix(sidecar["payoff_matrix"])
+    try:
+        matrix = PayoffMatrix(sidecar["payoff_matrix"])
+    except (DimensionError, DomainError) as err:
+        raise ConfigurationError(f"trajectory sidecar key 'payoff_matrix': {err}") from None
+    return schedule, seed, matrix
 
 
 def import_trajectory(csv_path, sidecar_path):

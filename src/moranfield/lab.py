@@ -112,15 +112,36 @@ class InitialLaw:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "InitialLaw":
-        kind = data["kind"]
-        if kind == "dirac":
-            return cls.dirac(np.asarray(data["point"], dtype=float))
-        if kind == "dirichlet":
-            return cls.dirichlet(data["concentration"])
-        if kind == "uniform":
-            return cls.uniform(int(data["dimension"]))
-        raise ConfigurationError(f"unknown initial law kind {kind!r}")
+    def from_dict(cls, data) -> "InitialLaw":
+        """Inverse of :meth:`to_dict`, the config's ``initial_law`` object: a
+        ``kind`` and that kind's one field, ``point``, ``concentration`` or
+        ``dimension``; every kind may carry ``dimension``.  ConfigurationError
+        names the ``initial_law.<key>`` that is missing, unknown or invalid."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("config key 'initial_law' must be an object")
+        makers = {
+            "dirac": ("point", cls.dirac),
+            "dirichlet": ("concentration", cls.dirichlet),
+            "uniform": ("dimension", lambda dimension: cls.uniform(int(dimension))),
+        }
+        kind = data.get("kind")
+        if not isinstance(kind, str) or kind not in makers:
+            raise ConfigurationError(
+                f"config key 'initial_law.kind' must be one of {sorted(makers)}, got {kind!r}"
+            )
+        field, make = makers[kind]
+        extra = set(data) - {"kind", "dimension", field}
+        if extra:
+            raise ConfigurationError(
+                f"unknown config key 'initial_law.{min(extra)}' for a {kind} law"
+            )
+        try:
+            return make(data[field])
+        except KeyError:
+            msg = f"config is missing required key 'initial_law.{field}'"
+            raise ConfigurationError(msg) from None
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(f"invalid config key 'initial_law.{field}': {err}") from err
 
 
 def _rng(master_seed: int, stream: str, *index) -> np.random.Generator:
@@ -367,6 +388,18 @@ def _distance_witnesses(mu, nu):
     return witnesses
 
 
+def require_convergent_regime(schedule: ScalingSchedule) -> None:
+    """Raise RegimeError unless ``alpha + beta = 1`` with ``alpha > 1/2``, the
+    scaling regime in which the chain law converges to the flow pushforward."""
+    alpha, beta = schedule.alpha, schedule.beta
+    if abs(alpha + beta - 1.0) > 1e-9 or alpha <= 0.5:
+        raise RegimeError(
+            f"convergence requires alpha + beta = 1 with alpha > 1/2 (the critical "
+            f"threshold below which fluctuations dominate); got alpha={alpha}, "
+            f"beta={beta}; the regime scan measures other exponents"
+        )
+
+
 def convergence_experiment(
     law: InitialLaw,
     matrix: PayoffMatrix,
@@ -382,13 +415,9 @@ def convergence_experiment(
 
     ``base`` supplies horizon, exponents and prefactors; its resolution field
     is replaced by each entry of ``resolutions``.  Requires the convergent
-    scaling regime ``alpha + beta = 1`` with ``alpha > 1/2``.
+    scaling regime (:func:`require_convergent_regime`).
     """
-    if abs(base.alpha + base.beta - 1.0) > 1e-9 or base.alpha <= 0.5:
-        raise RegimeError(
-            f"convergence requires alpha + beta = 1 with alpha > 1/2 "
-            f"(critical threshold); got alpha={base.alpha}, beta={base.beta}"
-        )
+    require_convergent_regime(base)
     ks = [int(k) for k in resolutions]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigurationError(f"resolutions must be strictly increasing, got {ks}")

@@ -78,7 +78,10 @@ class PayoffMatrix:
     entries: np.ndarray
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
+        try:
+            arr = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise DomainError(f"payoff entries must be numeric: {err}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"payoff matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:

@@ -146,7 +146,7 @@ def random_witnesses(dimension: int, count: int, rng: np.random.Generator) -> li
     return out
 
 
-def _check_lipschitz(witness: Witness, points: np.ndarray, rng=None) -> None:
+def _check_lipschitz(witness: Witness, points: np.ndarray) -> None:
     p = points.shape[0]
     vals = witness(points)
     if p <= 64:
@@ -154,7 +154,7 @@ def _check_lipschitz(witness: Witness, points: np.ndarray, rng=None) -> None:
         dist = cdist(points, points)
         bad = diff > dist + 1e-9
     else:
-        gen = rng or np.random.default_rng(0)
+        gen = np.random.default_rng(0)
         ii = gen.integers(0, p, size=2000)
         jj = gen.integers(0, p, size=2000)
         bad = np.abs(vals[ii] - vals[jj]) > np.linalg.norm(points[ii] - points[jj], axis=1) + 1e-9

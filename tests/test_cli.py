@@ -365,6 +365,16 @@ class TestConfigValidation:
             ("simulate", {"resolution": 10.5}, "resolution"),
             ("simulate", {"n_floor": 2.5}, "n_floor"),
             ("simulate", {"quadrature_stride": 1.5}, "quadrature_stride"),
+            # a JSON boolean is not a number, though int() and float() read it as 1
+            ("simulate", {"resolution": True}, "resolution"),
+            ("simulate", {"master_seed": True}, "master_seed"),
+            ("simulate", {"horizon": True}, "horizon"),
+            ("converge", {"checkpoints": [True]}, "checkpoints"),
+            ("converge", {"resolutions": [True, 16]}, "resolutions"),
+            ("converge", {"verdict": {"final_ratio": False}}, "verdict.final_ratio"),
+            # read before the flag that overrides it, so a bad value never waits for the run
+            ("simulate", {"output_dir": 5}, "output_dir"),
+            ("converge", {"output_dir": ["o"]}, "output_dir"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -389,6 +399,8 @@ class TestConfigValidation:
             ({"kind": "dirac", "point": [1.0, 0.0], "concentration": [1.0, 1.0]},
              "initial_law.concentration"),
             ({"kind": "uniform", "dimension": 2, "point": [0.5, 0.5]}, "initial_law.point"),
+            ({"kind": "dirac"}, "initial_law.point"),
+            ({"point": [1.0, 0.0]}, "initial_law.kind"),
         ],
     )
     def test_unknown_law_key_named(self, tmp_path, capsys, law, key):
@@ -418,6 +430,12 @@ class TestConfigValidation:
         assert config.sha256() == (
             "4824ab2ed6fe768e62f6d9a4b55f6906f9fd7fa5c8b11f6102382c2091c9861d"
         )
+
+    def test_config_file_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]\n")
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestValidate:

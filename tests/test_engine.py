@@ -509,6 +509,17 @@ def _unknown_schedule_key(text):
     return json.dumps(doc)
 
 
+def _schedule_edit(**changes):
+    """Sidecar text edit: set each schedule field to its value."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["schedule"].update(changes)
+        return json.dumps(doc)
+
+    return edit
+
+
 # (file, edit, error, message) on a k = 4, N = 2, M = 4 export whose every row
 # is [1, 1, 0, 0]: 0.4 is a cell of 0.5 moved off the lattice
 BAD_TRAJECTORY_FILES = {
@@ -528,6 +539,18 @@ BAD_TRAJECTORY_FILES = {
     ),
     "matrix of another M": (
         "json", _sidecar_edit(payoff_matrix=A22.to_rows()), ConfigurationError, "header"
+    ),
+    "text resolution": ("json", _schedule_edit(resolution="4"), ConfigurationError, "'schedule'"),
+    "fractional resolution": (
+        "json", _schedule_edit(resolution=4.5), ConfigurationError, "'schedule'"
+    ),
+    "bool resolution": ("json", _schedule_edit(resolution=True), ConfigurationError, "'schedule'"),
+    "text n_floor": ("json", _schedule_edit(n_floor="3"), ConfigurationError, "'schedule'"),
+    "text payoff entry": (
+        "json",
+        _sidecar_edit(payoff_matrix=[["a", 1, 1, 1]] + [[1, 1, 1, 1]] * 3),
+        ConfigurationError,
+        "'payoff_matrix'",
     ),
 }
 
