@@ -479,11 +479,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``validate --seed``: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _count(least: int):
+    """argparse type of an integer of at least ``least``: ``validate --seed`` and
+    ``--jobs``."""
+
+    def read(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,11 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None, help="output directory")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_count(1),
             default=os.cpu_count() or 1,
-            help="worker processes for the bootstrap assignment solves of converge and "
-            "regimes (one fork-started pool per run; results are identical for any value); "
-            "chains run in the calling process, and simulate and residual ignore it",
+            help="threads for the bootstrap assignment solves of converge and regimes "
+            "(results are identical for any value); everything else runs in the "
+            "calling thread, and simulate and residual ignore it",
         )
 
     p_sim = sub.add_parser("simulate", help="run a single chain at one resolution")
@@ -530,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep("residual", "weak-form residual of the chain law", fn=cmd_residual)
 
     p_val = sub.add_parser("validate", help="acceptance oracles at small counts")
-    p_val.add_argument("--seed", type=_seed, default=0)
+    p_val.add_argument("--seed", type=_count(0), default=0)
     p_val.set_defaults(fn=cmd_validate)
 
     return parser

@@ -9,15 +9,15 @@ reflects only the count-lattice rounding.
 
 Every random draw comes from a named stream of :data:`STREAMS`, seeded by
 ``master_seed`` and a fixed spawn key: each replica owns its initial-draw
-and chain streams, and every chain runs in the calling process.  A process
-pool serves only the bootstrap assignment solves, whose resample indices are
-drawn here, so results do not depend on the number of workers.
+and chain streams, and everything runs in the calling process.  Threads
+serve only the bootstrap assignment solves, whose resample indices are drawn
+here, so results do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
-from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array
+from .simplex import PayoffMatrix, SimplexPoint, _as_numbers, replicator_field_array
 from .transport import (
     EmpiricalMeasure,
     _cost_matrix,
@@ -80,12 +80,13 @@ class InitialLaw:
 
     @classmethod
     def dirac(cls, point) -> "InitialLaw":
-        p = point if isinstance(point, SimplexPoint) else SimplexPoint(point)
-        return cls(kind="dirac", dimension=p.dimension, point=p.coords)
+        if not isinstance(point, SimplexPoint):
+            point = SimplexPoint(_as_numbers(point, "dirac point"))
+        return cls(kind="dirac", dimension=point.dimension, point=point.coords)
 
     @classmethod
     def dirichlet(cls, concentration) -> "InitialLaw":
-        conc = np.asarray(concentration, dtype=float)
+        conc = _as_numbers(concentration, "dirichlet concentrations")
         if conc.ndim != 1 or conc.size < 2 or not np.all(np.isfinite(conc) & (conc > 0)):
             raise DomainError(f"dirichlet concentrations must be finite and positive, got {conc!r}")
         return cls(kind="dirichlet", dimension=conc.size, concentration=conc)
@@ -115,14 +116,15 @@ class InitialLaw:
     def from_dict(cls, data) -> "InitialLaw":
         """Inverse of :meth:`to_dict`, the config's ``initial_law`` object: a
         ``kind`` and that kind's one field, ``point``, ``concentration`` or
-        ``dimension``; every kind may carry ``dimension``.  ConfigurationError
-        names the ``initial_law.<key>`` that is missing, unknown or invalid."""
+        ``dimension``; every kind may carry ``dimension``, an integer equal to
+        the law's.  ConfigurationError names the ``initial_law.<key>`` that is
+        missing, unknown or invalid."""
         if not isinstance(data, dict):
             raise ConfigurationError("config key 'initial_law' must be an object")
         makers = {
             "dirac": ("point", cls.dirac),
             "dirichlet": ("concentration", cls.dirichlet),
-            "uniform": ("dimension", lambda dimension: cls.uniform(int(dimension))),
+            "uniform": ("dimension", cls.uniform),
         }
         kind = data.get("kind")
         if not isinstance(kind, str) or kind not in makers:
@@ -135,13 +137,29 @@ class InitialLaw:
             raise ConfigurationError(
                 f"unknown config key 'initial_law.{min(extra)}' for a {kind} law"
             )
+        dimension = data.get("dimension")
+        if dimension is not None:
+            try:
+                # int() reads "3" and 3.0, but would truncate 2.5 and read true as 1
+                if isinstance(dimension, bool) or float(dimension) != int(dimension):
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                msg = f"config key 'initial_law.dimension' must be an integer, got {dimension!r}"
+                raise ConfigurationError(msg) from None
+            data = {**data, "dimension": int(dimension)}
         try:
-            return make(data[field])
+            law = make(data[field])
         except KeyError:
             msg = f"config is missing required key 'initial_law.{field}'"
             raise ConfigurationError(msg) from None
         except (TypeError, ValueError) as err:
             raise ConfigurationError(f"invalid config key 'initial_law.{field}': {err}") from err
+        if dimension is not None and data["dimension"] != law.dimension:
+            raise ConfigurationError(
+                f"config key 'initial_law.dimension' ({dimension!r}) does not match "
+                f"the {law.dimension} entries of 'initial_law.{field}'"
+            )
+        return law
 
 
 def _rng(master_seed: int, stream: str, *index) -> np.random.Generator:
@@ -258,45 +276,20 @@ def run_ensemble(
 # -- bootstrap -------------------------------------------------------------
 
 
-def worker_pool(jobs: int):
-    """Context manager for one run's process pool of bootstrap assignment
-    solves; it yields None when ``jobs <= 1``.
-
-    Workers are forked: a spawned worker re-imports numpy, scipy and this
-    package, which made a headline ``converge`` run about 4 s slower on a
-    2-vCPU host.
-    """
-    import contextlib
-    import multiprocessing
-
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
-    )
-
-
-def _resample_means(args) -> np.ndarray:
-    """Optimal mean assignment cost of ``dist[idx][:, idx]`` for each ``idx`` row."""
-    dist, draws = args
-    return np.array([assignment_mean(dist[np.ix_(idx, idx)]) for idx in draws])
-
-
 def bootstrap_w1_ci(
     mu: EmpiricalMeasure,
     nu: EmpiricalMeasure,
     rng: np.random.Generator,
     n_resamples: int = BOOTSTRAP_RESAMPLES,
     jobs: int = 1,
-    pool=None,
 ) -> float:
     """Paired-bootstrap half-width (1.96 sigma) for W1 between equal ensembles.
 
     Replica indices are resampled once per draw and applied to both sides,
     matching the paired construction of chain and limit ensembles.  All
     draws come from ``rng`` here, one per resample in order; the assignment
-    solves run in ``jobs`` contiguous chunks, on ``pool`` when given and in
-    this process otherwise, so the value is bit-identical for any ``jobs``.
+    solves run on ``jobs`` threads over one read-only cost matrix (scipy's
+    solver releases the GIL), so the value is bit-identical for any ``jobs``.
     """
     r = mu.size
     if nu.size != r:
@@ -306,10 +299,14 @@ def bootstrap_w1_ci(
     if n_resamples < 2:
         raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
     dist = _cost_matrix(mu, nu)
-    draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
-    chunk_args = [(dist, chunk) for chunk in np.array_split(draws, max(jobs, 1))]
-    mapped = map if pool is None else pool.map
-    values = np.concatenate(list(mapped(_resample_means, chunk_args)))
+    draws = [rng.integers(0, r, size=r) for _ in range(n_resamples)]
+
+    def resample_mean(idx):
+        # each task cuts its own submatrix, so only ``jobs`` of them are held
+        return assignment_mean(dist[np.ix_(idx, idx)])
+
+    with ThreadPoolExecutor(jobs) as threads:
+        values = np.array(list(threads.map(resample_mean, draws)))
     return float(1.96 * values.std(ddof=1))
 
 
@@ -427,51 +424,40 @@ def convergence_experiment(
     started = time.perf_counter()
     records = []
     limits = None
-    # one pool serves every bootstrap solve of the run
-    with worker_pool(jobs) as pool:
-        for k in ks:
-            schedule = replace(base, resolution=k)
-            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
-            if limits is None:
-                # initial draws are keyed by (master_seed, replica) only, so
-                # the pushforward side is shared by all resolutions
-                limits = _limit_measures(
-                    ensemble.initial, matrix, checkpoints, flow_cfg
-                )
-            rows = []
-            for idx, t in enumerate(checkpoints):
-                chain = ensemble.affine[t]
-                limit = limits[t]
-                dist = w1_exact(chain, limit)
-                ci = bootstrap_w1_ci(
-                    chain,
-                    limit,
-                    _rng(master_seed, "converge_bootstrap", idx, k),
-                    jobs=jobs,
-                    pool=pool,
-                )
-                dual = w1_dual_lower_bound(
-                    chain, limit, _distance_witnesses(chain, limit)
-                )
-                gap = w1_exact(ensemble.affine[t], ensemble.constant[t])
-                rows.append(
-                    CheckpointRecord(
-                        t=t,
-                        w1_to_limit=float(dist),
-                        ci_halfwidth=float(ci),
-                        w1_dual_lb=float(dual),
-                        affine_constant_gap=float(gap),
-                    )
-                )
-            records.append(
-                ResolutionRecord(
-                    k=k,
-                    tau=schedule.tau,
-                    population=schedule.population,
-                    selection_weight=schedule.selection_weight,
-                    checkpoints=rows,
+    for k in ks:
+        schedule = replace(base, resolution=k)
+        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
+        if limits is None:
+            # initial draws are keyed by (master_seed, replica) only, so
+            # the pushforward side is shared by all resolutions
+            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
+        rows = []
+        for idx, t in enumerate(checkpoints):
+            chain = ensemble.affine[t]
+            limit = limits[t]
+            dist = w1_exact(chain, limit)
+            rng = _rng(master_seed, "converge_bootstrap", idx, k)
+            ci = bootstrap_w1_ci(chain, limit, rng, jobs=jobs)
+            dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
+            gap = w1_exact(ensemble.affine[t], ensemble.constant[t])
+            rows.append(
+                CheckpointRecord(
+                    t=t,
+                    w1_to_limit=float(dist),
+                    ci_halfwidth=float(ci),
+                    w1_dual_lb=float(dual),
+                    affine_constant_gap=float(gap),
                 )
             )
+        records.append(
+            ResolutionRecord(
+                k=k,
+                tau=schedule.tau,
+                population=schedule.population,
+                selection_weight=schedule.selection_weight,
+                checkpoints=rows,
+            )
+        )
     return ConvergenceReport(
         alpha=base.alpha,
         beta=base.beta,
@@ -559,36 +545,26 @@ def regime_experiment(
     """
     horizon = base.horizon
     records = []
-    with worker_pool(jobs) as pool:
-        for k in resolutions:
-            schedule = replace(base, resolution=int(k))
-            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
-            start = ensemble.constant[0.0]
-            end = ensemble.constant[horizon]
-            dist = w1_exact(start, end)
-            ci = bootstrap_w1_ci(
-                start,
-                end,
-                _rng(master_seed, "regimes_bootstrap", k),
-                jobs=jobs,
-                pool=pool,
+    for k in resolutions:
+        schedule = replace(base, resolution=int(k))
+        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
+        start = ensemble.constant[0.0]
+        end = ensemble.constant[horizon]
+        dist = w1_exact(start, end)
+        ci = bootstrap_w1_ci(start, end, _rng(master_seed, "regimes_bootstrap", k), jobs=jobs)
+        displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
+        records.append(
+            RegimeRecord(
+                k=int(k),
+                tau=schedule.tau,
+                population=schedule.population,
+                selection_weight=schedule.selection_weight,
+                drift_scale=schedule.selection_weight / (schedule.population * schedule.tau),
+                w1_start_end=float(dist),
+                ci_halfwidth=float(ci),
+                mean_displacement_rate=displacement,
             )
-            displacement = float(
-                np.linalg.norm(end.array - start.array, axis=1).mean() / horizon
-            )
-            records.append(
-                RegimeRecord(
-                    k=int(k),
-                    tau=schedule.tau,
-                    population=schedule.population,
-                    selection_weight=schedule.selection_weight,
-                    drift_scale=schedule.selection_weight
-                    / (schedule.population * schedule.tau),
-                    w1_start_end=float(dist),
-                    ci_halfwidth=float(ci),
-                    mean_displacement_rate=displacement,
-                )
-            )
+        )
     return RegimeReport(
         alpha=float(base.alpha),
         beta=float(base.beta),

@@ -19,6 +19,18 @@ from .errors import DimensionError, DomainError
 SIMPLEX_TOL = 1e-12
 
 
+def _as_numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float array; DomainError names ``what`` when an entry is
+    not a number or is a bool, which the float conversion reads as 0 or 1."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"{what} must be numeric: {err}") from None
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise DomainError(f"{what} must be numbers, not booleans, got {values!r}")
+    return arr
+
+
 def _as_vector(coords) -> np.ndarray:
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1:
@@ -78,10 +90,7 @@ class PayoffMatrix:
     entries: np.ndarray
 
     def __init__(self, entries):
-        try:
-            arr = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError) as err:
-            raise DomainError(f"payoff entries must be numeric: {err}") from None
+        arr = _as_numbers(entries, "payoff entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"payoff matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:

@@ -33,14 +33,18 @@ def write_config(path, **overrides):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is about a third of the package's start-up time and memory,
-    # and no module of the package uses it
+    # and no module of the package uses it; the bootstrap runs on threads, so
+    # nothing needs multiprocessing either
     src = os.path.dirname(os.path.dirname(moranfield.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, moranfield.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, moranfield.cli; "
+        "print([name in sys.modules for name in ('scipy.stats', 'multiprocessing')])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 class TestSimulate:
@@ -241,11 +245,11 @@ class TestResidual:
         assert len(calls) == 258
 
     def test_opens_no_process_pool(self, tmp_path, monkeypatch):
-        # residual has no assignment solves, so --jobs leaves it in one process
+        # residual has no assignment solves, so --jobs leaves it in one thread
         def refuse(*args, **kwargs):
-            raise AssertionError("residual opened a process pool")
+            raise AssertionError("residual opened a thread pool")
 
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(lab, "ThreadPoolExecutor", refuse)
         cfg = write_config(
             tmp_path / "cfg.json", resolutions=[16], ensemble_size=16, quadrature_stride=1
         )
@@ -375,6 +379,8 @@ class TestConfigValidation:
             # read before the flag that overrides it, so a bad value never waits for the run
             ("simulate", {"output_dir": 5}, "output_dir"),
             ("converge", {"output_dir": ["o"]}, "output_dir"),
+            ("converge", {"payoff_matrix": [[True, 2.0], [3.0, 4.0]]}, "payoff_matrix"),
+            ("simulate", {"payoff_matrix": [[1.0, 2.0], [3.0, False]]}, "payoff_matrix"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -401,6 +407,15 @@ class TestConfigValidation:
             ({"kind": "uniform", "dimension": 2, "point": [0.5, 0.5]}, "initial_law.point"),
             ({"kind": "dirac"}, "initial_law.point"),
             ({"point": [1.0, 0.0]}, "initial_law.kind"),
+            # a JSON boolean is not a number, though float() reads true as 1.0
+            ({"kind": "dirac", "point": [True, False]}, "initial_law.point"),
+            ({"kind": "dirichlet", "concentration": [True, 2.0]}, "initial_law.concentration"),
+            # int() would truncate 2.5; a given dimension must match the law's
+            ({"kind": "uniform", "dimension": 2.5}, "initial_law.dimension"),
+            ({"kind": "uniform", "dimension": True}, "initial_law.dimension"),
+            ({"kind": "dirac", "point": [1.0, 0.0], "dimension": 7}, "initial_law.dimension"),
+            ({"kind": "dirichlet", "concentration": [2.0, 2.0], "dimension": 3},
+             "initial_law.dimension"),
         ],
     )
     def test_unknown_law_key_named(self, tmp_path, capsys, law, key):
@@ -451,6 +466,14 @@ class TestValidate:
             main(["validate", "--seed", seed])
         assert exit_info.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
+
+    # a large value is not tested: it would start that many threads
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    def test_bad_jobs_is_rejected_at_parse_time(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["converge", "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
 
     def test_fails_without_self_interaction_correction(self, monkeypatch, capsys):
         # the transition oracle enumerates pairs itself, so a payoff formula
@@ -505,6 +528,19 @@ class TestReports:
         # tau^-alpha is below 50 at k = 8 and 16, so the floor sets N
         payload = read_report(run_sweep(tmp_path, command, n_floor=50))
         assert [rec["population"] for rec in payload[records]] == [50, 50]
+
+    @pytest.mark.parametrize("command", ["converge", "regimes"])
+    def test_bootstrap_on_two_jobs_forks_no_process(self, tmp_path, monkeypatch, command):
+        # the bootstrap's assignment solves run on threads of this process
+        def refuse():
+            raise AssertionError(f"{command} forked a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        overrides, name, _ = SWEEPS[command]
+        cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "2"]) == 0
+        assert (out / name).exists()
 
 
 class TestStreams:

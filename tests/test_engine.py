@@ -552,6 +552,12 @@ BAD_TRAJECTORY_FILES = {
         ConfigurationError,
         "'payoff_matrix'",
     ),
+    "bool payoff entry": (
+        "json",
+        _sidecar_edit(payoff_matrix=[[True, 1, 1, 1]] + [[1, 1, 1, 1]] * 3),
+        ConfigurationError,
+        "'payoff_matrix'",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import signal
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,6 @@ from moranfield.lab import (
     run_ensemble,
     standard_test_functions,
     weak_form_residual,
-    worker_pool,
 )
 from moranfield.report import payload_digest, read_report, write_csv, write_report
 from moranfield.simplex import PayoffMatrix, SimplexPoint
@@ -500,9 +500,9 @@ class TestWorkerPool:
 
     @pytest.fixture(autouse=True)
     def time_limit(self):
-        # a lost worker result would otherwise hang the suite
+        # a solve that never returns would otherwise hang the suite
         def expire(signum, frame):
-            raise TimeoutError("worker pool test exceeded 120 s")
+            raise TimeoutError("bootstrap thread test exceeded 120 s")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(120)
@@ -517,13 +517,18 @@ class TestWorkerPool:
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=24))
         nu = EmpiricalMeasure(rng.dirichlet(np.full(3, 4.0), size=24))
         serial = bootstrap_w1_ci(mu, nu, np.random.default_rng(33), n_resamples=40)
-        # uneven chunks at 3 jobs; at 41 jobs one chunk is empty
-        with worker_pool(2) as pool:
+        # 40 resamples on 3 threads do not divide evenly; 41 threads outnumber
+        # them; a short switch interval makes the threads interleave often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
             for jobs in (2, 3, 41):
-                pooled = bootstrap_w1_ci(
-                    mu, nu, np.random.default_rng(33), n_resamples=40, jobs=jobs, pool=pool
+                threaded = bootstrap_w1_ci(
+                    mu, nu, np.random.default_rng(33), n_resamples=40, jobs=jobs
                 )
-                assert pooled == serial, jobs
+                assert threaded == serial, jobs
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_convergence_digest_independent_of_jobs(self):
         law = InitialLaw.dirichlet([2.0, 2.0])
@@ -561,9 +566,9 @@ class TestWorkerPool:
         def failing(cost):
             raise CapacityError("solver refused")
 
-        # workers fork after the patch, so they inherit it
+        # each solve looks the solver up in transport, so the threads see the patch
         monkeypatch.setattr(transport, "linear_sum_assignment", failing)
         rng = np.random.default_rng(37)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
-        with worker_pool(2) as pool, pytest.raises(CapacityError):
-            bootstrap_w1_ci(mu, mu, rng, n_resamples=4, jobs=2, pool=pool)
+        with pytest.raises(CapacityError):
+            bootstrap_w1_ci(mu, mu, rng, n_resamples=4, jobs=2)
