@@ -65,8 +65,10 @@ def _advance(points: np.ndarray, h: float, entries: np.ndarray, cfg: FlowConfig)
     sums = out.sum(axis=1)
     sum_defect = float(np.max(np.abs(sums - 1.0)))
     if negativity <= RENORM_TOL and sum_defect <= RENORM_TOL:
-        out = np.clip(out, 0.0, None)
-        return out / out.sum(axis=1, keepdims=True)
+        if negativity > 0:  # without negative dust the clip is a no-op
+            out = np.clip(out, 0.0, None)
+            sums = out.sum(axis=1)
+        return out / sums[:, None]
     if h * 0.5 < cfg.min_step:
         raise StiffnessError(
             f"renormalization correction (clip {negativity:.3e}, sum defect "

@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     RegimeError,
     ResolutionError,
+    StiffnessError,
 )
 from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
@@ -693,31 +694,44 @@ class ResidualEstimate:
     node_count: int
 
 
+def _quadrature_nodes(checkpoints, phis) -> list:
+    """Sorted trapezoid nodes: at least 16, spanning ``[0, horizon]`` of every ``phi``."""
+    nodes = sorted(float(t) for t in checkpoints)
+    if len(nodes) < 16:
+        raise ResolutionError(f"time quadrature needs at least 16 nodes, got {len(nodes)}")
+    if abs(nodes[0]) > 1e-12 or any(abs(nodes[-1] - phi.horizon) > 1e-12 for phi in phis):
+        raise ConfigurationError("quadrature nodes must span [0, horizon]")
+    return nodes
+
+
 def _weak_form_terms(phi, nodes, dt_points, adv_points, matrix):
     """Per-replica trapezoid integrals over ``nodes`` of ``d_t phi`` and ``grad phi . b``.
 
-    ``dt_points[t]`` and ``adv_points[t]`` are the measures each integrand is
-    averaged over at node ``t``.
+    ``dt_points`` and ``adv_points`` stack, node by node, the (R, M) samples each
+    integrand is averaged over; one pass serves every node, each row scaled by its window.
     """
-    dt_vals = np.empty((len(nodes), dt_points[nodes[0]].size))
-    adv_vals = np.empty_like(dt_vals)
-    for row, t in enumerate(nodes):
-        dt_vals[row] = phi.time_derivative(t, dt_points[t].array)
-        pts = adv_points[t].array
-        adv_vals[row] = np.einsum(
-            "rm,rm->r", phi.gradient(t, pts), replicator_field_array(pts, matrix.entries)
-        )
-    xs = np.asarray(nodes)
-    return np.trapezoid(dt_vals, xs, axis=0), np.trapezoid(adv_vals, xs, axis=0)
+    r = len(dt_points) // len(nodes)
+    window, window_dt = (np.repeat([f(t) for t in nodes], r) for f in (phi._window, phi._window_dt))
+    dt_vals = window_dt * phi._poly(dt_points)
+    adv_vals = np.einsum(
+        "rm,rm->r",
+        window[:, None] * phi._poly_grad(adv_points),
+        replicator_field_array(adv_points, matrix.entries),
+    )
+    return tuple(np.trapezoid(v.reshape(len(nodes), r), nodes, axis=0) for v in (dt_vals, adv_vals))
 
 
-def _bootstrap_halfwidth(terms, rng: np.random.Generator) -> float:
-    """1.96-sigma bootstrap half-width of ``|sum of term means|``, each term resampled apart."""
+def _estimate(terms, rng: np.random.Generator, node_count: int) -> ResidualEstimate:
+    """``|sum of term means|`` and its 1.96-sigma bootstrap half-width (terms resampled apart).
+
+    All resample indices come from one draw, resample-major then term-major: the
+    order of one ``rng.integers(0, R, size=R)`` call per resample and term.
+    """
     r = len(terms[0])
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        values[b] = abs(sum(term[rng.integers(0, r, size=r)].mean() for term in terms))
-    return float(1.96 * values.std(ddof=1))
+    idx = rng.integers(0, r, size=(BOOTSTRAP_RESAMPLES, len(terms), r))
+    values = abs(sum(term[idx[:, i]].mean(axis=1) for i, term in enumerate(terms)))
+    value = float(abs(sum(term.mean() for term in terms)))
+    return ResidualEstimate(value, float(1.96 * values.std(ddof=1)), node_count)
 
 
 def weak_form_residual(
@@ -729,24 +743,14 @@ def weak_form_residual(
     integral of the constant-law average of ``grad phi . b``, and the initial
     term ``mean phi(0, .)``; for the exact transported law the three cancel.
     The ensemble's checkpoints serve as quadrature nodes and must span
-    ``[0, horizon]`` with at least 16 nodes.
+    ``[0, phi.horizon]`` with at least 16 nodes.
     """
-    nodes = sorted(ensemble.checkpoints)
-    if len(nodes) < 16:
-        raise ResolutionError(
-            f"time quadrature needs at least 16 nodes, got {len(nodes)}"
-        )
-    if abs(nodes[0]) > 1e-12 or abs(nodes[-1] - ensemble.schedule.horizon) > 1e-12:
-        raise ConfigurationError("quadrature nodes must span [0, horizon]")
-    term_dt, term_adv = _weak_form_terms(phi, nodes, ensemble.affine, ensemble.constant, matrix)
+    nodes = _quadrature_nodes(ensemble.checkpoints, [phi])
+    dt_points = np.concatenate([ensemble.affine[t].array for t in nodes])
+    adv_points = np.concatenate([ensemble.constant[t].array for t in nodes])
+    term_dt, term_adv = _weak_form_terms(phi, nodes, dt_points, adv_points, matrix)
     contributions = term_dt + term_adv + phi.value(0.0, ensemble.affine[nodes[0]].array)
-    return ResidualEstimate(
-        value=float(abs(contributions.mean())),
-        ci_halfwidth=_bootstrap_halfwidth(
-            [contributions], _rng(ensemble.master_seed, "residual_bootstrap")
-        ),
-        node_count=len(nodes),
-    )
+    return _estimate([contributions], _rng(ensemble.master_seed, "residual_bootstrap"), len(nodes))
 
 
 def residual_floor(
@@ -767,33 +771,32 @@ def residual_floor(
     residual is indistinguishable from zero.  (A single shared replica set
     would telescope pathwise and report only quadrature error.)  The replica
     sets and their flow passes depend only on the law, the matrix, the nodes,
-    the seed and ``flow_cfg``, so they are computed once for all of ``phis``.
+    the seed and ``flow_cfg``, so they are computed once for all of ``phis``, in one
+    pass over both sets stacked: RK4 acts row by row, so this gives the bits of two
+    passes unless a step is halved, which halves it for every row.
     """
-    nodes = sorted(float(t) for t in checkpoints)
-    if len(nodes) < 16:
-        raise ResolutionError(f"time quadrature needs at least 16 nodes, got {len(nodes)}")
+    nodes = _quadrature_nodes(checkpoints, phis)
     replicas = range(ensemble_size)
-    states_dt, states_adv = (
-        _limit_measures(
-            EmpiricalMeasure(_draws(law, master_seed, stream, replicas)), matrix, nodes, flow_cfg
-        )
-        for stream in ("floor_dt", "floor_adv")
-    )
+    sets = {s: _draws(law, master_seed, s, replicas) for s in ("floor_dt", "floor_adv")}
+    stacked = EmpiricalMeasure(np.concatenate(list(sets.values())))
+    try:
+        flowed = _limit_measures(stacked, matrix, nodes, flow_cfg)
+    except StiffnessError:
+        for stream, draws in sets.items():  # rerun apart to name the set
+            try:
+                _limit_measures(EmpiricalMeasure(draws), matrix, nodes, flow_cfg)
+            except StiffnessError as err:
+                raise StiffnessError(f"{stream} {err}") from err
+        raise
+    # node-major (nodes * R, M) samples of each set, split off the stacked rows
+    split = np.stack([flowed[t].array for t in nodes]).reshape(len(nodes), 2, ensemble_size, -1)
+    dt_rows, adv_rows = (split[:, s].reshape(len(nodes) * ensemble_size, -1) for s in (0, 1))
     initial = _draws(law, master_seed, "floor_initial", replicas)
 
     floors = []
     for phi in phis:
-        terms = [
-            *_weak_form_terms(phi, nodes, states_dt, states_adv, matrix),
-            phi.value(0.0, initial),
-        ]
-        floors.append(
-            ResidualEstimate(
-                value=float(abs(sum(term.mean() for term in terms))),
-                ci_halfwidth=_bootstrap_halfwidth(terms, _rng(master_seed, "floor_bootstrap")),
-                node_count=len(nodes),
-            )
-        )
+        terms = [*_weak_form_terms(phi, nodes, dt_rows, adv_rows, matrix), phi.value(0.0, initial)]
+        floors.append(_estimate(terms, _rng(master_seed, "floor_bootstrap"), len(nodes)))
     return floors
 
 

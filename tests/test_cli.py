@@ -229,8 +229,9 @@ class TestRegimes:
 
 class TestResidual:
     def test_floor_flow_runs_once_per_node_set(self, tmp_path, monkeypatch):
-        # k = 128 (stride 1) and k = 512 (stride 4) share 129 nodes: two
-        # flow passes of 129 pushforwards, whatever the number of k and phi
+        # k = 128 (stride 1) and k = 512 (stride 4) share 129 nodes: one flow
+        # pass of 129 pushforwards over both floor replica sets stacked,
+        # whatever the number of k and phi
         calls = []
         real = lab.pushforward
 
@@ -242,7 +243,7 @@ class TestResidual:
         cfg = write_config(tmp_path / "cfg.json", resolutions=[128, 512], ensemble_size=8)
         argv = ["residual", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "1"]
         assert main(argv) == 0
-        assert len(calls) == 258
+        assert len(calls) == 129
 
     def test_opens_no_process_pool(self, tmp_path, monkeypatch):
         # residual has no assignment solves, so --jobs leaves it in one thread

@@ -4,7 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranfield.errors import DomainError
-from moranfield.flow import FlowConfig, default_flow_config, flow, pushforward
+from moranfield.flow import (
+    RENORM_TOL,
+    FlowConfig,
+    _advance,
+    _rk4_step,
+    default_flow_config,
+    flow,
+    pushforward,
+)
 from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from moranfield.transport import EmpiricalMeasure
 
@@ -93,6 +101,30 @@ class TestFlow:
             stages = [y + 0.5 * h * k1, y + 0.5 * h * k2, y + h * k3]
             for stage in stages:
                 assert abs(stage.sum() - 1.0) <= 1e-10
+
+    def test_negative_dust_is_clipped_and_rows_sum_to_one(self):
+        # a coordinate just below zero stays below zero after one step, by
+        # less than RENORM_TOL: the accepted step clips it and renormalizes
+        points = np.array([[-1e-14, 1.0 + 1e-14], [0.3, 0.7]])
+        raw = _rk4_step(points, CFG.step_size, A22.entries)
+        assert -RENORM_TOL <= raw.min() < 0
+        out = _advance(points, CFG.step_size, A22.entries, CFG)
+        clipped = np.clip(raw, 0.0, None)
+        assert np.array_equal(out, clipped / clipped.sum(axis=1, keepdims=True))
+        assert out.min() == 0.0
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("matrix", [A22, RPS, PayoffMatrix(np.arange(16.0).reshape(4, 4))])
+    def test_step_without_negative_entries_skips_the_clip_bit_for_bit(self, matrix):
+        # without negative entries the clip is a no-op, so reusing the row sums
+        # of the defect check gives the bits of clip-then-divide
+        rng = np.random.default_rng(10)
+        points = rng.dirichlet(np.ones(matrix.dimension), size=257)
+        raw = _rk4_step(points, CFG.step_size, matrix.entries)
+        assert raw.min() >= 0
+        clipped = np.clip(raw, 0.0, None)
+        expected = clipped / clipped.sum(axis=1, keepdims=True)
+        assert np.array_equal(_advance(points, CFG.step_size, matrix.entries, CFG), expected)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,7 @@ from moranfield.errors import (
     FitnessDegenerateError,
     RegimeError,
     ResolutionError,
+    StiffnessError,
 )
 from moranfield.flow import FlowConfig
 from moranfield import lab, transport
@@ -39,7 +40,7 @@ from moranfield.lab import (
     weak_form_residual,
 )
 from moranfield.report import payload_digest, read_report, write_csv, write_report
-from moranfield.simplex import PayoffMatrix, SimplexPoint
+from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from moranfield.transport import EmpiricalMeasure, w1_exact
 
 A22 = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
@@ -426,6 +427,24 @@ class TestWeakFormResidual:
         # transported law solves the equation: only quadrature + MC noise left
         assert floor.value <= 0.02
 
+    @pytest.mark.parametrize(
+        "cut, error",
+        [
+            # dropping t = 0, or every node after t = 1/2, biased the floor silently
+            (slice(1, None), ConfigurationError),
+            (slice(None, 33), ConfigurationError),
+            (slice(None, 15), ResolutionError),
+        ],
+    )
+    def test_floor_needs_enough_nodes_over_the_full_span(self, cut, error):
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        sched = ScalingSchedule(horizon=1.0, resolution=64, alpha=0.6, beta=0.4)
+        nodes = quadrature_checkpoints(sched)[cut]
+        with pytest.raises(error):
+            residual_floor(
+                law, A22, 64, nodes, 3, standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 256)
+            )
+
     def test_quadrature_checkpoints_stride(self):
         sched = ScalingSchedule(horizon=1.0, resolution=64, alpha=0.6, beta=0.4)
         nodes = quadrature_checkpoints(sched, stride=4)
@@ -456,6 +475,89 @@ class TestWeakFormResidual:
             measured = excesses[0] / excesses[1]
             predicted = scales[0] / scales[1]
             assert predicted / 3 <= measured <= predicted * 3
+
+
+def _per_node_terms(phi, nodes, dt_points, adv_points, matrix):
+    """The weak-form trapezoid integrals node by node, through the public methods."""
+    dt_vals = np.empty((len(nodes), len(dt_points[0])))
+    adv_vals = np.empty_like(dt_vals)
+    for row, t in enumerate(nodes):
+        dt_vals[row] = phi.time_derivative(t, dt_points[row])
+        grad = phi.gradient(t, adv_points[row])
+        field = replicator_field_array(adv_points[row], matrix.entries)
+        adv_vals[row] = np.einsum("rm,rm->r", grad, field)
+    xs = np.asarray(nodes)
+    return np.trapezoid(dt_vals, xs, axis=0), np.trapezoid(adv_vals, xs, axis=0)
+
+
+class TestWholeArrayResidual:
+    """The weak form and its floor as whole-array passes keep every bit."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_weak_form_terms_match_the_per_node_loop(self, m):
+        # matmul and einsum rows must not depend on how many rows are stacked
+        rng = np.random.default_rng(40 + m)
+        matrix = PayoffMatrix(rng.uniform(0.0, 4.0, size=(m, m)))
+        phis = [
+            *standard_test_functions(m, 2.0),
+            TestFunction("steep", 2.0, 3, ((0.5, (3,) + (1,) * (m - 1)), (-2.0, (0,) * m))),
+        ]
+        for r, n in ((2, 16), (3, 17), (64, 33), (129, 16), (256, 65)):
+            nodes = list(np.linspace(0.0, 2.0, n))
+            dt_points = rng.dirichlet(np.ones(m), size=(n, r))
+            adv_points = rng.dirichlet(np.full(m, 0.5), size=(n, r))
+            for phi in phis:
+                stacked = lab._weak_form_terms(
+                    phi, nodes, dt_points.reshape(n * r, m), adv_points.reshape(n * r, m), matrix
+                )
+                looped = _per_node_terms(phi, nodes, dt_points, adv_points, matrix)
+                for got, want in zip(stacked, looped):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacked_floor_pass_matches_two_separate_passes(self, m):
+        rng = np.random.default_rng(50 + m)
+        matrix = PayoffMatrix(rng.uniform(0.0, 4.0, size=(m, m)))
+        nodes = list(np.linspace(0.0, 1.0, 17))
+        cfg = FlowConfig(step_size=1 / 64)
+        for r in (2, 5, 128):
+            sets = [rng.dirichlet(np.ones(m), size=r) for _ in range(2)]
+            stacked = lab._limit_measures(EmpiricalMeasure(np.concatenate(sets)), matrix, nodes, cfg)
+            apart = [lab._limit_measures(EmpiricalMeasure(x), matrix, nodes, cfg) for x in sets]
+            for t in nodes:
+                assert np.array_equal(stacked[t].array[:r], apart[0][t].array)
+                assert np.array_equal(stacked[t].array[r:], apart[1][t].array)
+
+    @pytest.mark.parametrize("r", [2, 3, 127, 256])
+    def test_bootstrap_draws_resamples_in_the_order_of_the_loop(self, r):
+        # the reference makes one integers call per resample and term
+        rng = np.random.default_rng(60 + r)
+        for count in (1, 3):
+            terms = [rng.normal(size=r) * 10.0 ** rng.integers(-3, 3) for _ in range(count)]
+            loop_rng = np.random.default_rng(r)
+            values = np.empty(lab.BOOTSTRAP_RESAMPLES)
+            for b in range(lab.BOOTSTRAP_RESAMPLES):
+                values[b] = abs(sum(t[loop_rng.integers(0, r, size=r)].mean() for t in terms))
+            est = lab._estimate(terms, np.random.default_rng(r), 17)
+            assert est.ci_halfwidth == float(1.96 * values.std(ddof=1))
+            assert est.value == float(abs(sum(t.mean() for t in terms)))
+            assert est.node_count == 17
+
+    def test_floor_stiffness_names_the_set_and_the_replica(self, monkeypatch):
+        # [0.5, 0.5] is a rest point; from [0.1, 0.9] a step of 1/16 overshoots
+        # and min_step forbids halving it
+        coordination = PayoffMatrix([[300.0, 0.0], [0.0, 300.0]])
+        calm = np.full((4, 2), 0.5)
+        stiff = calm.copy()
+        stiff[2] = [0.1, 0.9]
+        monkeypatch.setattr(
+            lab, "_draws", lambda law, seed, stream, replicas: stiff if stream == "floor_adv" else calm
+        )
+        with pytest.raises(StiffnessError, match=r"^floor_adv sample 2: "):
+            residual_floor(
+                InitialLaw.uniform(2), coordination, 4, list(np.linspace(0.0, 1.0, 17)), 0,
+                standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 16, min_step=1 / 16),
+            )
 
 
 class TestBootstrap:
