@@ -30,7 +30,11 @@ class InvalidWitnessError(SimulationError, ValueError):
 
 
 class StiffnessError(SimulationError, RuntimeError):
-    """Step-size halving cascade fell below the minimum step."""
+    """Step-size halving cascade fell below the minimum step for one sample."""
+
+    def __init__(self, sample: int, detail: str, label: str = "sample"):
+        super().__init__(f"{label} {sample}: {detail}")
+        self.sample, self.detail = sample, detail
 
 
 class RegimeError(SimulationError, ValueError):

@@ -4,8 +4,9 @@
 field is tangent to the simplex, so coordinate sums drift only by rounding;
 an optional per-step renormalization clips rounding dust at zero and divides
 by the sum.  A correction larger than rounding scale signals a step-size
-problem: the step is rejected and halved, and a halving cascade below
-``min_step`` raises StiffnessError.
+problem for that row: its step is rejected and it alone is re-stepped at
+half the size, so every pushed sample depends only on its own initial point.
+A halving cascade below ``min_step`` raises StiffnessError naming the sample.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StiffnessError
+from .errors import DimensionError, DomainError, StiffnessError
 from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from .transport import EmpiricalMeasure
 
@@ -56,66 +57,59 @@ def _rk4_step(points: np.ndarray, h: float, entries: np.ndarray) -> np.ndarray:
     return points + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(points: np.ndarray, h: float, entries: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    """One accepted step of size ``h`` (recursively halved on rejection)."""
+def _advance(
+    points: np.ndarray, h: float, entries: np.ndarray, cfg: FlowConfig, rows: np.ndarray
+) -> np.ndarray:
+    """One accepted step of size ``h`` for every row; the rejected rows alone are
+    re-stepped in two halves, recursively.  ``rows`` holds each row's sample index."""
     out = _rk4_step(points, h, entries)
     if not cfg.renormalize:
         return out
     negativity = -min(float(out.min()), 0.0)
     sums = out.sum(axis=1)
-    sum_defect = float(np.max(np.abs(sums - 1.0)))
-    if negativity <= RENORM_TOL and sum_defect <= RENORM_TOL:
+    defects = np.abs(sums - 1.0)
+    if negativity <= RENORM_TOL and float(defects.max()) <= RENORM_TOL:
         if negativity > 0:  # without negative dust the clip is a no-op
             out = np.clip(out, 0.0, None)
             sums = out.sum(axis=1)
         return out / sums[:, None]
+    lows = out.min(axis=1)
+    bad = ~((lows >= -RENORM_TOL) & (defects <= RENORM_TOL))  # written so that nan fails
     if h * 0.5 < cfg.min_step:
+        i = int(np.argmax(bad))
         raise StiffnessError(
-            f"renormalization correction (clip {negativity:.3e}, sum defect "
-            f"{sum_defect:.3e}) exceeds {RENORM_TOL} at the minimum step {cfg.min_step}"
+            int(rows[i]),
+            f"renormalization correction (clip {max(-lows[i], 0.0):.3e}, sum defect "
+            f"{defects[i]:.3e}) exceeds {RENORM_TOL} at the minimum step {cfg.min_step}",
         )
-    half = _advance(points, h * 0.5, entries, cfg)
-    return _advance(half, h * 0.5, entries, cfg)
-
-
-def _integrate(points: np.ndarray, entries: np.ndarray, t: float, cfg: FlowConfig) -> np.ndarray:
-    remaining = float(t)
-    current = points
-    while remaining > 1e-15 * max(1.0, t):
-        h = min(cfg.step_size, remaining)
-        current = _advance(current, h, entries, cfg)
-        remaining -= h
-    return current
+    kept = np.clip(out[~bad], 0.0, None)
+    out[~bad] = kept / kept.sum(axis=1, keepdims=True)
+    half = _advance(points[bad], h * 0.5, entries, cfg, rows[bad])
+    out[bad] = _advance(half, h * 0.5, entries, cfg, rows[bad])
+    return out
 
 
 def flow(
     point: SimplexPoint, matrix: PayoffMatrix, t: float, cfg: FlowConfig
 ) -> SimplexPoint:
     """Replicator flow map: the ODE solution at time ``t`` started at ``point``."""
-    if t < 0:
-        raise DomainError(f"flow time must be nonnegative, got {t}")
-    if point.dimension != matrix.dimension:
-        raise DomainError(
-            f"point has {point.dimension} strategies, matrix has {matrix.dimension}"
-        )
-    out = _integrate(point.coords[None, :], matrix.entries, t, cfg)
-    return SimplexPoint(out[0])
+    return SimplexPoint(pushforward(EmpiricalMeasure([point]), matrix, t, cfg).array[0])
 
 
 def pushforward(
     samples: EmpiricalMeasure, matrix: PayoffMatrix, t: float, cfg: FlowConfig
 ) -> EmpiricalMeasure:
     """Apply the flow map to every sample; preserves count and sample order."""
-    if t < 0:
-        raise DomainError(f"flow time must be nonnegative, got {t}")
-    try:
-        out = _integrate(samples.array, matrix.entries, t, cfg)
-    except StiffnessError:
-        # rerun one by one to name the offending sample
-        for idx in range(samples.size):
-            try:
-                _integrate(samples.array[idx : idx + 1], matrix.entries, t, cfg)
-            except StiffnessError as err:
-                raise StiffnessError(f"sample {idx}: {err}") from err
-        raise
-    return EmpiricalMeasure(out)
+    if not 0 <= t < np.inf:  # written so that nan fails
+        raise DomainError(f"flow time must be finite and nonnegative, got {t}")
+    if samples.dimension != matrix.dimension:
+        raise DimensionError(
+            f"samples have {samples.dimension} strategies, matrix has {matrix.dimension}"
+        )
+    current, rows = samples.array, np.arange(samples.size)
+    remaining = float(t)
+    while remaining > 1e-15 * max(1.0, t):
+        h = min(cfg.step_size, remaining)
+        current = _advance(current, h, matrix.entries, cfg, rows)
+        remaining -= h
+    return EmpiricalMeasure(current)

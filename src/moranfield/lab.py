@@ -772,8 +772,8 @@ def residual_floor(
     would telescope pathwise and report only quadrature error.)  The replica
     sets and their flow passes depend only on the law, the matrix, the nodes,
     the seed and ``flow_cfg``, so they are computed once for all of ``phis``, in one
-    pass over both sets stacked: RK4 acts row by row, so this gives the bits of two
-    passes unless a step is halved, which halves it for every row.
+    pass over both sets stacked: RK4 and its step control act row by row, so this
+    gives the bits of two passes.
     """
     nodes = _quadrature_nodes(checkpoints, phis)
     replicas = range(ensemble_size)
@@ -781,13 +781,9 @@ def residual_floor(
     stacked = EmpiricalMeasure(np.concatenate(list(sets.values())))
     try:
         flowed = _limit_measures(stacked, matrix, nodes, flow_cfg)
-    except StiffnessError:
-        for stream, draws in sets.items():  # rerun apart to name the set
-            try:
-                _limit_measures(EmpiricalMeasure(draws), matrix, nodes, flow_cfg)
-            except StiffnessError as err:
-                raise StiffnessError(f"{stream} {err}") from err
-        raise
+    except StiffnessError as err:  # name the set and the replica of the stacked row
+        stream = list(sets)[err.sample // ensemble_size]
+        raise StiffnessError(err.sample % ensemble_size, err.detail, f"{stream} sample") from err
     # node-major (nodes * R, M) samples of each set, split off the stacked rows
     split = np.stack([flowed[t].array for t in nodes]).reshape(len(nodes), 2, ensemble_size, -1)
     dt_rows, adv_rows = (split[:, s].reshape(len(nodes) * ensemble_size, -1) for s in (0, 1))

@@ -11,8 +11,6 @@ The ground metric is Euclidean on R^M restricted to the simplex.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
@@ -27,6 +25,8 @@ from .simplex import SIMPLEX_TOL, SimplexPoint
 
 #: largest ensemble size accepted by the exact solver
 EXACT_SIZE_CAP = 4096
+#: largest pair block (floats) of the Lipschitz check, 1 MB per temporary
+PAIR_BLOCK = 1 << 17
 
 
 class EmpiricalMeasure:
@@ -146,36 +146,28 @@ def random_witnesses(dimension: int, count: int, rng: np.random.Generator) -> li
     return out
 
 
-def _check_lipschitz(witness: Witness, points: np.ndarray) -> None:
-    p = points.shape[0]
-    vals = witness(points)
-    if p <= 64:
-        diff = np.abs(vals[:, None] - vals[None, :])
-        dist = cdist(points, points)
-        bad = diff > dist + 1e-9
-    else:
-        gen = np.random.default_rng(0)
-        ii = gen.integers(0, p, size=2000)
-        jj = gen.integers(0, p, size=2000)
-        bad = np.abs(vals[ii] - vals[jj]) > np.linalg.norm(points[ii] - points[jj], axis=1) + 1e-9
-    if np.any(bad):
-        raise InvalidWitnessError(
-            f"witness {witness.name!r} violates the 1-Lipschitz bound on sample pairs"
-        )
+def _check_lipschitz(witnesses, points: np.ndarray) -> None:
+    """Check every witness on every ordered pair, a block of rows against all
+    points at a time: over ordered pairs the signed gap bounds the absolute one."""
+    values = [witness(points) for witness in witnesses]
+    rows = max(1, PAIR_BLOCK // points.shape[0])
+    for lo in range(0, points.shape[0], rows):
+        dist = cdist(points[lo : lo + rows], points) + 1e-9
+        for witness, vals in zip(witnesses, values):
+            if not np.all(vals[lo : lo + rows, None] - vals[None, :] <= dist):  # nan fails
+                raise InvalidWitnessError(
+                    f"witness {witness.name!r} violates the 1-Lipschitz bound on sample pairs"
+                )
 
 
 def w1_dual_lower_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure, witnesses) -> float:
     """Best certified Kantorovich lower bound from the supplied witnesses.
 
     Returns ``max_w mean(w(nu)) - mean(w(mu))``, which never exceeds the
-    exact distance.  Witnesses failing the Lipschitz spot check are rejected.
+    exact distance.  Witnesses failing the Lipschitz check on any pair are rejected.
     """
     if not witnesses:
         raise DomainError("at least one witness is required")
     _check_dimensions(mu, nu)
-    pooled = np.vstack((mu.array, nu.array))
-    best = -math.inf
-    for witness in witnesses:
-        _check_lipschitz(witness, pooled)
-        best = max(best, float(witness(nu.array).mean() - witness(mu.array).mean()))
-    return best
+    _check_lipschitz(witnesses, np.vstack((mu.array, nu.array)))
+    return max(float(witness(nu.array).mean() - witness(mu.array).mean()) for witness in witnesses)

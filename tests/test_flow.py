@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moranfield.errors import DomainError
+from moranfield.errors import DimensionError, DomainError, StiffnessError
 from moranfield.flow import (
     RENORM_TOL,
     FlowConfig,
@@ -16,6 +18,7 @@ from moranfield.flow import (
 from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from moranfield.transport import EmpiricalMeasure
 
+flow_module = importlib.import_module("moranfield.flow")  # the package exports flow()
 A22 = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
 RPS = PayoffMatrix([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
 CFG = FlowConfig(step_size=1.0 / 1024)
@@ -108,7 +111,7 @@ class TestFlow:
         points = np.array([[-1e-14, 1.0 + 1e-14], [0.3, 0.7]])
         raw = _rk4_step(points, CFG.step_size, A22.entries)
         assert -RENORM_TOL <= raw.min() < 0
-        out = _advance(points, CFG.step_size, A22.entries, CFG)
+        out = _advance(points, CFG.step_size, A22.entries, CFG, np.arange(2))
         clipped = np.clip(raw, 0.0, None)
         assert np.array_equal(out, clipped / clipped.sum(axis=1, keepdims=True))
         assert out.min() == 0.0
@@ -124,7 +127,8 @@ class TestFlow:
         assert raw.min() >= 0
         clipped = np.clip(raw, 0.0, None)
         expected = clipped / clipped.sum(axis=1, keepdims=True)
-        assert np.array_equal(_advance(points, CFG.step_size, matrix.entries, CFG), expected)
+        out = _advance(points, CFG.step_size, matrix.entries, CFG, np.arange(257))
+        assert np.array_equal(out, expected)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -148,7 +152,7 @@ class TestPushforward:
         p = SimplexPoint([0.25, 0.75])
         out = pushforward(EmpiricalMeasure([p]), A22, 0.7, CFG)
         expected = flow(p, A22, 0.7, CFG)
-        assert out.array[0] == pytest.approx(expected.coords, abs=1e-14)
+        assert np.array_equal(out.array[0], expected.coords)
 
     def test_constant_matrix_keeps_measure(self):
         rng = np.random.default_rng(8)
@@ -166,14 +170,51 @@ class TestPushforward:
             single = flow(SimplexPoint(mu.array[idx]), A22, 0.4, CFG)
             assert out.array[idx] == pytest.approx(single.coords, abs=1e-13)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_a_time_that_is_not_finite(self, t):
+        with pytest.raises(DomainError):
+            pushforward(EmpiricalMeasure([[0.25, 0.75]]), A22, t, CFG)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_rejects_a_matrix_of_another_dimension(self, t):
+        with pytest.raises(DimensionError):
+            pushforward(EmpiricalMeasure([[0.25, 0.75]]), RPS, t, CFG)
+
+
+COORDINATION = PayoffMatrix([[300.0, 0.0], [0.0, 300.0]])
+
+
+class TestRowLocalSteps:
+    def test_a_sample_flows_the_same_alone_and_beside_stiff_rows(self):
+        # all three reject a step of 1/16; each is halved on its own schedule
+        cfg = FlowConfig(step_size=1.0 / 16)
+        alone = pushforward(EmpiricalMeasure([[0.45, 0.55]]), COORDINATION, 0.5, cfg)
+        beside = pushforward(
+            EmpiricalMeasure([[0.45, 0.55], [0.1, 0.9], [0.3, 0.7]]), COORDINATION, 0.5, cfg
+        )
+        assert np.array_equal(beside.array[0], alone.array[0])
+
+    def test_stiffness_names_the_sample_from_one_pass(self, monkeypatch):
+        calls = []
+        rk4 = flow_module._rk4_step
+        monkeypatch.setattr(flow_module, "_rk4_step", lambda *a: calls.append(1) or rk4(*a))
+        # rows 0 and 1 are rest points; rows 2 and 3 reject the first step,
+        # and min_step forbids halving it: the first of them is named
+        mu = EmpiricalMeasure([[0.5, 0.5], [1.0, 0.0], [0.1, 0.9], [0.45, 0.55]])
+        cfg = FlowConfig(step_size=1.0 / 16, min_step=1.0 / 16)
+        with pytest.raises(StiffnessError, match=r"^sample 2: renormalization") as err:
+            pushforward(mu, COORDINATION, 1.0, cfg)
+        assert err.value.sample == 2
+        assert len(calls) == 1  # the first step fails, and nothing is rerun
+
 
 @st.composite
-def problems(draw, max_points=6, faces=True):
-    """(matrix, (R, M) points) at M = 2..4: payoffs in [0, 3], and coordinates
-    that are zero (on a face, when ``faces``) or at least 1/61."""
+def problems(draw, max_points=6, faces=True, min_points=1, payoff=3.0):
+    """(matrix, (R, M) points) at M = 2..4: payoffs in [0, ``payoff``], and
+    coordinates that are zero (on a face, when ``faces``) or at least 1/61."""
     m = draw(st.integers(2, 4))
-    r = draw(st.integers(1, max_points))
-    entries = draw(st.lists(st.floats(0.0, 3.0), min_size=m * m, max_size=m * m))
+    r = draw(st.integers(min_points, max_points))
+    entries = draw(st.lists(st.floats(0.0, payoff), min_size=m * m, max_size=m * m))
     weight = st.one_of(st.just(0.0), st.floats(1.0, 20.0)) if faces else st.floats(1.0, 20.0)
     rows = draw(
         st.lists(
@@ -210,3 +251,18 @@ def test_flow_and_pushforward_keep_the_simplex_and_its_faces(problem, t):
     assert np.all(out[points == 0] == 0)  # a strategy that is absent stays absent
     single = flow(SimplexPoint(points[0]), matrix, t, cfg).coords
     assert single == pytest.approx(out[0], abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(max_points=12, min_points=3, payoff=300.0))
+def test_accepted_rows_keep_their_bits_beside_rejected_rows(problem):
+    # one step of 1/16 under payoffs up to 300: rows re-stepped at h/2 leave the
+    # accepted rows (vertices among them) with the bits of a pass over those rows alone
+    matrix, points = problem
+    h, cfg = 1.0 / 16, FlowConfig(step_size=1.0 / 16)
+    raw = _rk4_step(points, h, matrix.entries)
+    kept = (raw.min(axis=1) >= -RENORM_TOL) & (np.abs(raw.sum(axis=1) - 1.0) <= RENORM_TOL)
+    assume(2 <= kept.sum() < len(points))
+    rows = np.arange(len(points))
+    out = _advance(points, h, matrix.entries, cfg, rows)
+    assert np.array_equal(out[kept], _advance(points[kept], h, matrix.entries, cfg, rows[kept]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranfield import transport
 from moranfield.errors import (
     CapacityError,
     DimensionError,
@@ -218,6 +219,27 @@ class TestDualLowerBound:
         cheat = Witness("too_steep", lambda pts: 3.0 * pts[:, 0])
         with pytest.raises(InvalidWitnessError):
             w1_dual_lower_bound(mu, nu, [cheat])
+
+    @pytest.mark.parametrize("block", [transport.PAIR_BLOCK, 300])
+    def test_invalid_witness_detected_on_a_single_pair(self, monkeypatch, block):
+        # the witness steps up by 2e-4 at b = nu[1] alone, and only a = mu[0] lies
+        # within 2e-4 of b: pooled pair (0, 51) is the one violation, a pair that
+        # a 2 000-pair sample drawn from default_rng(0) misses; a block of 300
+        # floats checks three rows at a time
+        monkeypatch.setattr(transport, "PAIR_BLOCK", block)
+        x0 = np.linspace(0.0, 0.4, 100)
+        x0[0], x0[51] = 0.5, 0.5 + 1e-4
+        points = np.column_stack((x0, 1.0 - x0))
+        mu, nu = EmpiricalMeasure(points[:50]), EmpiricalMeasure(points[50:])
+        b = nu.array[1]
+        bump = Witness("bump", lambda pts: np.where(np.all(pts == b, axis=1), 2e-4, 0.0))
+        with pytest.raises(InvalidWitnessError):
+            w1_dual_lower_bound(mu, nu, [bump])
+        x0[0] = 0.45  # a moved away: the same witness is 1-Lipschitz
+        points = np.column_stack((x0, 1.0 - x0))
+        assert w1_dual_lower_bound(
+            EmpiricalMeasure(points[:50]), EmpiricalMeasure(points[50:]), [bump]
+        ) == pytest.approx(2e-4 / 50)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(20)
