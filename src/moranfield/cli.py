@@ -316,7 +316,7 @@ def _load_sweep_config(args) -> RunConfig:
 
 
 def cmd_converge(args) -> int:
-    """``converge``; with ``args.regime`` (``converge --regime`` or ``regimes``) the regime scan."""
+    """``converge``; with ``args.regime`` (``regimes``) the regime scan."""
     config = _load_sweep_config(args)
     if config.ensemble_size > EXACT_SIZE_CAP:
         raise ConfigurationError(
@@ -524,14 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(**defaults)
         return p
 
-    p_conv = sweep("converge", "resolution sweep against the flow limit", fn=cmd_converge)
-    p_conv.add_argument("--dry-run", action="store_true", help="print the schedule table only")
-    p_conv.add_argument(
-        "--regime",
-        action="store_true",
-        help="allow alpha+beta != 1 and run the regime scan instead",
-    )
-    sweep("regimes", "scaling-regime scan", fn=cmd_converge, regime=True, dry_run=False)
+    for p in (
+        sweep("converge", "resolution sweep against the flow limit", fn=cmd_converge, regime=False),
+        sweep("regimes", "scaling-regime scan", fn=cmd_converge, regime=True),
+    ):
+        p.add_argument("--dry-run", action="store_true", help="print the schedule table only")
     sweep("residual", "weak-form residual of the chain law", fn=cmd_residual)
 
     p_val = sub.add_parser("validate", help="acceptance oracles at small counts")

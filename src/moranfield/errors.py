@@ -30,7 +30,7 @@ class InvalidWitnessError(SimulationError, ValueError):
 
 
 class StiffnessError(SimulationError, RuntimeError):
-    """Step-size halving cascade fell below the minimum step for one sample."""
+    """An RK4 step needed a correction above rounding scale for one sample."""
 
     def __init__(self, sample: int, detail: str, label: str = "sample"):
         super().__init__(f"{label} {sample}: {detail}")

@@ -1,12 +1,11 @@
 """Replicator ODE integration and pushforward of empirical measures.
 
-``d lam / dt = b(lam)`` is integrated with fixed-step classical RK4.  The
-field is tangent to the simplex, so coordinate sums drift only by rounding;
-an optional per-step renormalization clips rounding dust at zero and divides
-by the sum.  A correction larger than rounding scale signals a step-size
-problem for that row: its step is rejected and it alone is re-stepped at
-half the size, so every pushed sample depends only on its own initial point.
-A halving cascade below ``min_step`` raises StiffnessError naming the sample.
+``d lam / dt = b(lam)`` is integrated with fixed-step classical RK4, every
+row at the same steps, so a pushed sample depends only on its own initial
+point.  A step is at most ``STEP_BOUND`` over the payoff matrix's largest
+column spread: a constant added to a column leaves the field unchanged, so
+that spread is its rate scale.  Each step clips rounding dust at zero and
+divides by the sum; a larger correction raises StiffnessError naming the row.
 """
 
 from __future__ import annotations
@@ -21,6 +20,17 @@ from .transport import EmpiricalMeasure
 
 #: largest per-step renormalization accepted as rounding (clip + sum defect)
 RENORM_TOL = 1e-12
+#: largest accepted product of the step and the payoff matrix's column spread
+STEP_BOUND = 0.25
+#: most steps of one pushforward: a longer one is refused rather than run for hours
+MAX_STEPS = 2**24
+
+
+def max_step(entries: np.ndarray) -> float:
+    """The stiffness bound on the step for payoff ``entries``: ``STEP_BOUND``
+    over the largest column spread, or inf when every column is constant."""
+    spread = float(np.ptp(entries, axis=0).max())
+    return STEP_BOUND / spread if spread > 0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -32,16 +42,14 @@ class FlowConfig:
     """
 
     step_size: float
-    renormalize: bool = True
-    min_step: float = 1e-9
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise DomainError(f"step size must be positive, got {self.step_size}")
-        if not 0 < self.min_step <= self.step_size:
-            raise DomainError(
-                f"min_step must lie in (0, step_size], got {self.min_step}"
-            )
+        if not 0 < self.step_size < np.inf:  # written so that nan fails
+            raise DomainError(f"step size must be positive and finite, got {self.step_size}")
+
+    def step(self, entries: np.ndarray) -> float:
+        """The step taken under payoff ``entries``: ``step_size`` capped by :func:`max_step`."""
+        return min(self.step_size, max_step(entries))
 
 
 def default_flow_config(horizon: float) -> FlowConfig:
@@ -57,14 +65,10 @@ def _rk4_step(points: np.ndarray, h: float, entries: np.ndarray) -> np.ndarray:
     return points + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(
-    points: np.ndarray, h: float, entries: np.ndarray, cfg: FlowConfig, rows: np.ndarray
-) -> np.ndarray:
-    """One accepted step of size ``h`` for every row; the rejected rows alone are
-    re-stepped in two halves, recursively.  ``rows`` holds each row's sample index."""
+def _advance(points: np.ndarray, h: float, entries: np.ndarray) -> np.ndarray:
+    """One RK4 step of size ``h`` for every row, its dust clipped and its sums divided
+    out; StiffnessError names the first row corrected by more than ``RENORM_TOL``."""
     out = _rk4_step(points, h, entries)
-    if not cfg.renormalize:
-        return out
     negativity = -min(float(out.min()), 0.0)
     sums = out.sum(axis=1)
     defects = np.abs(sums - 1.0)
@@ -74,19 +78,12 @@ def _advance(
             sums = out.sum(axis=1)
         return out / sums[:, None]
     lows = out.min(axis=1)
-    bad = ~((lows >= -RENORM_TOL) & (defects <= RENORM_TOL))  # written so that nan fails
-    if h * 0.5 < cfg.min_step:
-        i = int(np.argmax(bad))
-        raise StiffnessError(
-            int(rows[i]),
-            f"renormalization correction (clip {max(-lows[i], 0.0):.3e}, sum defect "
-            f"{defects[i]:.3e}) exceeds {RENORM_TOL} at the minimum step {cfg.min_step}",
-        )
-    kept = np.clip(out[~bad], 0.0, None)
-    out[~bad] = kept / kept.sum(axis=1, keepdims=True)
-    half = _advance(points[bad], h * 0.5, entries, cfg, rows[bad])
-    out[bad] = _advance(half, h * 0.5, entries, cfg, rows[bad])
-    return out
+    i = int(np.argmax(~((lows >= -RENORM_TOL) & (defects <= RENORM_TOL))))  # nan fails
+    raise StiffnessError(
+        i,
+        f"renormalization correction (clip {max(-lows[i], 0.0):.3e}, sum defect "
+        f"{defects[i]:.3e}) exceeds {RENORM_TOL} at step {h}",
+    )
 
 
 def flow(
@@ -106,10 +103,12 @@ def pushforward(
         raise DimensionError(
             f"samples have {samples.dimension} strategies, matrix has {matrix.dimension}"
         )
-    current, rows = samples.array, np.arange(samples.size)
+    current, step = samples.array, cfg.step(matrix.entries)
+    if t > MAX_STEPS * step:
+        raise DomainError(f"flow time {t} needs more than {MAX_STEPS} steps of {step:.3e}")
     remaining = float(t)
     while remaining > 1e-15 * max(1.0, t):
-        h = min(cfg.step_size, remaining)
-        current = _advance(current, h, matrix.entries, cfg, rows)
+        h = min(step, remaining)
+        current = _advance(current, h, matrix.entries)
         remaining -= h
     return EmpiricalMeasure(current)

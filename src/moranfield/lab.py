@@ -467,7 +467,7 @@ def convergence_experiment(
         master_seed=int(master_seed),
         law=law.to_dict(),
         payoff_matrix=matrix.to_rows(),
-        flow_step=flow_cfg.step_size,
+        flow_step=flow_cfg.step(matrix.entries),
         resolutions=records,
         wall_clock_seconds=time.perf_counter() - started,
     )
@@ -772,8 +772,8 @@ def residual_floor(
     would telescope pathwise and report only quadrature error.)  The replica
     sets and their flow passes depend only on the law, the matrix, the nodes,
     the seed and ``flow_cfg``, so they are computed once for all of ``phis``, in one
-    pass over both sets stacked: RK4 and its step control act row by row, so this
-    gives the bits of two passes.
+    pass over both sets stacked: every row takes the same RK4 steps, so this gives
+    the bits of two passes.
     """
     nodes = _quadrature_nodes(checkpoints, phis)
     replicas = range(ensemble_size)

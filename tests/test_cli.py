@@ -126,7 +126,7 @@ class TestConverge:
     def test_regime_dry_run_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", alpha=1.0, beta=0.5, resolutions=[8, 16])
         out = tmp_path / "out"
-        argv = ["converge", "--config", str(cfg), "--regime", "--dry-run", "--output-dir", str(out)]
+        argv = ["regimes", "--config", str(cfg), "--dry-run", "--output-dir", str(out)]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
         assert not out.exists()
@@ -171,9 +171,7 @@ class TestConverge:
             tmp_path / "cfg.json", alpha=1.0, beta=0.5, resolutions=[8, 16], ensemble_size=8
         )
         out = tmp_path / "out"
-        code = main(
-            ["converge", "--config", str(cfg), "--regime", "--output-dir", str(out)]
-        )
+        code = main(["regimes", "--config", str(cfg), "--output-dir", str(out)])
         assert code == 0
         assert (out / "regimes.json").exists()
 

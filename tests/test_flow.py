@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from moranfield.errors import DimensionError, DomainError, StiffnessError
 from moranfield.flow import (
     RENORM_TOL,
+    STEP_BOUND,
     FlowConfig,
     _advance,
     _rk4_step,
     default_flow_config,
     flow,
+    max_step,
     pushforward,
 )
 from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_array
@@ -87,9 +90,10 @@ class TestFlow:
             assert out.coords.min() > 0
 
     def test_sum_drift_without_renormalization(self):
-        cfg = FlowConfig(step_size=1.0 / 1024, renormalize=False)
-        out = flow(SimplexPoint([0.4, 0.6]), A22, 1.0, cfg)
-        assert abs(out.coords.sum() - 1.0) <= 1e-12
+        points = np.array([[0.4, 0.6]])
+        for _ in range(1024):
+            points = _rk4_step(points, 1.0 / 1024, A22.entries)
+        assert abs(points.sum() - 1.0) <= 1e-12
 
     def test_rk4_stage_sums_stay_on_hyperplane(self):
         # recompute the scheme's stages at random states: each stage point
@@ -111,7 +115,7 @@ class TestFlow:
         points = np.array([[-1e-14, 1.0 + 1e-14], [0.3, 0.7]])
         raw = _rk4_step(points, CFG.step_size, A22.entries)
         assert -RENORM_TOL <= raw.min() < 0
-        out = _advance(points, CFG.step_size, A22.entries, CFG, np.arange(2))
+        out = _advance(points, CFG.step_size, A22.entries)
         clipped = np.clip(raw, 0.0, None)
         assert np.array_equal(out, clipped / clipped.sum(axis=1, keepdims=True))
         assert out.min() == 0.0
@@ -127,14 +131,20 @@ class TestFlow:
         assert raw.min() >= 0
         clipped = np.clip(raw, 0.0, None)
         expected = clipped / clipped.sum(axis=1, keepdims=True)
-        out = _advance(points, CFG.step_size, matrix.entries, CFG, np.arange(257))
+        out = _advance(points, CFG.step_size, matrix.entries)
         assert np.array_equal(out, expected)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            FlowConfig(step_size=0.0)
-        with pytest.raises(DomainError):
-            FlowConfig(step_size=0.1, min_step=0.5)
+        for step in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(DomainError, match="step size must be positive and finite"):
+                FlowConfig(step_size=step)
+
+    def test_step_bound_caps_the_configured_step(self):
+        # column spreads of A22 are 2 and 2; a constant matrix leaves the step alone
+        assert max_step(A22.entries) == STEP_BOUND / 2
+        assert FlowConfig(step_size=1.0).step(A22.entries) == STEP_BOUND / 2
+        assert CFG.step(A22.entries) == CFG.step_size
+        assert max_step(np.full((3, 3), 2.0)) == np.inf
 
     def test_default_config(self):
         cfg = default_flow_config(2.0)
@@ -180,13 +190,42 @@ class TestPushforward:
         with pytest.raises(DimensionError):
             pushforward(EmpiricalMeasure([[0.25, 0.75]]), RPS, t, CFG)
 
+    def test_refuses_more_than_max_steps(self):
+        # a payoff spread of 1e16 bounds the step to 2.5e-17, which would not even
+        # move t = 1 down by one ulp: the loop would never end
+        stiff = PayoffMatrix([[1e16, 0.0], [0.0, 1e16]])
+        with pytest.raises(DomainError, match="needs more than 16777216 steps"):
+            pushforward(EmpiricalMeasure([[0.25, 0.75]]), stiff, 1.0, CFG)
+
 
 COORDINATION = PayoffMatrix([[300.0, 0.0], [0.0, 300.0]])
 
 
+def coordination_closed_form(x0, t, p, q):
+    """x_t of the M = 2 replicator ODE x' = x (1 - x) (p x + q (1 - x)), with
+    p = A11 - A21 and q = A12 - A22, for q < 0 < p and x0 below the rest point
+    q / (q - p), where x falls to 0.  The ODE is separable: by partial fractions
+    F(x) = ln x / q - ln(1 - x) / p - (p - q) / (q p) ln|q + (p - q) x| has
+    F' = 1 / x', so F(x_t) - F(x0) = t, solved on (0, x0)."""
+
+    def antiderivative(x):
+        return np.log(x) / q - np.log1p(-x) / p - (p - q) / (q * p) * np.log(abs(q + (p - q) * x))
+
+    target = antiderivative(x0) + t
+    return brentq(lambda x: antiderivative(x) - target, 1e-300, x0, xtol=1e-15)
+
+
 class TestRowLocalSteps:
+    @pytest.mark.parametrize("x0", [0.45, 0.1, 0.3])
+    def test_stiff_points_match_the_closed_form(self, x0):
+        # h * 300 = 1/16 * 300 alone would step [0.1, 0.9] across the rest point
+        # 1/2; the step bound holds every row to 1/1200
+        out = flow(SimplexPoint([x0, 1 - x0]), COORDINATION, 1 / 16, FlowConfig(step_size=1 / 16))
+        assert out.coords[0] == pytest.approx(
+            coordination_closed_form(x0, 1 / 16, 300.0, -300.0), rel=0, abs=1e-9
+        )
+
     def test_a_sample_flows_the_same_alone_and_beside_stiff_rows(self):
-        # all three reject a step of 1/16; each is halved on its own schedule
         cfg = FlowConfig(step_size=1.0 / 16)
         alone = pushforward(EmpiricalMeasure([[0.45, 0.55]]), COORDINATION, 0.5, cfg)
         beside = pushforward(
@@ -197,15 +236,29 @@ class TestRowLocalSteps:
     def test_stiffness_names_the_sample_from_one_pass(self, monkeypatch):
         calls = []
         rk4 = flow_module._rk4_step
-        monkeypatch.setattr(flow_module, "_rk4_step", lambda *a: calls.append(1) or rk4(*a))
-        # rows 0 and 1 are rest points; rows 2 and 3 reject the first step,
-        # and min_step forbids halving it: the first of them is named
+
+        def faulty(points, h, entries):
+            # a fault in the first step: row 2 leaves the simplex, row 3 its sum
+            calls.append(1)
+            out = rk4(points, h, entries)
+            out[2, 0] = -1e-6
+            out[3] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(flow_module, "_rk4_step", faulty)
         mu = EmpiricalMeasure([[0.5, 0.5], [1.0, 0.0], [0.1, 0.9], [0.45, 0.55]])
-        cfg = FlowConfig(step_size=1.0 / 16, min_step=1.0 / 16)
         with pytest.raises(StiffnessError, match=r"^sample 2: renormalization") as err:
-            pushforward(mu, COORDINATION, 1.0, cfg)
+            pushforward(mu, COORDINATION, 1.0, FlowConfig(step_size=1.0 / 16))
         assert err.value.sample == 2
         assert len(calls) == 1  # the first step fails, and nothing is rerun
+
+
+def test_cyclic_flow_conserves_the_product_per_sample():
+    # A + A^T is constant for this cyclic matrix, so the flow conserves lam_1 lam_2 lam_3
+    matrix = PayoffMatrix([[1.0, 0.0, 2.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]])
+    points = np.random.default_rng(11).dirichlet(np.full(3, 2.0), size=256)
+    out = pushforward(EmpiricalMeasure(points), matrix, 4.0, CFG).array
+    assert np.abs(out.prod(axis=1) - points.prod(axis=1)).max() <= 1e-12
 
 
 @st.composite
@@ -254,15 +307,12 @@ def test_flow_and_pushforward_keep_the_simplex_and_its_faces(problem, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problems(max_points=12, min_points=3, payoff=300.0))
-def test_accepted_rows_keep_their_bits_beside_rejected_rows(problem):
-    # one step of 1/16 under payoffs up to 300: rows re-stepped at h/2 leave the
-    # accepted rows (vertices among them) with the bits of a pass over those rows alone
+@given(problems(payoff=300.0), st.floats(0.0, 0.25))
+def test_step_bound_keeps_drawn_stiff_problems_accurate(problem, t):
+    # payoffs up to 300 against a configured step of 1/16: the bound's step
+    # never fails the dust check and lands within 1e-5 of a 16x finer step
     matrix, points = problem
-    h, cfg = 1.0 / 16, FlowConfig(step_size=1.0 / 16)
-    raw = _rk4_step(points, h, matrix.entries)
-    kept = (raw.min(axis=1) >= -RENORM_TOL) & (np.abs(raw.sum(axis=1) - 1.0) <= RENORM_TOL)
-    assume(2 <= kept.sum() < len(points))
-    rows = np.arange(len(points))
-    out = _advance(points, h, matrix.entries, cfg, rows)
-    assert np.array_equal(out[kept], _advance(points[kept], h, matrix.entries, cfg, rows[kept]))
+    cfg = FlowConfig(step_size=1.0 / 16)
+    out = pushforward(EmpiricalMeasure(points), matrix, t, cfg).array
+    fine = FlowConfig(step_size=cfg.step(matrix.entries) / 16)
+    assert np.abs(out - pushforward(EmpiricalMeasure(points), matrix, t, fine).array).max() <= 1e-5

@@ -1,3 +1,4 @@
+import importlib
 import signal
 import sys
 from dataclasses import replace
@@ -44,6 +45,7 @@ from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_arra
 from moranfield.transport import EmpiricalMeasure, w1_exact
 
 A22 = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
+flow_module = importlib.import_module("moranfield.flow")  # the package exports flow()
 RPS = PayoffMatrix([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
 CONST3 = PayoffMatrix(np.full((3, 3), 2.0))
 
@@ -544,19 +546,19 @@ class TestWholeArrayResidual:
             assert est.node_count == 17
 
     def test_floor_stiffness_names_the_set_and_the_replica(self, monkeypatch):
-        # [0.5, 0.5] is a rest point; from [0.1, 0.9] a step of 1/16 overshoots
-        # and min_step forbids halving it
-        coordination = PayoffMatrix([[300.0, 0.0], [0.0, 300.0]])
-        calm = np.full((4, 2), 0.5)
-        stiff = calm.copy()
-        stiff[2] = [0.1, 0.9]
-        monkeypatch.setattr(
-            lab, "_draws", lambda law, seed, stream, replicas: stiff if stream == "floor_adv" else calm
-        )
+        # a fault in the first step of stacked row 6: floor_adv's replica 2 of 4
+        rk4 = flow_module._rk4_step
+
+        def faulty(points, h, entries):
+            out = rk4(points, h, entries)
+            out[6] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(flow_module, "_rk4_step", faulty)
         with pytest.raises(StiffnessError, match=r"^floor_adv sample 2: "):
             residual_floor(
-                InitialLaw.uniform(2), coordination, 4, list(np.linspace(0.0, 1.0, 17)), 0,
-                standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 16, min_step=1 / 16),
+                InitialLaw.uniform(2), A22, 4, list(np.linspace(0.0, 1.0, 17)), 0,
+                standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 16),
             )
 
 
