@@ -29,6 +29,7 @@ from .engine import (
     simulate_counts_batch,
 )
 from .errors import (
+    CapacityError,
     ConfigurationError,
     DomainError,
     RegimeError,
@@ -39,11 +40,13 @@ from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
 from .simplex import PayoffMatrix, SimplexPoint, _as_numbers, replicator_field_array
 from .transport import (
+    EXACT_SIZE_CAP,
     EmpiricalMeasure,
     _cost_matrix,
     assignment_mean,
     coordinate_witness,
     distance_witness,
+    reduced_costs,
     w1_dual_lower_bound,
     w1_exact,
 )
@@ -288,23 +291,36 @@ def bootstrap_w1_ci(
 
     Replica indices are resampled once per draw and applied to both sides,
     matching the paired construction of chain and limit ensembles.  All
-    draws come from ``rng`` here, one per resample in order; the assignment
-    solves run on ``jobs`` threads over one read-only cost matrix (scipy's
-    solver releases the GIL), so the value is bit-identical for any ``jobs``.
+    draws come from ``rng`` here, one per resample in order.  The full
+    problem is also solved here, once, and the potentials of its matching,
+    converged to within ``transport.POTENTIAL_TOL``, are subtracted from the
+    costs (:func:`~moranfield.transport.reduced_costs`).  Each resample is
+    solved on that one read-only reduced matrix, which has the resample's
+    optimal matchings and solves faster, and its mean is read from the
+    costs.  The solves run on ``jobs`` threads (scipy's solver releases the
+    GIL), so the value is bit-identical for any ``jobs``.
+
+    Raises CapacityError above ``EXACT_SIZE_CAP`` points per side, before
+    any cost matrix is built, and DomainError for ``jobs`` < 1.
     """
     r = mu.size
     if nu.size != r:
         raise ConfigurationError(
             f"paired bootstrap needs equal sizes, got {mu.size} vs {nu.size}"
         )
+    if r > EXACT_SIZE_CAP:
+        raise CapacityError(f"ensemble size {r} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
     if n_resamples < 2:
         raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     dist = _cost_matrix(mu, nu)
+    reduced = reduced_costs(dist)
     draws = [rng.integers(0, r, size=r) for _ in range(n_resamples)]
 
     def resample_mean(idx):
         # each task cuts its own submatrix, so only ``jobs`` of them are held
-        return assignment_mean(dist[np.ix_(idx, idx)])
+        return assignment_mean(dist, idx, reduced)
 
     with ThreadPoolExecutor(jobs) as threads:
         values = np.array(list(threads.map(resample_mean, draws)))

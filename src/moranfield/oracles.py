@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .engine import DiscreteState, exact_drift, transition_table
-from .flow import FlowConfig, flow
+from .flow import FlowConfig, flow, max_step
 from .simplex import PayoffMatrix
 from .transport import EmpiricalMeasure, random_witnesses, w1_dual_lower_bound, w1_exact
 
@@ -134,10 +134,15 @@ def dual_bound_holds(rng, count):
 
 
 def rk4_orders(point, matrix):
-    """Observed convergence orders of the flow to t = 1 at steps 1/8 -> 1/16 -> 1/32."""
-    ref = flow(point, matrix, 1.0, FlowConfig(step_size=(1.0 / 32) / 64)).coords
+    """Observed convergence orders of the flow to t = 1 over three steps, each
+    half the last.  The first is the largest power of two at most 1/8 and at
+    most the matrix's :func:`~moranfield.flow.max_step`, so that no step is
+    capped to another; the reference step is 64 times finer than the last."""
+    first = 2.0 ** np.floor(np.log2(min(1 / 8, max_step(matrix.entries))))
+    steps = (first, first / 2, first / 4)
+    ref = flow(point, matrix, 1.0, FlowConfig(step_size=steps[-1] / 64)).coords
     errs = [
         np.linalg.norm(flow(point, matrix, 1.0, FlowConfig(step_size=dt)).coords - ref)
-        for dt in (1 / 8, 1 / 16, 1 / 32)
+        for dt in steps
     ]
     return [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]

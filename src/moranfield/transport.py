@@ -6,6 +6,14 @@ linear assignment solve (:func:`assignment_mean`), shared by :func:`w1_exact`
 and every bootstrap resample.  A Kantorovich-dual certifier produces
 guaranteed lower bounds from 1-Lipschitz witnesses.
 
+The bootstrap's resamples are warm-started (:func:`reduced_costs`): the
+costs less row and column potentials of one optimal matching of the full
+problem, converged to within ``POTENTIAL_TOL``.  Potentials move the cost of
+every perfect matching of the matrix, or of any paired resample of it, by
+one constant, so a resample solved on the reduced costs has the same optimum,
+found faster.  Its mean is read from the original costs and moves only where
+a tied matching is returned, in its last bits.
+
 The ground metric is Euclidean on R^M restricted to the simplex.
 """
 
@@ -27,6 +35,8 @@ from .simplex import SIMPLEX_TOL, SimplexPoint
 EXACT_SIZE_CAP = 4096
 #: largest pair block (floats) of the Lipschitz check, 1 MB per temporary
 PAIR_BLOCK = 1 << 17
+#: a potential round that moves no potential by more than this is the last
+POTENTIAL_TOL = 1e-13
 
 
 class EmpiricalMeasure:
@@ -84,13 +94,48 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
     return cdist(mu.array, nu.array)
 
 
-def assignment_mean(dist: np.ndarray) -> float:
-    """Mean cost of an optimal matching on the square cost matrix ``dist``:
-    the W1 distance between the two uniform measures of equal size."""
+def assignment_mean(dist: np.ndarray, idx=None, reduced=None) -> float:
+    """Mean cost of an optimal matching on the square cost matrix ``dist``, or
+    on its paired resample ``dist[np.ix_(idx, idx)]``: the W1 distance between
+    the two uniform measures of equal size.
+
+    With ``reduced`` from :func:`reduced_costs` the matching is solved on
+    ``reduced`` cut the same way, which has the same optimal matchings, and
+    its mean is still read from ``dist``.
+    """
+    cut = (slice(None), slice(None)) if idx is None else np.ix_(idx, idx)
     # read from this module's globals per call, so instrumentation installed
     # on transport.linear_sum_assignment after import sees every solve
-    rows, cols = linear_sum_assignment(dist)
+    rows, cols = linear_sum_assignment((dist if reduced is None else reduced)[cut])
+    if idx is not None:
+        rows, cols = idx[rows], idx[cols]
     return float(dist[rows, cols].mean())
+
+
+def reduced_costs(dist: np.ndarray) -> np.ndarray:
+    """``dist - u[:, None] - v`` for potentials u, v of one optimal matching
+    sigma of the square cost matrix ``dist``.
+
+    From u = 0, each Bellman-Ford round sets ``v_j = min_i(dist_ij - u_i)``
+    and then ``u_i = dist_i,sigma(i) - v_sigma(i)``.  The rounds stop after
+    one that moves no u_i by more than ``POTENTIAL_TOL``, or after as many
+    rounds as ``dist`` has rows, which an optimal sigma needs at most.  The
+    result is then >= -POTENTIAL_TOL and zero on sigma up to rounding.
+    """
+    size = dist.shape[0]
+    _, cols = linear_sum_assignment(dist)
+    matched = dist[np.arange(size), cols]
+    u, v = np.zeros(size), np.empty(size)
+    buf = np.empty_like(dist)
+    for _ in range(size):
+        np.subtract(dist, u[:, None], out=buf)
+        buf.min(axis=0, out=v)
+        moved, u = u, matched - v[cols]
+        if np.max(np.abs(u - moved)) <= POTENTIAL_TOL:
+            break
+    np.subtract(dist, u[:, None], out=buf)
+    buf -= v
+    return buf
 
 
 def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:

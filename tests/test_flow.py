@@ -18,6 +18,7 @@ from moranfield.flow import (
     max_step,
     pushforward,
 )
+from moranfield.oracles import rk4_orders
 from moranfield.simplex import PayoffMatrix, SimplexPoint, replicator_field_array
 from moranfield.transport import EmpiricalMeasure
 
@@ -291,6 +292,14 @@ def test_rk4_order_four_on_drawn_problems(problem):
     ]
     assume(errs[-1] > 1e-13)  # a near-constant field leaves only rounding
     assert min(np.log2(errs[i] / errs[i + 1]) for i in range(2)) >= 3.5
+
+
+def test_rk4_orders_oracle_measures_below_the_step_bound():
+    # column spread 4 caps the step at 1/16, below the oracle's largest 1/8
+    matrix = PayoffMatrix([[1.0, 4.0], [4.0, 0.0]])
+    assert max_step(matrix.entries) == 1 / 16
+    orders = rk4_orders(SimplexPoint([0.35, 0.65]), matrix)
+    assert all(3.5 <= order <= 4.5 for order in orders)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import importlib
 import signal
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -598,6 +599,41 @@ class TestBootstrap:
         with pytest.raises(DimensionError, match="different dimensions: 2 vs 3"):
             bootstrap_w1_ci(mu, nu, rng)
 
+    def test_size_above_the_cap_raises_before_any_cost_matrix(self, monkeypatch):
+        def unreachable(mu, nu):
+            raise AssertionError("cost matrix built above the cap")
+
+        monkeypatch.setattr(lab, "_cost_matrix", unreachable)
+        mu = EmpiricalMeasure(np.full((transport.EXACT_SIZE_CAP + 1, 2), 0.5))
+        with pytest.raises(CapacityError, match="exceeds the exact-solver cap"):
+            bootstrap_w1_ci(mu, mu, np.random.default_rng(45))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_too_few_jobs_raise(self, jobs):
+        mu = EmpiricalMeasure(np.random.default_rng(46).dirichlet(np.ones(2), size=8))
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            bootstrap_w1_ci(mu, mu, np.random.default_rng(47), jobs=jobs)
+
+    def test_warm_and_cold_agree_at_near_zero_w1(self):
+        # the initial draws against their lattice rounding at N = 8: W1 is
+        # O(1/N) and the rounded points repeat, so the matchings tie often
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        ens = run_ensemble(InitialLaw.dirichlet([2.0, 2.0]), A22, base, 96, (1.0,), 48)
+        mu, nu = ens.initial, ens.initial_discretized
+        assert base.population <= 8 and len(np.unique(nu.array, axis=0)) < 10
+        assert w1_exact(mu, nu) <= 1 / base.population
+        warm = bootstrap_w1_ci(mu, nu, np.random.default_rng(49), n_resamples=50)
+        dist = transport._cost_matrix(mu, nu)
+        draws = np.random.default_rng(49)
+        cold = np.array(
+            [
+                transport.assignment_mean(dist[np.ix_(idx, idx)])
+                for idx in (draws.integers(0, 96, size=96) for _ in range(50))
+            ]
+        )
+        assert np.isfinite(warm) and warm >= 0
+        assert warm == pytest.approx(float(1.96 * cold.std(ddof=1)), rel=1e-12)
+
 
 class TestWorkerPool:
     """Results must not depend on ``jobs``; errors keep their type."""
@@ -667,7 +703,14 @@ class TestWorkerPool:
             convergence_experiment(law, zero, base, [8], 16, (1.0,), master_seed=36, jobs=2)
 
     def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
+        solve, failed_in = transport.linear_sum_assignment, []
+
         def failing(cost):
+            # the full problem's solve runs in the calling thread: only the
+            # resample solves on the worker threads fail
+            if threading.current_thread() is threading.main_thread():
+                return solve(cost)
+            failed_in.append(threading.current_thread())
             raise CapacityError("solver refused")
 
         # each solve looks the solver up in transport, so the threads see the patch
@@ -676,3 +719,4 @@ class TestWorkerPool:
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
         with pytest.raises(CapacityError):
             bootstrap_w1_ci(mu, mu, rng, n_resamples=4, jobs=2)
+        assert failed_in

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from moranfield import transport
 from moranfield.errors import (
@@ -18,9 +20,11 @@ from moranfield.transport import (
     EXACT_SIZE_CAP,
     EmpiricalMeasure,
     Witness,
+    assignment_mean,
     coordinate_witness,
     distance_witness,
     random_witnesses,
+    reduced_costs,
     w1_dual_lower_bound,
     w1_exact,
 )
@@ -186,6 +190,67 @@ class TestW1Properties:
         mu, nu = pair
         witnesses = random_witnesses(mu.dimension, 16, np.random.default_rng(seed))
         assert w1_dual_lower_bound(mu, nu, witnesses) <= w1_exact(mu, nu) + 1e-10
+
+
+@st.composite
+def warm_start_problems(draw):
+    """(cost matrix, generator of paired resamples) at M = 2..4 and R = 2..40.
+    Both measures take their points from one pool of 1..R Dirichlet points, so
+    points repeat; the second measure is the first, another pick from the
+    pool, or fresh points."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.dirichlet(np.ones(m), size=draw(st.integers(1, r)))
+    mu = pool[rng.integers(0, len(pool), size=r)]
+    nu = {
+        "same": mu,
+        "pool": pool[rng.integers(0, len(pool), size=r)],
+        "fresh": rng.dirichlet(np.ones(m), size=r),
+    }[draw(st.sampled_from(["same", "pool", "fresh"]))]
+    return cdist(mu, nu), rng
+
+
+class TestWarmStart:
+    """Solving on reduced costs keeps the optimal value of the matrix and of
+    every paired resample, whatever the number of potential rounds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(warm_start_problems())
+    def test_reduced_costs_are_nonnegative_and_zero_on_the_matching(self, problem):
+        dist, _ = problem
+        reduced = reduced_costs(dist)
+        _, cols = linear_sum_assignment(dist)
+        assert reduced.min() >= -1e-12
+        assert np.abs(reduced[np.arange(dist.shape[0]), cols]).max() <= 1e-12
+
+    @pytest.mark.parametrize("potentials", ["converged", "one round", "zero rounds", "drawn"])
+    @settings(max_examples=60, deadline=None)
+    @given(warm_start_problems())
+    def test_warm_resample_mean_equals_the_cold_solve(self, potentials, problem):
+        dist, rng = problem
+        r = dist.shape[0]
+        if potentials == "zero rounds":  # u = v = 0
+            reduced = dist
+        elif potentials == "drawn":
+            reduced = dist - rng.normal(size=(r, 1)) - rng.normal(size=r)
+        else:
+            with pytest.MonkeyPatch.context() as patch:
+                if potentials == "one round":  # any move then ends the rounds
+                    patch.setattr(transport, "POTENTIAL_TOL", np.inf)
+                reduced = reduced_costs(dist)
+        for idx in (rng.integers(0, r, size=r) for _ in range(4)):
+            cut = dist[np.ix_(idx, idx)]
+            rows, cols = linear_sum_assignment(cut)
+            cold = float(cut[rows, cols].mean())
+            warm = assignment_mean(dist, idx, reduced)
+            assert warm == pytest.approx(cold, rel=1e-12, abs=1e-15)
+
+    def test_the_full_problem_keeps_its_value(self):
+        rng = np.random.default_rng(44)
+        dist = cdist(rng.dirichlet(np.ones(3), size=30), rng.dirichlet(np.ones(3), size=30))
+        cold = assignment_mean(dist)
+        assert assignment_mean(dist, reduced=reduced_costs(dist)) == pytest.approx(cold, rel=1e-12)
 
 
 class TestDualLowerBound:
