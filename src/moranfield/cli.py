@@ -506,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=_count(1),
             default=os.cpu_count() or 1,
-            help="threads for the bootstrap assignment solves of converge and regimes "
-            "(results are identical for any value); everything else runs in the "
-            "calling thread, and simulate and residual ignore it",
+            help="threads, the calling one included, for the bootstrap assignment solves of "
+            "converge and regimes, which overlap the next checkpoint's work (results are "
+            "identical for any value); simulate and residual ignore it",
         )
 
     p_sim = sub.add_parser("simulate", help="run a single chain at one resolution")

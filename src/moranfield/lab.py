@@ -11,13 +11,14 @@ Every random draw comes from a named stream of :data:`STREAMS`, seeded by
 ``master_seed`` and a fixed spawn key: each replica owns its initial-draw
 and chain streams, and everything runs in the calling process.  Threads
 serve only the bootstrap assignment solves, whose resample indices are drawn
-here, so results do not depend on the number of threads.
+here, so results do not depend on the number of threads; a half-width is
+read one checkpoint late, so its solves overlap that checkpoint's work.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -280,51 +281,88 @@ def run_ensemble(
 # -- bootstrap -------------------------------------------------------------
 
 
-def bootstrap_w1_ci(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    rng: np.random.Generator,
-    n_resamples: int = BOOTSTRAP_RESAMPLES,
-    jobs: int = 1,
-) -> float:
-    """Paired-bootstrap half-width (1.96 sigma) for W1 between equal ensembles.
-
-    Replica indices are resampled once per draw and applied to both sides,
-    matching the paired construction of chain and limit ensembles.  All
-    draws come from ``rng`` here, one per resample in order.  The full
-    problem is also solved here, once, and the potentials of its matching,
-    converged to within ``transport.POTENTIAL_TOL``, are subtracted from the
-    costs (:func:`~moranfield.transport.reduced_costs`).  Each resample is
-    solved on that one read-only reduced matrix, which has the resample's
-    optimal matchings and solves faster, and its mean is read from the
-    costs.  The solves run on ``jobs`` threads (scipy's solver releases the
-    GIL), so the value is bit-identical for any ``jobs``.
-
-    Raises CapacityError above ``EXACT_SIZE_CAP`` points per side, before
-    any cost matrix is built, and DomainError for ``jobs`` < 1.
+class PairedBootstrap:
+    """What :func:`bootstrap_w1_ci` reads, prepared in the calling thread: the
+    checks, every draw from ``rng`` (one replica index array per resample, for
+    both sides), and the costs and their ``reduced_costs`` with each side's
+    points in ``np.lexsort`` order; a resample is solved on its replicas'
+    sorted ranks.  ``jobs - 1`` helper threads start at once and claim solves
+    one at a time under a lock; each value lands in its draw's slot, so the
+    half-width is bit-identical for any ``jobs``.  Raises CapacityError above
+    ``EXACT_SIZE_CAP`` points, before any costs, and DomainError for jobs < 1.
     """
-    r = mu.size
-    if nu.size != r:
-        raise ConfigurationError(
-            f"paired bootstrap needs equal sizes, got {mu.size} vs {nu.size}"
-        )
-    if r > EXACT_SIZE_CAP:
-        raise CapacityError(f"ensemble size {r} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
-    if n_resamples < 2:
-        raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
+
+    def __init__(self, mu, nu, rng, n_resamples=BOOTSTRAP_RESAMPLES, jobs=1):
+        r = mu.size
+        if nu.size != r:
+            raise ConfigurationError(f"paired bootstrap needs equal sizes, got {r} vs {nu.size}")
+        if r > EXACT_SIZE_CAP:
+            raise CapacityError(f"ensemble size {r} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
+        if n_resamples < 2:
+            raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
+        _require_jobs(jobs)
+        # first coordinate as the primary key: rows in that order solved fastest
+        orders = [np.lexsort(m.array.T[::-1]) for m in (mu, nu)]
+        self.dist = _cost_matrix(mu, nu).take(orders[0], axis=0).take(orders[1], axis=1)
+        self.reduced = reduced_costs(self.dist)
+        draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
+        self.rows, self.cols = (np.sort(np.argsort(order)[draws], axis=1) for order in orders)
+        self.values = np.empty(n_resamples)
+        self.errors, self._claimed, self._lock = [], 0, threading.Lock()
+        self._helpers = [threading.Thread(target=self.solve_claims) for _ in range(jobs - 1)]
+        for helper in self._helpers:
+            helper.start()
+
+    def solve_claims(self) -> None:
+        """Claim and solve resamples one at a time until none is left or one failed."""
+        while True:
+            with self._lock:
+                b, self._claimed = self._claimed, self._claimed + 1
+            if b >= self.values.size or self.errors:
+                return
+            try:
+                self.values[b] = assignment_mean(self.dist, self.rows[b], self.cols[b], self.reduced)
+            except Exception as err:
+                self.errors.append(err)
+
+    def cancel(self) -> None:
+        """Leave the unclaimed resamples unsolved, and wait for the helpers."""
+        with self._lock:
+            self._claimed = self.values.size
+        for helper in self._helpers:
+            helper.join()
+
+
+def _require_jobs(jobs: int) -> None:
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    dist = _cost_matrix(mu, nu)
-    reduced = reduced_costs(dist)
-    draws = [rng.integers(0, r, size=r) for _ in range(n_resamples)]
 
-    def resample_mean(idx):
-        # each task cuts its own submatrix, so only ``jobs`` of them are held
-        return assignment_mean(dist, idx, reduced)
 
-    with ThreadPoolExecutor(jobs) as threads:
-        values = np.array(list(threads.map(resample_mean, draws)))
-    return float(1.96 * values.std(ddof=1))
+def bootstrap_w1_ci(prepared: PairedBootstrap) -> float:
+    """Paired-bootstrap half-width (1.96 sigma) for W1 between equal ensembles;
+    solves what no helper has claimed and raises a solve's error with its type."""
+    try:
+        prepared.solve_claims()
+    finally:
+        prepared.cancel()
+    if prepared.errors:
+        raise prepared.errors[0]
+    return float(1.96 * prepared.values.std(ddof=1))
+
+
+def _lagged_half_widths(steps, jobs: int):
+    """Yield ``(fields, half_width)`` per ``(fields, mu, nu, rng)`` of ``steps``,
+    reading each half-width only after the next step's serial work, which
+    its helpers overlap.  At most one bootstrap is unread; an error cancels it."""
+    pending = []  # the unread bootstrap, with its step's fields
+    try:
+        for fields, mu, nu, rng in steps:
+            yield from [(f, bootstrap_w1_ci(prepared)) for f, prepared in pending]
+            pending = [(fields, PairedBootstrap(mu, nu, rng, jobs=jobs))]
+        yield from [(f, bootstrap_w1_ci(prepared)) for f, prepared in pending]
+    finally:
+        for _, prepared in pending:
+            prepared.cancel()
 
 
 # -- convergence experiment -------------------------------------------------
@@ -432,6 +470,7 @@ def convergence_experiment(
     scaling regime (:func:`require_convergent_regime`).
     """
     require_convergent_regime(base)
+    _require_jobs(jobs)
     ks = [int(k) for k in resolutions]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigurationError(f"resolutions must be strictly increasing, got {ks}")
@@ -440,41 +479,39 @@ def convergence_experiment(
 
     started = time.perf_counter()
     records = []
-    limits = None
-    for k in ks:
-        schedule = replace(base, resolution=k)
-        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
-        if limits is None:
-            # initial draws are keyed by (master_seed, replica) only, so
-            # the pushforward side is shared by all resolutions
-            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
-        rows = []
-        for idx, t in enumerate(checkpoints):
-            chain = ensemble.affine[t]
-            limit = limits[t]
-            dist = w1_exact(chain, limit)
-            rng = _rng(master_seed, "converge_bootstrap", idx, k)
-            ci = bootstrap_w1_ci(chain, limit, rng, jobs=jobs)
-            dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
-            gap = w1_exact(ensemble.affine[t], ensemble.constant[t])
-            rows.append(
-                CheckpointRecord(
-                    t=t,
-                    w1_to_limit=float(dist),
-                    ci_halfwidth=float(ci),
-                    w1_dual_lb=float(dual),
-                    affine_constant_gap=float(gap),
+
+    def steps():
+        limits = None
+        for k in ks:
+            schedule = replace(base, resolution=k)
+            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
+            if limits is None:
+                # initial draws are keyed by (master_seed, replica) only, so
+                # the pushforward side is shared by all resolutions
+                limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
+            rows = []
+            records.append(
+                ResolutionRecord(
+                    k=k,
+                    tau=schedule.tau,
+                    population=schedule.population,
+                    selection_weight=schedule.selection_weight,
+                    checkpoints=rows,
                 )
             )
-        records.append(
-            ResolutionRecord(
-                k=k,
-                tau=schedule.tau,
-                population=schedule.population,
-                selection_weight=schedule.selection_weight,
-                checkpoints=rows,
-            )
-        )
+            for idx, t in enumerate(checkpoints):
+                chain, limit = ensemble.affine[t], limits[t]
+                dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
+                fields = dict(
+                    t=t,
+                    w1_to_limit=float(w1_exact(chain, limit)),
+                    w1_dual_lb=float(dual),
+                    affine_constant_gap=float(w1_exact(chain, ensemble.constant[t])),
+                )
+                yield (rows, fields), chain, limit, _rng(master_seed, "converge_bootstrap", idx, k)
+
+    for (rows, fields), ci in _lagged_half_widths(steps(), jobs):
+        rows.append(CheckpointRecord(ci_halfwidth=ci, **fields))
     return ConvergenceReport(
         alpha=base.alpha,
         beta=base.beta,
@@ -560,28 +597,27 @@ def regime_experiment(
     per-unit-time drift magnitude ``w_k / (N_k tau_k)`` next to the observed
     W1 between the laws at t = 0 and t = horizon.
     """
+    _require_jobs(jobs)
     horizon = base.horizon
-    records = []
-    for k in resolutions:
-        schedule = replace(base, resolution=int(k))
-        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
-        start = ensemble.constant[0.0]
-        end = ensemble.constant[horizon]
-        dist = w1_exact(start, end)
-        ci = bootstrap_w1_ci(start, end, _rng(master_seed, "regimes_bootstrap", k), jobs=jobs)
-        displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
-        records.append(
-            RegimeRecord(
+
+    def steps():
+        for k in resolutions:
+            schedule = replace(base, resolution=int(k))
+            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
+            start, end = ensemble.constant[0.0], ensemble.constant[horizon]
+            displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
+            fields = dict(
                 k=int(k),
                 tau=schedule.tau,
                 population=schedule.population,
                 selection_weight=schedule.selection_weight,
                 drift_scale=schedule.selection_weight / (schedule.population * schedule.tau),
-                w1_start_end=float(dist),
-                ci_halfwidth=float(ci),
+                w1_start_end=float(w1_exact(start, end)),
                 mean_displacement_rate=displacement,
             )
-        )
+            yield fields, start, end, _rng(master_seed, "regimes_bootstrap", k)
+
+    records = [RegimeRecord(ci_halfwidth=ci, **f) for f, ci in _lagged_half_widths(steps(), jobs)]
     return RegimeReport(
         alpha=float(base.alpha),
         beta=float(base.beta),

@@ -11,13 +11,16 @@ costs less row and column potentials of one optimal matching of the full
 problem, converged to within ``POTENTIAL_TOL``.  Potentials move the cost of
 every perfect matching of the matrix, or of any paired resample of it, by
 one constant, so a resample solved on the reduced costs has the same optimum,
-found faster.  Its mean is read from the original costs and moves only where
-a tied matching is returned, in its last bits.
+found faster, and faster still with each side's points sorted.  Its mean,
+read from the original costs and exactly rounded, moves only where a tied
+matching is returned, in its last bits.
 
 The ground metric is Euclidean on R^M restricted to the simplex.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -94,22 +97,23 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
     return cdist(mu.array, nu.array)
 
 
-def assignment_mean(dist: np.ndarray, idx=None, reduced=None) -> float:
+def assignment_mean(dist: np.ndarray, rows=None, cols=None, reduced=None) -> float:
     """Mean cost of an optimal matching on the square cost matrix ``dist``, or
-    on its paired resample ``dist[np.ix_(idx, idx)]``: the W1 distance between
-    the two uniform measures of equal size.
+    on its cut ``dist[np.ix_(rows, cols)]``: the W1 distance between the two
+    uniform measures of equal size.  The mean is ``math.fsum`` of the matched
+    costs over n, so it is the same for any order of the solver's pairs.
 
     With ``reduced`` from :func:`reduced_costs` the matching is solved on
     ``reduced`` cut the same way, which has the same optimal matchings, and
     its mean is still read from ``dist``.
     """
-    cut = (slice(None), slice(None)) if idx is None else np.ix_(idx, idx)
+    if rows is None:
+        rows = cols = np.arange(dist.shape[0])
+    cost = (dist if reduced is None else reduced).take(rows, axis=0).take(cols, axis=1)
     # read from this module's globals per call, so instrumentation installed
     # on transport.linear_sum_assignment after import sees every solve
-    rows, cols = linear_sum_assignment((dist if reduced is None else reduced)[cut])
-    if idx is not None:
-        rows, cols = idx[rows], idx[cols]
-    return float(dist[rows, cols].mean())
+    matched_rows, matched_cols = linear_sum_assignment(cost)
+    return math.fsum(dist[rows[matched_rows], cols[matched_cols]].tolist()) / rows.size
 
 
 def reduced_costs(dist: np.ndarray) -> np.ndarray:

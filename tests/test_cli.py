@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -246,9 +247,9 @@ class TestResidual:
     def test_opens_no_process_pool(self, tmp_path, monkeypatch):
         # residual has no assignment solves, so --jobs leaves it in one thread
         def refuse(*args, **kwargs):
-            raise AssertionError("residual opened a thread pool")
+            raise AssertionError("residual started a thread")
 
-        monkeypatch.setattr(lab, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
         cfg = write_config(
             tmp_path / "cfg.json", resolutions=[16], ensemble_size=16, quadrature_stride=1
         )
@@ -539,6 +540,19 @@ class TestReports:
         cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "2"]) == 0
+        assert (out / name).exists()
+
+    @pytest.mark.parametrize("command", ["converge", "regimes"])
+    def test_one_job_starts_no_thread(self, tmp_path, monkeypatch, command):
+        # --jobs counts the calling thread, which then solves every resample
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} started a thread at --jobs 1")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        overrides, name, _ = SWEEPS[command]
+        cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]) == 0
         assert (out / name).exists()
 
 

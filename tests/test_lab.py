@@ -2,6 +2,7 @@ import importlib
 import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from moranfield.flow import FlowConfig
 from moranfield import lab, transport
 from moranfield.lab import (
     InitialLaw,
+    PairedBootstrap,
     TestFunction,
     bootstrap_w1_ci,
     classify_regime,
@@ -568,7 +570,7 @@ class TestBootstrap:
         rng = np.random.default_rng(29)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=64))
         nu = EmpiricalMeasure(rng.dirichlet(np.full(2, 4.0), size=64))
-        ci = bootstrap_w1_ci(mu, nu, np.random.default_rng(30))
+        ci = bootstrap_w1_ci(PairedBootstrap(mu, nu, np.random.default_rng(30)))
         dist = w1_exact(mu, nu)
         assert 0 < ci < dist
 
@@ -583,21 +585,21 @@ class TestBootstrap:
                 for idx in (draws.integers(0, 16, size=16) for _ in range(12))
             ]
         )
-        ci = bootstrap_w1_ci(mu, nu, np.random.default_rng(39), n_resamples=12)
+        ci = bootstrap_w1_ci(PairedBootstrap(mu, nu, np.random.default_rng(39), n_resamples=12))
         assert ci == float(1.96 * values.std(ddof=1))
 
     @pytest.mark.parametrize("n_resamples", [0, 1])
     def test_too_few_resamples_raise(self, n_resamples):
         mu = EmpiricalMeasure(np.random.default_rng(40).dirichlet(np.ones(2), size=8))
         with pytest.raises(DomainError, match="at least 2 resamples"):
-            bootstrap_w1_ci(mu, mu, np.random.default_rng(41), n_resamples=n_resamples)
+            PairedBootstrap(mu, mu, np.random.default_rng(41), n_resamples=n_resamples)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(42)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
         nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8))
         with pytest.raises(DimensionError, match="different dimensions: 2 vs 3"):
-            bootstrap_w1_ci(mu, nu, rng)
+            PairedBootstrap(mu, nu, rng)
 
     def test_size_above_the_cap_raises_before_any_cost_matrix(self, monkeypatch):
         def unreachable(mu, nu):
@@ -606,13 +608,13 @@ class TestBootstrap:
         monkeypatch.setattr(lab, "_cost_matrix", unreachable)
         mu = EmpiricalMeasure(np.full((transport.EXACT_SIZE_CAP + 1, 2), 0.5))
         with pytest.raises(CapacityError, match="exceeds the exact-solver cap"):
-            bootstrap_w1_ci(mu, mu, np.random.default_rng(45))
+            PairedBootstrap(mu, mu, np.random.default_rng(45))
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_too_few_jobs_raise(self, jobs):
         mu = EmpiricalMeasure(np.random.default_rng(46).dirichlet(np.ones(2), size=8))
         with pytest.raises(DomainError, match="jobs must be >= 1"):
-            bootstrap_w1_ci(mu, mu, np.random.default_rng(47), jobs=jobs)
+            PairedBootstrap(mu, mu, np.random.default_rng(47), jobs=jobs)
 
     def test_warm_and_cold_agree_at_near_zero_w1(self):
         # the initial draws against their lattice rounding at N = 8: W1 is
@@ -622,7 +624,7 @@ class TestBootstrap:
         mu, nu = ens.initial, ens.initial_discretized
         assert base.population <= 8 and len(np.unique(nu.array, axis=0)) < 10
         assert w1_exact(mu, nu) <= 1 / base.population
-        warm = bootstrap_w1_ci(mu, nu, np.random.default_rng(49), n_resamples=50)
+        warm = bootstrap_w1_ci(PairedBootstrap(mu, nu, np.random.default_rng(49), n_resamples=50))
         dist = transport._cost_matrix(mu, nu)
         draws = np.random.default_rng(49)
         cold = np.array(
@@ -656,41 +658,140 @@ class TestWorkerPool:
         rng = np.random.default_rng(32)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=24))
         nu = EmpiricalMeasure(rng.dirichlet(np.full(3, 4.0), size=24))
-        serial = bootstrap_w1_ci(mu, nu, np.random.default_rng(33), n_resamples=40)
+        serial = bootstrap_w1_ci(PairedBootstrap(mu, nu, np.random.default_rng(33), n_resamples=40))
         # 40 resamples on 3 threads do not divide evenly; 41 threads outnumber
         # them; a short switch interval makes the threads interleave often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for jobs in (2, 3, 41):
-                threaded = bootstrap_w1_ci(
+                prepared = PairedBootstrap(
                     mu, nu, np.random.default_rng(33), n_resamples=40, jobs=jobs
                 )
+                threaded = bootstrap_w1_ci(prepared)
                 assert threaded == serial, jobs
         finally:
             sys.setswitchinterval(interval)
 
-    def test_convergence_digest_independent_of_jobs(self):
+    @pytest.fixture
+    def interleaved(self):
+        # a short switch interval makes the helper threads interleave often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_convergence_digest_independent_of_jobs(self, interleaved):
         law = InitialLaw.dirichlet([2.0, 2.0])
         base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
-        digests = [
+        digests = {
             payload_digest(
                 convergence_experiment(
                     law, A22, base, [8, 16], 16, (0.5, 1.0), master_seed=34, jobs=jobs
                 ).payload()
             )
-            for jobs in (1, 2)
-        ]
-        assert digests[0] == digests[1]
+            for jobs in (1, 2, 3, 41)
+        }
+        assert len(digests) == 1
 
-    def test_regime_payload_independent_of_jobs(self):
+    def test_regime_payload_independent_of_jobs(self, interleaved):
         law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
         base = ScalingSchedule(horizon=1.0, resolution=16, alpha=1.0, beta=0.5)
         payloads = [
             regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=jobs).payload()
-            for jobs in (1, 2)
+            for jobs in (1, 2, 3, 41)
         ]
-        assert payloads[0] == payloads[1]
+        assert all(payload == payloads[0] for payload in payloads)
+
+    @pytest.mark.parametrize("experiment", ["converge", "regimes"])
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_checked_before_any_ensemble(self, monkeypatch, experiment, jobs):
+        def unreachable(*args):
+            raise AssertionError("an ensemble ran before jobs was checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            if experiment == "converge":
+                convergence_experiment(law, A22, base, [8], 16, (1.0,), 36, jobs=jobs)
+            else:
+                regime_experiment(law, A22, base, [8], 16, 36, jobs=jobs)
+
+    @pytest.mark.parametrize("experiment", ["converge", "regimes"])
+    def test_each_half_width_is_read_after_the_next_step(self, monkeypatch, experiment):
+        # the log of one run: every exact W1, preparation and read, in order
+        log, unread = [], []
+        real_w1, real_prepare, real_read = lab.w1_exact, lab.PairedBootstrap, lab.bootstrap_w1_ci
+
+        def w1(*args):
+            log.append("w1")
+            return real_w1(*args)
+
+        def prepare(*args, **kwargs):
+            assert not unread, "a bootstrap was prepared beside an unread one"
+            log.append("prepare")
+            unread.append(real_prepare(*args, **kwargs))
+            return unread[-1]
+
+        def read(prepared):
+            log.append("read")
+            unread.remove(prepared)
+            return real_read(prepared)
+
+        monkeypatch.setattr(lab, "w1_exact", w1)
+        monkeypatch.setattr(lab, "PairedBootstrap", prepare)
+        monkeypatch.setattr(lab, "bootstrap_w1_ci", read)
+        if experiment == "converge":
+            # two exact W1 per checkpoint: to the limit and the interpolation gap
+            law = InitialLaw.dirichlet([2.0, 2.0])
+            base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+            convergence_experiment(law, A22, base, [8, 16], 16, (0.5, 1.0), 34, jobs=2)
+            work, steps = ["w1", "w1"], 4
+        else:
+            law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
+            base = ScalingSchedule(horizon=1.0, resolution=16, alpha=1.0, beta=0.5)
+            regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=2)
+            work, steps = ["w1"], 2
+        assert log == work + ["prepare"] + (work + ["read", "prepare"]) * (steps - 1) + ["read"]
+        assert not unread
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_chain_error_cancels_the_unread_bootstrap(self, monkeypatch, jobs):
+        real_ensemble, solve = lab.run_ensemble, transport.linear_sum_assignment
+        raised, helper_solves, reads = threading.Event(), [], []
+
+        def second_resolution_degenerates(law, matrix, schedule, *rest):
+            if schedule.resolution == 8:
+                return real_ensemble(law, matrix, schedule, *rest)
+            # all-zero payoffs at w = 1 leave no positive fitness in the chain
+            degenerate = replace(schedule, w_scale=100.0)
+            try:
+                return real_ensemble(law, PayoffMatrix(np.zeros((2, 2))), degenerate, *rest)
+            finally:
+                raised.set()
+
+        def held(cost):
+            # a helper's solve waits for the chain error, then for the cancel
+            if threading.current_thread() is not threading.main_thread():
+                helper_solves.append(1)
+                raised.wait(60)
+                time.sleep(0.01)
+            return solve(cost)
+
+        monkeypatch.setattr(lab, "run_ensemble", second_resolution_degenerates)
+        monkeypatch.setattr(lab, "bootstrap_w1_ci", reads.append)
+        monkeypatch.setattr(transport, "linear_sum_assignment", held)
+        before = set(threading.enumerate())
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        with pytest.raises(FitnessDegenerateError):
+            convergence_experiment(law, A22, base, [8, 16], 16, (1.0,), 36, jobs=jobs)
+        # the half-width was never read, and only the solves in flight ran:
+        # each helper claims one resample and waits in it
+        assert raised.is_set() and not reads
+        assert len(helper_solves) <= jobs - 1
+        assert set(threading.enumerate()) == before
 
     def test_chain_error_keeps_its_type_beside_a_pool(self):
         # all-zero payoffs at w = 1 leave no positive fitness in the chain
@@ -703,20 +804,24 @@ class TestWorkerPool:
             convergence_experiment(law, zero, base, [8], 16, (1.0,), master_seed=36, jobs=2)
 
     def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
-        solve, failed_in = transport.linear_sum_assignment, []
+        solve, failed_in, failed = transport.linear_sum_assignment, [], threading.Event()
 
         def failing(cost):
             # the full problem's solve runs in the calling thread: only the
-            # resample solves on the worker threads fail
+            # resample solves on the helper thread fail
             if threading.current_thread() is threading.main_thread():
                 return solve(cost)
             failed_in.append(threading.current_thread())
+            failed.set()
             raise CapacityError("solver refused")
 
         # each solve looks the solver up in transport, so the threads see the patch
         monkeypatch.setattr(transport, "linear_sum_assignment", failing)
         rng = np.random.default_rng(37)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
+        prepared = PairedBootstrap(mu, mu, rng, n_resamples=4, jobs=2)
+        # the helper starts with the preparation, so it fails before the read
+        assert failed.wait(60)
         with pytest.raises(CapacityError):
-            bootstrap_w1_ci(mu, mu, rng, n_resamples=4, jobs=2)
-        assert failed_in
+            bootstrap_w1_ci(prepared)
+        assert failed_in and not any(thread.is_alive() for thread in failed_in)

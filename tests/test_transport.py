@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from moranfield import transport
+from moranfield import lab, transport
 from moranfield.errors import (
     CapacityError,
     DimensionError,
@@ -243,7 +243,7 @@ class TestWarmStart:
             cut = dist[np.ix_(idx, idx)]
             rows, cols = linear_sum_assignment(cut)
             cold = float(cut[rows, cols].mean())
-            warm = assignment_mean(dist, idx, reduced)
+            warm = assignment_mean(dist, idx, idx, reduced)
             assert warm == pytest.approx(cold, rel=1e-12, abs=1e-15)
 
     def test_the_full_problem_keeps_its_value(self):
@@ -251,6 +251,82 @@ class TestWarmStart:
         dist = cdist(rng.dirichlet(np.ones(3), size=30), rng.dirichlet(np.ones(3), size=30))
         cold = assignment_mean(dist)
         assert assignment_mean(dist, reduced=reduced_costs(dist)) == pytest.approx(cold, rel=1e-12)
+
+
+@st.composite
+def lattice_problems(draw):
+    """(mu, nu, rng) at M = 2..4 and R = 2..40: mu on the 1/N lattice for
+    N = 1..8, so its points repeat; nu is mu shuffled, another lattice's
+    points, or fresh points."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def lattice(n):
+        # rounded cumulative sums keep every count >= 0 and their total n
+        cum = np.round(np.cumsum(rng.dirichlet(np.ones(m), size=r), axis=1) * n)
+        return np.diff(cum, axis=1, prepend=0.0) / n
+
+    mu = lattice(draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["shuffled", "lattice", "fresh"]))
+    if kind == "shuffled":
+        nu = mu[rng.permutation(r)]
+    else:
+        nu = lattice(draw(st.integers(1, 8))) if kind == "lattice" else rng.dirichlet(np.ones(m), size=r)
+    return EmpiricalMeasure(mu), EmpiricalMeasure(nu), rng
+
+
+class TestOrderedSolve:
+    """The bootstrap solves each resample on its replicas' sorted ranks, over
+    costs built with each side's points in sorted order."""
+
+    @pytest.mark.parametrize("potentials", ["converged", "drawn"])
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_problems(), st.integers(0, 2**32 - 1))
+    def test_sorted_rank_solves_equal_cold_solves(self, potentials, problem, seed):
+        mu, nu, rng = problem
+        r = mu.size
+        with pytest.MonkeyPatch.context() as patch:
+            if potentials == "drawn":
+                def drawn(dist):
+                    return dist - rng.normal(size=(r, 1)) - rng.normal(size=r)
+
+                patch.setattr(lab, "reduced_costs", drawn)
+            prepared = lab.PairedBootstrap(mu, nu, np.random.default_rng(seed), n_resamples=4)
+        lab.bootstrap_w1_ci(prepared)
+        dist, draws = cdist(mu.array, nu.array), np.random.default_rng(seed)
+        for value in prepared.values:
+            idx = draws.integers(0, r, size=r)
+            cold = assignment_mean(dist[np.ix_(idx, idx)])
+            assert value == pytest.approx(cold, rel=1e-12, abs=1e-15)
+
+    def test_the_mean_is_exactly_rounded_in_any_pair_order(self):
+        # one optimal matching, the diagonal, whose costs sum to other bits
+        # in other orders: 1 + 2^-53 + 2^-53 is 1 from the left
+        costs = np.array([1.0, 2.0**-53, 2.0**-53])
+        dist = np.diag(costs) + 10.0 * (1.0 - np.eye(3))
+        for shift in range(3):
+            order = np.roll(np.arange(3), shift)
+            assert assignment_mean(dist[np.ix_(order, order)]) == math.fsum(costs) / 3
+            assert assignment_mean(dist, order, order) == math.fsum(costs) / 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_problems())
+    def test_permuted_input_gives_the_same_bits_up_to_a_tied_matching(self, problem):
+        mu, nu, rng = problem
+        dist = cdist(mu.array, nu.array)
+        rows, cols = rng.permutation(mu.size), rng.permutation(mu.size)
+        permuted = dist[np.ix_(rows, cols)]
+        matching = set(zip(*linear_sum_assignment(dist)))
+        solved = linear_sum_assignment(permuted)
+        value = assignment_mean(dist)
+        for other in (assignment_mean(permuted), assignment_mean(dist, rows, cols)):
+            if set(zip(rows[solved[0]], cols[solved[1]])) == matching:
+                # the same pairs, returned in another order
+                assert other == value
+            else:
+                # another optimal matching of equal cost in exact arithmetic
+                assert other == pytest.approx(value, rel=1e-15, abs=1e-16)
 
 
 class TestDualLowerBound:
