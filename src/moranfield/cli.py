@@ -507,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_count(1),
             default=os.cpu_count() or 1,
             help="threads, the calling one included, for the bootstrap assignment solves of "
-            "converge and regimes, which overlap the next checkpoint's work (results are "
-            "identical for any value); simulate and residual ignore it",
+            "converge and regimes (results are identical for any value); simulate and "
+            "residual ignore it",
         )
 
     p_sim = sub.add_parser("simulate", help="run a single chain at one resolution")

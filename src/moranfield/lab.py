@@ -11,8 +11,7 @@ Every random draw comes from a named stream of :data:`STREAMS`, seeded by
 ``master_seed`` and a fixed spawn key: each replica owns its initial-draw
 and chain streams, and everything runs in the calling process.  Threads
 serve only the bootstrap assignment solves, whose resample indices are drawn
-here, so results do not depend on the number of threads; a half-width is
-read one checkpoint late, so its solves overlap that checkpoint's work.
+here, so results do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -98,6 +97,8 @@ class InitialLaw:
 
     @classmethod
     def uniform(cls, dimension: int) -> "InitialLaw":
+        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
+            raise DomainError(f"uniform law dimension must be an integer, got {dimension!r}")
         if dimension < 2:
             raise DomainError("uniform law needs dimension >= 2")
         return cls(kind="uniform", dimension=int(dimension))
@@ -282,17 +283,15 @@ def run_ensemble(
 
 
 class PairedBootstrap:
-    """What :func:`bootstrap_w1_ci` reads, prepared in the calling thread: the
-    checks, every draw from ``rng`` (one replica index array per resample, for
-    both sides), and the costs and their ``reduced_costs`` with each side's
-    points in ``np.lexsort`` order; a resample is solved on its replicas'
-    sorted ranks.  ``jobs - 1`` helper threads start at once and claim solves
-    one at a time under a lock; each value lands in its draw's slot, so the
-    half-width is bit-identical for any ``jobs``.  Raises CapacityError above
-    ``EXACT_SIZE_CAP`` points, before any costs, and DomainError for jobs < 1.
+    """A paired bootstrap of W1 between equal ensembles, prepared for
+    :func:`bootstrap_w1_ci`: the checks, every draw from ``rng`` (one replica
+    index array per resample, for both sides), and the costs ``dist`` and their
+    ``reduced`` costs with each side's points in ``np.lexsort`` order.  Row b of
+    ``rows`` and ``cols`` holds resample b's sorted ranks on each side.  Raises
+    CapacityError above ``EXACT_SIZE_CAP`` points, before any costs.
     """
 
-    def __init__(self, mu, nu, rng, n_resamples=BOOTSTRAP_RESAMPLES, jobs=1):
+    def __init__(self, mu, nu, rng, n_resamples=BOOTSTRAP_RESAMPLES):
         r = mu.size
         if nu.size != r:
             raise ConfigurationError(f"paired bootstrap needs equal sizes, got {r} vs {nu.size}")
@@ -300,37 +299,12 @@ class PairedBootstrap:
             raise CapacityError(f"ensemble size {r} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
         if n_resamples < 2:
             raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
-        _require_jobs(jobs)
         # first coordinate as the primary key: rows in that order solved fastest
         orders = [np.lexsort(m.array.T[::-1]) for m in (mu, nu)]
         self.dist = _cost_matrix(mu, nu).take(orders[0], axis=0).take(orders[1], axis=1)
         self.reduced = reduced_costs(self.dist)
         draws = np.array([rng.integers(0, r, size=r) for _ in range(n_resamples)])
         self.rows, self.cols = (np.sort(np.argsort(order)[draws], axis=1) for order in orders)
-        self.values = np.empty(n_resamples)
-        self.errors, self._claimed, self._lock = [], 0, threading.Lock()
-        self._helpers = [threading.Thread(target=self.solve_claims) for _ in range(jobs - 1)]
-        for helper in self._helpers:
-            helper.start()
-
-    def solve_claims(self) -> None:
-        """Claim and solve resamples one at a time until none is left or one failed."""
-        while True:
-            with self._lock:
-                b, self._claimed = self._claimed, self._claimed + 1
-            if b >= self.values.size or self.errors:
-                return
-            try:
-                self.values[b] = assignment_mean(self.dist, self.rows[b], self.cols[b], self.reduced)
-            except Exception as err:
-                self.errors.append(err)
-
-    def cancel(self) -> None:
-        """Leave the unclaimed resamples unsolved, and wait for the helpers."""
-        with self._lock:
-            self._claimed = self.values.size
-        for helper in self._helpers:
-            helper.join()
 
 
 def _require_jobs(jobs: int) -> None:
@@ -338,31 +312,46 @@ def _require_jobs(jobs: int) -> None:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
 
 
-def bootstrap_w1_ci(prepared: PairedBootstrap) -> float:
-    """Paired-bootstrap half-width (1.96 sigma) for W1 between equal ensembles;
-    solves what no helper has claimed and raises a solve's error with its type."""
-    try:
-        prepared.solve_claims()
-    finally:
-        prepared.cancel()
-    if prepared.errors:
-        raise prepared.errors[0]
-    return float(1.96 * prepared.values.std(ddof=1))
+def bootstrap_w1_ci(prepared: PairedBootstrap, jobs: int = 1) -> float:
+    """Paired-bootstrap half-width (1.96 sigma) of ``prepared``, its resamples
+    solved on ``jobs`` threads, the calling one included.  Each thread claims
+    one resample at a time and each value lands in its draw's slot, so the
+    half-width is bit-identical for any ``jobs``.  After a solve fails no
+    resample is claimed, and its error is raised with its type once every
+    helper has stopped.  Raises DomainError for ``jobs`` < 1."""
+    _require_jobs(jobs)
+    values = np.empty(len(prepared.rows))
+    unclaimed = list(range(values.size))
+    errors, lock = [], threading.Lock()
 
+    def solve_claims():
+        while True:
+            with lock:
+                if errors or not unclaimed:
+                    return
+                b = unclaimed.pop()
+            try:
+                values[b] = assignment_mean(
+                    prepared.dist, prepared.rows[b], prepared.cols[b], prepared.reduced
+                )
+            except Exception as err:
+                errors.append(err)
 
-def _lagged_half_widths(steps, jobs: int):
-    """Yield ``(fields, half_width)`` per ``(fields, mu, nu, rng)`` of ``steps``,
-    reading each half-width only after the next step's serial work, which
-    its helpers overlap.  At most one bootstrap is unread; an error cancels it."""
-    pending = []  # the unread bootstrap, with its step's fields
+    helpers = []
     try:
-        for fields, mu, nu, rng in steps:
-            yield from [(f, bootstrap_w1_ci(prepared)) for f, prepared in pending]
-            pending = [(fields, PairedBootstrap(mu, nu, rng, jobs=jobs))]
-        yield from [(f, bootstrap_w1_ci(prepared)) for f, prepared in pending]
+        for _ in range(jobs - 1):
+            helper = threading.Thread(target=solve_claims)
+            helper.start()
+            helpers.append(helper)
+        solve_claims()
     finally:
-        for _, prepared in pending:
-            prepared.cancel()
+        with lock:  # an interrupt in this thread leaves the rest unclaimed
+            unclaimed.clear()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return float(1.96 * values.std(ddof=1))
 
 
 # -- convergence experiment -------------------------------------------------
@@ -475,43 +464,43 @@ def convergence_experiment(
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigurationError(f"resolutions must be strictly increasing, got {ks}")
     checkpoints = tuple(float(t) for t in checkpoints)
+    if len(set(checkpoints)) < len(checkpoints):
+        raise ConfigurationError(f"checkpoints must be distinct, got {list(checkpoints)}")
     flow_cfg = flow_cfg or default_flow_config(base.horizon)
 
     started = time.perf_counter()
     records = []
-
-    def steps():
-        limits = None
-        for k in ks:
-            schedule = replace(base, resolution=k)
-            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
-            if limits is None:
-                # initial draws are keyed by (master_seed, replica) only, so
-                # the pushforward side is shared by all resolutions
-                limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
-            rows = []
-            records.append(
-                ResolutionRecord(
-                    k=k,
-                    tau=schedule.tau,
-                    population=schedule.population,
-                    selection_weight=schedule.selection_weight,
-                    checkpoints=rows,
-                )
-            )
-            for idx, t in enumerate(checkpoints):
-                chain, limit = ensemble.affine[t], limits[t]
-                dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
-                fields = dict(
+    limits = None
+    for k in ks:
+        schedule = replace(base, resolution=k)
+        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, checkpoints, master_seed)
+        if limits is None:
+            # initial draws are keyed by (master_seed, replica) only, so
+            # the pushforward side is shared by all resolutions
+            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
+        rows = []
+        for idx, t in enumerate(checkpoints):
+            chain, limit = ensemble.affine[t], limits[t]
+            rng = _rng(master_seed, "converge_bootstrap", idx, k)
+            dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
+            rows.append(
+                CheckpointRecord(
                     t=t,
                     w1_to_limit=float(w1_exact(chain, limit)),
+                    ci_halfwidth=bootstrap_w1_ci(PairedBootstrap(chain, limit, rng), jobs),
                     w1_dual_lb=float(dual),
                     affine_constant_gap=float(w1_exact(chain, ensemble.constant[t])),
                 )
-                yield (rows, fields), chain, limit, _rng(master_seed, "converge_bootstrap", idx, k)
-
-    for (rows, fields), ci in _lagged_half_widths(steps(), jobs):
-        rows.append(CheckpointRecord(ci_halfwidth=ci, **fields))
+            )
+        records.append(
+            ResolutionRecord(
+                k=k,
+                tau=schedule.tau,
+                population=schedule.population,
+                selection_weight=schedule.selection_weight,
+                checkpoints=rows,
+            )
+        )
     return ConvergenceReport(
         alpha=base.alpha,
         beta=base.beta,
@@ -599,25 +588,25 @@ def regime_experiment(
     """
     _require_jobs(jobs)
     horizon = base.horizon
-
-    def steps():
-        for k in resolutions:
-            schedule = replace(base, resolution=int(k))
-            ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
-            start, end = ensemble.constant[0.0], ensemble.constant[horizon]
-            displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
-            fields = dict(
+    records = []
+    for k in resolutions:
+        schedule = replace(base, resolution=int(k))
+        ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
+        start, end = ensemble.constant[0.0], ensemble.constant[horizon]
+        rng = _rng(master_seed, "regimes_bootstrap", k)
+        displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
+        records.append(
+            RegimeRecord(
                 k=int(k),
                 tau=schedule.tau,
                 population=schedule.population,
                 selection_weight=schedule.selection_weight,
                 drift_scale=schedule.selection_weight / (schedule.population * schedule.tau),
                 w1_start_end=float(w1_exact(start, end)),
+                ci_halfwidth=bootstrap_w1_ci(PairedBootstrap(start, end, rng), jobs),
                 mean_displacement_rate=displacement,
             )
-            yield fields, start, end, _rng(master_seed, "regimes_bootstrap", k)
-
-    records = [RegimeRecord(ci_halfwidth=ci, **f) for f, ci in _lagged_half_widths(steps(), jobs)]
+        )
     return RegimeReport(
         alpha=float(base.alpha),
         beta=float(base.beta),

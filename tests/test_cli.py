@@ -381,6 +381,8 @@ class TestConfigValidation:
             ("converge", {"output_dir": ["o"]}, "output_dir"),
             ("converge", {"payoff_matrix": [[True, 2.0], [3.0, 4.0]]}, "payoff_matrix"),
             ("simulate", {"payoff_matrix": [[1.0, 2.0], [3.0, False]]}, "payoff_matrix"),
+            # refused before any ensemble, with the resolutions check
+            ("converge", {"checkpoints": [0.5, 0.5, 1.0]}, "checkpoints"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):

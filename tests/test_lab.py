@@ -2,7 +2,6 @@ import importlib
 import signal
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +70,12 @@ class TestInitialLaw:
         rng = np.random.default_rng(2)
         draws = np.array([law.sample_one(rng) for _ in range(3000)])
         assert draws.mean(axis=0) == pytest.approx(np.full(3, 1 / 3), abs=0.02)
+
+    @pytest.mark.parametrize("dimension", [2.5, 3.0, "3", True, None])
+    def test_uniform_rejects_a_dimension_that_is_not_an_integer(self, dimension):
+        with pytest.raises(DomainError, match="must be an integer"):
+            InitialLaw.uniform(dimension)
+        assert InitialLaw.uniform(np.int64(3)).dimension == 3
 
     def test_rejects_bad_concentration(self):
         with pytest.raises(DomainError):
@@ -205,6 +210,16 @@ class TestConvergenceExperiment:
         base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
         with pytest.raises(ConfigurationError):
             convergence_experiment(law, A22, base, [16, 16], 8, (1.0,), 0)
+
+    def test_rejects_repeated_checkpoints_before_any_ensemble(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an ensemble ran before the checkpoints were checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        law = InitialLaw.uniform(2)
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        with pytest.raises(ConfigurationError, match="checkpoints must be distinct"):
+            convergence_experiment(law, A22, base, [8, 16], 8, (0.5, 0.5, 1.0), 0)
 
     def test_fixed_point_dirac_law_stays_flat(self):
         # chain started at the cyclic interior fixed point: distances stay at
@@ -613,8 +628,9 @@ class TestBootstrap:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_too_few_jobs_raise(self, jobs):
         mu = EmpiricalMeasure(np.random.default_rng(46).dirichlet(np.ones(2), size=8))
+        prepared = PairedBootstrap(mu, mu, np.random.default_rng(47))
         with pytest.raises(DomainError, match="jobs must be >= 1"):
-            PairedBootstrap(mu, mu, np.random.default_rng(47), jobs=jobs)
+            bootstrap_w1_ci(prepared, jobs)
 
     def test_warm_and_cold_agree_at_near_zero_w1(self):
         # the initial draws against their lattice rounding at N = 8: W1 is
@@ -665,11 +681,8 @@ class TestWorkerPool:
         sys.setswitchinterval(1e-6)
         try:
             for jobs in (2, 3, 41):
-                prepared = PairedBootstrap(
-                    mu, nu, np.random.default_rng(33), n_resamples=40, jobs=jobs
-                )
-                threaded = bootstrap_w1_ci(prepared)
-                assert threaded == serial, jobs
+                prepared = PairedBootstrap(mu, nu, np.random.default_rng(33), n_resamples=40)
+                assert bootstrap_w1_ci(prepared, jobs) == serial, jobs
         finally:
             sys.setswitchinterval(interval)
 
@@ -718,81 +731,6 @@ class TestWorkerPool:
             else:
                 regime_experiment(law, A22, base, [8], 16, 36, jobs=jobs)
 
-    @pytest.mark.parametrize("experiment", ["converge", "regimes"])
-    def test_each_half_width_is_read_after_the_next_step(self, monkeypatch, experiment):
-        # the log of one run: every exact W1, preparation and read, in order
-        log, unread = [], []
-        real_w1, real_prepare, real_read = lab.w1_exact, lab.PairedBootstrap, lab.bootstrap_w1_ci
-
-        def w1(*args):
-            log.append("w1")
-            return real_w1(*args)
-
-        def prepare(*args, **kwargs):
-            assert not unread, "a bootstrap was prepared beside an unread one"
-            log.append("prepare")
-            unread.append(real_prepare(*args, **kwargs))
-            return unread[-1]
-
-        def read(prepared):
-            log.append("read")
-            unread.remove(prepared)
-            return real_read(prepared)
-
-        monkeypatch.setattr(lab, "w1_exact", w1)
-        monkeypatch.setattr(lab, "PairedBootstrap", prepare)
-        monkeypatch.setattr(lab, "bootstrap_w1_ci", read)
-        if experiment == "converge":
-            # two exact W1 per checkpoint: to the limit and the interpolation gap
-            law = InitialLaw.dirichlet([2.0, 2.0])
-            base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
-            convergence_experiment(law, A22, base, [8, 16], 16, (0.5, 1.0), 34, jobs=2)
-            work, steps = ["w1", "w1"], 4
-        else:
-            law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
-            base = ScalingSchedule(horizon=1.0, resolution=16, alpha=1.0, beta=0.5)
-            regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=2)
-            work, steps = ["w1"], 2
-        assert log == work + ["prepare"] + (work + ["read", "prepare"]) * (steps - 1) + ["read"]
-        assert not unread
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_chain_error_cancels_the_unread_bootstrap(self, monkeypatch, jobs):
-        real_ensemble, solve = lab.run_ensemble, transport.linear_sum_assignment
-        raised, helper_solves, reads = threading.Event(), [], []
-
-        def second_resolution_degenerates(law, matrix, schedule, *rest):
-            if schedule.resolution == 8:
-                return real_ensemble(law, matrix, schedule, *rest)
-            # all-zero payoffs at w = 1 leave no positive fitness in the chain
-            degenerate = replace(schedule, w_scale=100.0)
-            try:
-                return real_ensemble(law, PayoffMatrix(np.zeros((2, 2))), degenerate, *rest)
-            finally:
-                raised.set()
-
-        def held(cost):
-            # a helper's solve waits for the chain error, then for the cancel
-            if threading.current_thread() is not threading.main_thread():
-                helper_solves.append(1)
-                raised.wait(60)
-                time.sleep(0.01)
-            return solve(cost)
-
-        monkeypatch.setattr(lab, "run_ensemble", second_resolution_degenerates)
-        monkeypatch.setattr(lab, "bootstrap_w1_ci", reads.append)
-        monkeypatch.setattr(transport, "linear_sum_assignment", held)
-        before = set(threading.enumerate())
-        law = InitialLaw.dirichlet([2.0, 2.0])
-        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
-        with pytest.raises(FitnessDegenerateError):
-            convergence_experiment(law, A22, base, [8, 16], 16, (1.0,), 36, jobs=jobs)
-        # the half-width was never read, and only the solves in flight ran:
-        # each helper claims one resample and waits in it
-        assert raised.is_set() and not reads
-        assert len(helper_solves) <= jobs - 1
-        assert set(threading.enumerate()) == before
-
     def test_chain_error_keeps_its_type_beside_a_pool(self):
         # all-zero payoffs at w = 1 leave no positive fitness in the chain
         law = InitialLaw.dirichlet([2.0, 2.0])
@@ -803,25 +741,40 @@ class TestWorkerPool:
         with pytest.raises(FitnessDegenerateError):
             convergence_experiment(law, zero, base, [8], 16, (1.0,), master_seed=36, jobs=2)
 
-    def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
-        solve, failed_in, failed = transport.linear_sum_assignment, [], threading.Event()
-
-        def failing(cost):
-            # the full problem's solve runs in the calling thread: only the
-            # resample solves on the helper thread fail
-            if threading.current_thread() is threading.main_thread():
-                return solve(cost)
-            failed_in.append(threading.current_thread())
-            failed.set()
-            raise CapacityError("solver refused")
-
-        # each solve looks the solver up in transport, so the threads see the patch
-        monkeypatch.setattr(transport, "linear_sum_assignment", failing)
+    def check_failed_solve(self, monkeypatch, failing, jobs):
+        """Solves fail in the ``failing`` thread, "calling" or "helper": the
+        error keeps its type, no resample is claimed after it, and no thread
+        outlives the call."""
         rng = np.random.default_rng(37)
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
-        prepared = PairedBootstrap(mu, mu, rng, n_resamples=4, jobs=2)
-        # the helper starts with the preparation, so it fails before the read
-        assert failed.wait(60)
-        with pytest.raises(CapacityError):
-            bootstrap_w1_ci(prepared)
-        assert failed_in and not any(thread.is_alive() for thread in failed_in)
+        # the full problem is solved here, before the solver is patched
+        prepared = PairedBootstrap(mu, mu, rng, n_resamples=40)
+        solve, failed, solves = transport.linear_sum_assignment, threading.Event(), []
+
+        def flaky(cost):
+            calling = threading.current_thread() is threading.main_thread()
+            solves.append(calling)
+            if calling == (failing == "calling"):
+                failed.set()
+                raise CapacityError("solver refused")
+            # the other threads solve only after the failure, so each finishes
+            # at most the one resample it had claimed
+            assert failed.wait(60)
+            return solve(cost)
+
+        # each solve looks the solver up in transport, so the threads see the patch
+        monkeypatch.setattr(transport, "linear_sum_assignment", flaky)
+        before = set(threading.enumerate())
+        with pytest.raises(CapacityError, match="solver refused"):
+            bootstrap_w1_ci(prepared, jobs)
+        assert set(threading.enumerate()) == before
+        assert failed.is_set() and len(solves) <= jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_calling_thread_error_keeps_its_type(self, monkeypatch, jobs):
+        self.check_failed_solve(monkeypatch, "calling", jobs)
+
+    def test_bootstrap_worker_error_keeps_its_type(self, monkeypatch):
+        # at jobs 1 the calling thread is the only one: no helper to fail
+        for jobs in (2, 3):
+            self.check_failed_solve(monkeypatch, "helper", jobs)

@@ -293,9 +293,9 @@ class TestOrderedSolve:
 
                 patch.setattr(lab, "reduced_costs", drawn)
             prepared = lab.PairedBootstrap(mu, nu, np.random.default_rng(seed), n_resamples=4)
-        lab.bootstrap_w1_ci(prepared)
         dist, draws = cdist(mu.array, nu.array), np.random.default_rng(seed)
-        for value in prepared.values:
+        for rows, cols in zip(prepared.rows, prepared.cols):
+            value = assignment_mean(prepared.dist, rows, cols, prepared.reduced)
             idx = draws.integers(0, r, size=r)
             cold = assignment_mean(dist[np.ix_(idx, idx)])
             assert value == pytest.approx(cold, rel=1e-12, abs=1e-15)
