@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, oracles
 from .engine import ScalingSchedule, discretize_initial, export_trajectory, simulate
 from .errors import ConfigurationError, DomainError, RegimeError, SimulationError
-from .flow import FlowConfig, default_flow_config
+from .flow import MAX_STEPS, FlowConfig, default_flow_config
 from .lab import (
     InitialLaw,
     convergence_experiment,
@@ -231,6 +231,21 @@ class RunConfig:
     def sha256(self) -> str:
         return payload_digest(self.to_dict())
 
+    def require_flow_steps(self) -> None:
+        """Refuse a horizon the flow cannot cover in ``MAX_STEPS`` steps, naming
+        ``payoff_matrix``, whose column spread caps the step, and ``flow_step``
+        when it is set.  Every pushforward of ``converge`` and ``residual`` lies
+        in [0, horizon], so none of them fails after the chains have run."""
+        step = self.flow.step(self.matrix.entries)
+        if self.base.horizon > MAX_STEPS * step:
+            keys = "key 'payoff_matrix'"
+            if "flow_step" in self.data:
+                keys = "keys 'payoff_matrix' and 'flow_step'"
+            raise ConfigurationError(
+                f"horizon {self.base.horizon} needs more than {MAX_STEPS} flow steps of "
+                f"{step:.3e} under config {keys}"
+            )
+
 
 def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
     candidate = (
@@ -324,6 +339,7 @@ def cmd_converge(args) -> int:
         )
     if not args.regime:
         require_convergent_regime(config.base)
+        config.require_flow_steps()
     ks = config.resolutions()
     if args.dry_run:
         print("k        tau_k        N_k      w_k")
@@ -380,6 +396,7 @@ def _run_regimes(args, config: RunConfig) -> int:
 
 def cmd_residual(args) -> int:
     config = _load_sweep_config(args)
+    config.require_flow_steps()
     stride = config.quadrature_stride
     runs = []
     # every node set is checked before the first chain step

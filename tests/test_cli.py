@@ -10,7 +10,7 @@ import pytest
 import moranfield
 import moranfield.engine
 import moranfield.simplex
-from moranfield import lab
+from moranfield import cli, lab
 from moranfield.cli import RunConfig, main
 from moranfield.errors import ConfigurationError
 from moranfield.report import read_report, write_report
@@ -394,6 +394,55 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    # a column spread of 1e9 caps the flow step at 2.5e-10, so horizon 1 needs
+    # more than flow.MAX_STEPS steps
+    STIFF = [[1e9, 0.0], [0.0, 1e9]]
+
+    @pytest.mark.parametrize(
+        "command, extra, keys",
+        [
+            ("converge", {}, ["'payoff_matrix'"]),
+            ("residual", {}, ["'payoff_matrix'"]),
+            ("converge", {"flow_step": 1e-3}, ["'payoff_matrix'", "'flow_step'"]),
+            ("residual", {"flow_step": 1e-3}, ["'payoff_matrix'", "'flow_step'"]),
+        ],
+    )
+    def test_flow_step_cap_out_of_reach_rejected_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, command, extra, keys
+    ):
+        def unreachable(*args):
+            raise AssertionError("a chain ran before the flow's step count was checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            payoff_matrix=self.STIFF,
+            resolutions=[16, 32],
+            ensemble_size=8,
+            **extra,
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert "flow steps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "regimes"])
+    def test_commands_without_a_flow_accept_a_stiff_matrix(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            payoff_matrix=self.STIFF,
+            alpha=1.0,
+            beta=0.5,
+            resolution=16,
+            resolutions=[16, 32],
+            ensemble_size=8,
+        )
+        argv = [command, "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "1"]
+        assert main(argv) == 0
 
     def test_integral_float_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", resolutions=[8.0, 16], ensemble_size=12.0)

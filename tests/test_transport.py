@@ -211,6 +211,29 @@ def warm_start_problems(draw):
     return cdist(mu, nu), rng
 
 
+@st.composite
+def lattice_problems(draw, dimensions=st.integers(2, 4)):
+    """(mu, nu, rng) at M from ``dimensions`` (2..4) and R = 2..40: mu on the
+    1/N lattice for N = 1..8, so its points repeat; nu is mu shuffled,
+    another lattice's points, or fresh points."""
+    m = draw(dimensions)
+    r = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def lattice(n):
+        # rounded cumulative sums keep every count >= 0 and their total n
+        cum = np.round(np.cumsum(rng.dirichlet(np.ones(m), size=r), axis=1) * n)
+        return np.diff(cum, axis=1, prepend=0.0) / n
+
+    mu = lattice(draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["shuffled", "lattice", "fresh"]))
+    if kind == "shuffled":
+        nu = mu[rng.permutation(r)]
+    else:
+        nu = lattice(draw(st.integers(1, 8))) if kind == "lattice" else rng.dirichlet(np.ones(m), size=r)
+    return EmpiricalMeasure(mu), EmpiricalMeasure(nu), rng
+
+
 class TestWarmStart:
     """Solving on reduced costs keeps the optimal value of the matrix and of
     every paired resample, whatever the number of potential rounds."""
@@ -246,34 +269,20 @@ class TestWarmStart:
             warm = assignment_mean(dist, idx, idx, reduced)
             assert warm == pytest.approx(cold, rel=1e-12, abs=1e-15)
 
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_problems())
+    def test_rounding_noise_is_snapped_to_exact_zeros(self, problem):
+        mu, nu, _ = problem
+        dist = cdist(mu.array, nu.array)
+        tol = transport.SNAP_EPS * np.finfo(float).eps * dist.max()
+        magnitudes = np.abs(reduced_costs(dist))
+        assert not np.any((magnitudes > 0) & (magnitudes <= tol))
+
     def test_the_full_problem_keeps_its_value(self):
         rng = np.random.default_rng(44)
         dist = cdist(rng.dirichlet(np.ones(3), size=30), rng.dirichlet(np.ones(3), size=30))
         cold = assignment_mean(dist)
         assert assignment_mean(dist, reduced=reduced_costs(dist)) == pytest.approx(cold, rel=1e-12)
-
-
-@st.composite
-def lattice_problems(draw):
-    """(mu, nu, rng) at M = 2..4 and R = 2..40: mu on the 1/N lattice for
-    N = 1..8, so its points repeat; nu is mu shuffled, another lattice's
-    points, or fresh points."""
-    m = draw(st.integers(2, 4))
-    r = draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def lattice(n):
-        # rounded cumulative sums keep every count >= 0 and their total n
-        cum = np.round(np.cumsum(rng.dirichlet(np.ones(m), size=r), axis=1) * n)
-        return np.diff(cum, axis=1, prepend=0.0) / n
-
-    mu = lattice(draw(st.integers(1, 8)))
-    kind = draw(st.sampled_from(["shuffled", "lattice", "fresh"]))
-    if kind == "shuffled":
-        nu = mu[rng.permutation(r)]
-    else:
-        nu = lattice(draw(st.integers(1, 8))) if kind == "lattice" else rng.dirichlet(np.ones(m), size=r)
-    return EmpiricalMeasure(mu), EmpiricalMeasure(nu), rng
 
 
 class TestOrderedSolve:
@@ -299,6 +308,20 @@ class TestOrderedSolve:
             idx = draws.integers(0, r, size=r)
             cold = assignment_mean(dist[np.ix_(idx, idx)])
             assert value == pytest.approx(cold, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_problems(dimensions=st.just(2)), st.integers(0, 2**32 - 1))
+    def test_m2_resamples_equal_the_sorted_closed_form(self, problem, seed):
+        # at M = 2 every point is (x, 1 - x) and the cost is sqrt(2)|x - y|, so
+        # sorted x matched to sorted y is optimal; each side's sorted ranks
+        # index its first coordinates in ascending order
+        mu, nu, _ = problem
+        prepared = lab.PairedBootstrap(mu, nu, np.random.default_rng(seed), n_resamples=8)
+        x, y = (np.sort(m.array[:, 0]) for m in (mu, nu))
+        for rows, cols in zip(prepared.rows, prepared.cols):
+            value = assignment_mean(prepared.dist, rows, cols, prepared.reduced)
+            closed = math.sqrt(2) * math.fsum(np.abs(x[rows] - y[cols]).tolist()) / rows.size
+            assert value == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_the_mean_is_exactly_rounded_in_any_pair_order(self):
         # one optimal matching, the diagonal, whose costs sum to other bits
