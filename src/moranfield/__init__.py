@@ -14,7 +14,6 @@ from .engine import (
     discretize_initial,
     exact_drift,
     export_trajectory,
-    import_trajectory,
     largest_remainder_counts,
     simulate,
     step,

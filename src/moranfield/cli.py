@@ -191,6 +191,15 @@ class RunConfig:
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
             )
+        if len(set(self.checkpoints)) < len(self.checkpoints):
+            raise ConfigurationError(
+                f"config key 'checkpoints' must be distinct, got {self.checkpoints}"
+            )
+        ks = self._resolutions or []
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ConfigurationError(
+                f"config key 'resolutions' must be strictly increasing, got {ks}"
+            )
         final = self.verdict.get("final_checkpoint")
         if final is not None and final not in self.checkpoints:
             raise ConfigurationError(
@@ -255,7 +264,12 @@ def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
         or "moranfield-out"
     )
     path = Path(candidate)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigurationError(
+            f"config key 'output_dir': cannot create {path}: {err.strerror}"
+        ) from None
     return path
 
 
@@ -280,11 +294,11 @@ def cmd_simulate(args) -> int:
     config = RunConfig.load(args.config, {"master_seed": args.seed, "resolution": args.k})
     if config.resolution is None:
         raise ConfigurationError("simulate needs a resolution (config 'resolution' or --k)")
+    outdir = _resolve_output_dir(args.output_dir, config)
     schedule = config.schedule(config.resolution)
     lam0 = draw_initial_samples(config.law, 1, config.master_seed)[0]
     initial = discretize_initial(SimplexPoint(lam0), schedule)
     traj = simulate(initial, config.matrix, schedule, seed=config.master_seed)
-    outdir = _resolve_output_dir(args.output_dir, config)
     export_trajectory(
         traj, outdir / "trajectory.csv", outdir / "trajectory_sidecar.json", config.matrix
     )
@@ -350,8 +364,9 @@ def cmd_converge(args) -> int:
                 f"{sched.selection_weight:.6g}"
             )
         return 0
+    outdir = _resolve_output_dir(args.output_dir, config)
     if args.regime:
-        return _run_regimes(args, config)
+        return _run_regimes(args, config, outdir)
     report = convergence_experiment(
         config.law,
         config.matrix,
@@ -363,7 +378,6 @@ def cmd_converge(args) -> int:
         config.flow,
         jobs=args.jobs,
     )
-    outdir = _resolve_output_dir(args.output_dir, config)
     write_report(outdir / "report.json", report.payload(), report.wall_clock_seconds)
     write_csv(outdir / "report.csv", *report.table())
     _write_manifest(outdir, "converge", config)
@@ -372,7 +386,7 @@ def cmd_converge(args) -> int:
     return 0
 
 
-def _run_regimes(args, config: RunConfig) -> int:
+def _run_regimes(args, config: RunConfig, outdir: Path) -> int:
     report = regime_experiment(
         config.law,
         config.matrix,
@@ -382,7 +396,6 @@ def _run_regimes(args, config: RunConfig) -> int:
         config.master_seed,
         jobs=args.jobs,
     )
-    outdir = _resolve_output_dir(args.output_dir, config)
     write_report(outdir / "regimes.json", report.payload())
     write_csv(outdir / "regimes.csv", *report.table())
     _write_manifest(outdir, "regimes", config)
@@ -410,6 +423,7 @@ def cmd_residual(args) -> int:
             )
         runs.append((schedule, nodes))
     phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
+    outdir = _resolve_output_dir(args.output_dir, config)
     floors = {}
     records = []
     for schedule, nodes in runs:
@@ -445,7 +459,6 @@ def cmd_residual(args) -> int:
                 f"k={schedule.resolution} phi={phi.name}: residual={est.value:.6g} "
                 f"(ci {est.ci_halfwidth:.3g}, floor {floor.value + floor.ci_halfwidth:.3g})"
             )
-    outdir = _resolve_output_dir(args.output_dir, config)
     payload = {
         "schema": RESIDUAL_SCHEMA,
         "config_sha256": config.sha256(),

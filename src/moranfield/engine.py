@@ -13,9 +13,7 @@ piecewise affine and piecewise constant interpolations of the chain.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -509,14 +507,7 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
     return (lam_fit[:, 0] - lam[:, 0] * fbar[0]) / (n * fbar[0])
 
 
-# -- trajectory file round-trip -----------------------------------------
-
-TRAJECTORY_SCHEMA = "moranfield-trajectory/v1"
-
-
-def _trajectory_header(m: int) -> list[str]:
-    return ["t"] + [f"lambda_{i + 1}" for i in range(m)]
-
+# -- trajectory file export -----------------------------------------
 
 def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMatrix) -> None:
     """Write grid-point proportions as CSV plus a JSON sidecar.
@@ -536,99 +527,13 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
         [times[a : a + DRAW_BLOCK], *text[counts[a : a + DRAW_BLOCK]].T]
         for a in range(0, len(counts), DRAW_BLOCK)
     )
-    write_csv(csv_path, _trajectory_header(counts.shape[1]), blocks)
+    header = ["t"] + [f"lambda_{i + 1}" for i in range(counts.shape[1])]
+    write_csv(csv_path, header, blocks)
     sidecar = {
-        "schema": TRAJECTORY_SCHEMA,
+        "schema": "moranfield-trajectory/v1",
         "schedule": asdict(traj.schedule),
         "seed": traj.seed,
         "payoff_matrix": matrix.to_rows(),
     }
     write_json(sidecar_path, sidecar)
 
-
-def _read_sidecar(sidecar_path):
-    """(schedule, seed, matrix) of a trajectory sidecar; ConfigurationError
-    names the key that is missing or bad."""
-    try:
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"trajectory sidecar is not valid JSON: {err}") from None
-    if not isinstance(sidecar, dict):
-        raise ConfigurationError("trajectory sidecar must be a JSON object")
-    if sidecar.get("schema") != TRAJECTORY_SCHEMA:
-        raise ConfigurationError(f"unexpected sidecar schema {sidecar.get('schema')!r}")
-    for key in ("schedule", "seed", "payoff_matrix"):
-        if key not in sidecar:
-            raise ConfigurationError(f"trajectory sidecar is missing key {key!r}")
-    seed = sidecar["seed"]
-    if not _is_integer(seed):
-        raise ConfigurationError(f"trajectory sidecar key 'seed' must be an integer, got {seed!r}")
-    try:
-        schedule = ScalingSchedule(**sidecar["schedule"])
-    except (TypeError, DomainError) as err:
-        # an unknown or missing field, or a value of the wrong type or range
-        raise ConfigurationError(f"trajectory sidecar key 'schedule': {err}") from None
-    try:
-        matrix = PayoffMatrix(sidecar["payoff_matrix"])
-    except (DimensionError, DomainError) as err:
-        raise ConfigurationError(f"trajectory sidecar key 'payoff_matrix': {err}") from None
-    return schedule, seed, matrix
-
-
-def import_trajectory(csv_path, sidecar_path):
-    """Inverse of :func:`export_trajectory`; returns (Trajectory, PayoffMatrix).
-
-    The CSV must carry the export's header for the sidecar's M, one row per
-    grid time with ``t`` equal to ``schedule.times()``, and proportions within
-    1e-9 / N of the 1/N lattice.  ConfigurationError names the row of a file
-    that is not such an export, DomainError the row of an off-lattice
-    proportion or of counts that do not sum to N; rows are numbered from 1
-    after the header.
-    """
-    schedule, seed, matrix = _read_sidecar(sidecar_path)
-    n, times = schedule.population, schedule.times()
-    header = _trajectory_header(matrix.dimension)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ConfigurationError(f"trajectory CSV header is not {','.join(header)}")
-        rows = []
-        for row, cells in enumerate(reader, 1):
-            if len(cells) != len(header):
-                raise ConfigurationError(
-                    f"trajectory CSV row {row} has {len(cells)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(x) for x in cells])
-            except ValueError as err:
-                raise ConfigurationError(f"trajectory CSV row {row}: {err}") from None
-    if len(rows) != len(times):
-        raise ConfigurationError(
-            f"trajectory CSV has {len(rows)} rows, its sidecar schedule {len(times)}"
-        )
-    values = np.array(rows)
-    wrong_time = values[:, 0] != times
-    if wrong_time.any():
-        row = int(np.argmax(wrong_time))
-        raise ConfigurationError(
-            f"trajectory CSV row {row + 1}: t = {values[row, 0]:.17g}, expected {times[row]:.17g}"
-        )
-    scaled = values[:, 1:] * n
-    counts = np.rint(scaled)
-    # written so that nan fails
-    off = ~(np.abs(scaled - counts) <= 1e-9)
-    if off.any():
-        row, col = np.argwhere(off)[0]
-        raise DomainError(
-            f"trajectory CSV row {row + 1}: {values[row, col + 1]:.17g} is not a multiple of 1/{n}"
-        )
-    counts = counts.astype(np.int64)
-    if np.any(counts < 0):
-        row = int(np.argmax((counts < 0).any(axis=1)))
-        raise DomainError(f"negative strategy count in trajectory CSV row {row + 1}")
-    sums = counts.sum(axis=1)
-    if np.any(sums != n):
-        row = int(np.argmax(sums != n))
-        raise DomainError(f"trajectory CSV row {row + 1} sums to {sums[row]}, expected {n}")
-    return Trajectory(schedule=schedule, counts=counts, seed=seed), matrix

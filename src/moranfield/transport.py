@@ -54,14 +54,11 @@ class EmpiricalMeasure:
     """Uniformly weighted multiset of simplex points."""
 
     def __init__(self, points):
-        if isinstance(points, np.ndarray) and points.ndim == 2:
-            arr = np.array(points, dtype=float)
-        else:
-            rows = [p.coords if isinstance(p, SimplexPoint) else np.asarray(p, float) for p in points]
-            if not rows:
-                raise DomainError("an empirical measure needs at least one point")
-            arr = np.array(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
+        # numpy reads a SimplexPoint as the sequence of its coordinates
+        arr = np.array(points, dtype=float)
+        if arr.shape[:1] == (0,):
+            raise DomainError("an empirical measure needs at least one point")
+        if arr.ndim != 2 or arr.shape[1] < 2:
             raise DimensionError(f"expected an (R, M>=2) point array, got shape {arr.shape}")
         # written so that nan fails
         on_simplex = np.all(arr >= -SIMPLEX_TOL, axis=1) & (

@@ -383,6 +383,8 @@ class TestConfigValidation:
             ("simulate", {"payoff_matrix": [[1.0, 2.0], [3.0, False]]}, "payoff_matrix"),
             # refused before any ensemble, with the resolutions check
             ("converge", {"checkpoints": [0.5, 0.5, 1.0]}, "checkpoints"),
+            ("regimes", {"resolutions": [16, 16]}, "resolutions"),
+            ("residual", {"resolutions": [32, 16]}, "resolutions"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -394,6 +396,33 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "regimes", "residual"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_unusable_output_dir_rejected_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, command, source
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a chain ran before the output directory was made")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "simulate", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        overrides = {"resolution": 10, "resolutions": [16, 32]}
+        if source == "config":
+            overrides["output_dir"] = out
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        argv = [command, "--config", str(cfg), "--jobs", "1"]
+        if source == "flag":
+            argv += ["--output-dir", out]
+        if source == "env":
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, out)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'output_dir'" in err and out in err, err
 
     # a column spread of 1e9 caps the flow step at 2.5e-10, so horizon 1 needs
     # more than flow.MAX_STEPS steps

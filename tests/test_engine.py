@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,6 @@ from moranfield.engine import (
     discretize_initial,
     exact_drift,
     export_trajectory,
-    import_trajectory,
     largest_remainder_counts,
     simulate,
     simulate_counts_batch,
@@ -466,101 +466,6 @@ class TestExactDrift:
             assert remainder_scale(state, mat) <= 2.0 * c_est
 
 
-M4 = PayoffMatrix([[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 1.0], [3.0, 4.0, 1.0, 2.0],
-                   [4.0, 1.0, 2.0, 3.0]])
-
-
-def _set_cell(row, col, value):
-    """CSV text edit: data row ``row`` (from 1), cell ``col`` (0 = t) set to ``value``."""
-
-    def edit(text):
-        lines = text.split("\r\n")
-        cells = lines[row].split(",")
-        cells[col] = value
-        lines[row] = ",".join(cells)
-        return "\r\n".join(lines)
-
-    return edit
-
-
-def _all_times_nine(text):
-    lines = text.split("\r\n")
-    return "\r\n".join([lines[0]] + ["9" + line[line.index(","):] for line in lines[1:-1]] + [""])
-
-
-def _sidecar_edit(**changes):
-    """Sidecar text edit: set each key to its value, or drop it when the value is None."""
-
-    def edit(text):
-        doc = json.loads(text)
-        for key, value in changes.items():
-            if value is None:
-                del doc[key]
-            else:
-                doc[key] = value
-        return json.dumps(doc)
-
-    return edit
-
-
-def _unknown_schedule_key(text):
-    doc = json.loads(text)
-    doc["schedule"]["bogus"] = 1
-    return json.dumps(doc)
-
-
-def _schedule_edit(**changes):
-    """Sidecar text edit: set each schedule field to its value."""
-
-    def edit(text):
-        doc = json.loads(text)
-        doc["schedule"].update(changes)
-        return json.dumps(doc)
-
-    return edit
-
-
-# (file, edit, error, message) on a k = 4, N = 2, M = 4 export whose every row
-# is [1, 1, 0, 0]: 0.4 is a cell of 0.5 moved off the lattice
-BAD_TRAJECTORY_FILES = {
-    "empty csv": ("csv", lambda text: "", ConfigurationError, "header"),
-    "foreign header": ("csv", lambda text: "x,y,z\r\n", ConfigurationError, "header"),
-    "text cell": ("csv", _set_cell(2, 1, "abc"), ConfigurationError, "row 2"),
-    "nan cell": ("csv", _set_cell(2, 1, "nan"), DomainError, "row 2"),
-    "off-lattice cell": ("csv", _set_cell(2, 1, "0.4"), DomainError, "row 2.*1/2"),
-    "wrong times": ("csv", _all_times_nine, ConfigurationError, "row 1: t = 9, expected 0"),
-    "invalid sidecar json": ("json", lambda text: text[:-3], ConfigurationError, "JSON"),
-    "no seed": ("json", _sidecar_edit(seed=None), ConfigurationError, "'seed'"),
-    "text seed": ("json", _sidecar_edit(seed="abc"), ConfigurationError, "'seed'"),
-    "no schedule": ("json", _sidecar_edit(schedule=None), ConfigurationError, "'schedule'"),
-    "unknown schedule key": ("json", _unknown_schedule_key, ConfigurationError, "bogus"),
-    "no payoff matrix": (
-        "json", _sidecar_edit(payoff_matrix=None), ConfigurationError, "'payoff_matrix'"
-    ),
-    "matrix of another M": (
-        "json", _sidecar_edit(payoff_matrix=A22.to_rows()), ConfigurationError, "header"
-    ),
-    "text resolution": ("json", _schedule_edit(resolution="4"), ConfigurationError, "'schedule'"),
-    "fractional resolution": (
-        "json", _schedule_edit(resolution=4.5), ConfigurationError, "'schedule'"
-    ),
-    "bool resolution": ("json", _schedule_edit(resolution=True), ConfigurationError, "'schedule'"),
-    "text n_floor": ("json", _schedule_edit(n_floor="3"), ConfigurationError, "'schedule'"),
-    "text payoff entry": (
-        "json",
-        _sidecar_edit(payoff_matrix=[["a", 1, 1, 1]] + [[1, 1, 1, 1]] * 3),
-        ConfigurationError,
-        "'payoff_matrix'",
-    ),
-    "bool payoff entry": (
-        "json",
-        _sidecar_edit(payoff_matrix=[[True, 1, 1, 1]] + [[1, 1, 1, 1]] * 3),
-        ConfigurationError,
-        "'payoff_matrix'",
-    ),
-}
-
-
 class TestTrajectoryFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         sched = ScalingSchedule(horizon=1.0, resolution=25, alpha=0.6, beta=0.4)
@@ -569,10 +474,13 @@ class TestTrajectoryFiles:
         csv_path = tmp_path / "traj.csv"
         json_path = tmp_path / "traj.json"
         export_trajectory(traj, csv_path, json_path, A22)
-        loaded, mat = import_trajectory(csv_path, json_path)
-        assert loaded.seed == traj.seed
-        assert np.array_equal(loaded.counts, traj.counts)
-        assert np.array_equal(mat.entries, A22.entries)
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(data[:, 0], sched.times())
+        assert np.array_equal(data[:, 1:], traj.counts / sched.population)
+        sidecar = json.loads(json_path.read_text())
+        assert sidecar["seed"] == traj.seed
+        assert sidecar["schedule"] == asdict(sched)
+        assert sidecar["payoff_matrix"] == A22.to_rows()
 
     def test_csv_header(self, tmp_path):
         sched = ScalingSchedule(horizon=1.0, resolution=4, alpha=0.6, beta=0.4)
@@ -582,22 +490,6 @@ class TestTrajectoryFiles:
         export_trajectory(traj, csv_path, tmp_path / "t.json", A22)
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,lambda_1,lambda_2"
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("case", BAD_TRAJECTORY_FILES)
-    def test_import_rejects_a_bad_file(self, tmp_path, case):
-        target, edit, error, message = BAD_TRAJECTORY_FILES[case]
-        sched = ScalingSchedule(
-            horizon=1.0, resolution=4, alpha=1.0, beta=0.0, n_floor=2, n_scale=1e-9
-        )
-        traj = Trajectory(schedule=sched, counts=np.tile([1, 1, 0, 0], (5, 1)), seed=0)
-        paths = {"csv": tmp_path / "t.csv", "json": tmp_path / "t.json"}
-        export_trajectory(traj, paths["csv"], paths["json"], M4)
-        import_trajectory(paths["csv"], paths["json"])
-        text = paths[target].read_bytes().decode()
-        paths[target].write_bytes(edit(text).encode())
-        with pytest.raises(error, match=message):
-            import_trajectory(paths["csv"], paths["json"])
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_export_rejects_counts_off_the_lattice(self, tmp_path, bad):

@@ -20,7 +20,6 @@ from moranfield.engine import (
     discretize_initial,
     exact_drift,
     export_trajectory,
-    import_trajectory,
     simulate,
     simulate_counts_batch,
     step,
@@ -360,18 +359,3 @@ def test_simulate_reads_one_stream_like_the_batch_kernel():
     uniforms = np.array([[rng.random() for _ in range(sched.resolution)]])
     batch = simulate_counts_batch([init.counts], M3, sched, uniforms)
     assert np.array_equal(simulate(init, M3, sched, seed=7).counts, batch[0])
-
-
-def test_import_rejects_a_row_that_does_not_sum_to_n(tmp_path):
-    sched = ScalingSchedule(horizon=1.0, resolution=6, alpha=0.6, beta=0.4, n_scale=5.0)
-    init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)
-    traj = simulate(init, M3, sched, seed=3)
-    csv_path, sidecar = tmp_path / "t.csv", tmp_path / "t.json"
-    export_trajectory(traj, csv_path, sidecar, M3)
-    lines = csv_path.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[1] = repr(float(cells[1]) + 1.0 / sched.population)
-    lines[3] = ",".join(cells)
-    csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match="row 3"):
-        import_trajectory(csv_path, sidecar)
