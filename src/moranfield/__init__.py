@@ -11,7 +11,6 @@ from .engine import (
     ScalingSchedule,
     Trajectory,
     TransitionTable,
-    discretize_initial,
     exact_drift,
     export_trajectory,
     largest_remainder_counts,

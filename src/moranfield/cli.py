@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, oracles
-from .engine import ScalingSchedule, discretize_initial, export_trajectory, simulate
+from .engine import ScalingSchedule, export_trajectory, largest_remainder_counts, simulate
 from .errors import ConfigurationError, DomainError, RegimeError, SimulationError
 from .flow import MAX_STEPS, FlowConfig, default_flow_config
 from .lab import (
@@ -38,6 +38,7 @@ from .lab import (
     quadrature_checkpoints,
     regime_experiment,
     require_convergent_regime,
+    require_sweep,
     residual_floor,
     run_ensemble,
     standard_test_functions,
@@ -185,21 +186,11 @@ class RunConfig:
                 f"initial law dimension {self.law.dimension} does not match "
                 f"payoff matrix dimension {self.matrix.dimension}"
             )
-        if not self.checkpoints:
-            raise ConfigurationError("config key 'checkpoints' must list at least one time")
         if any(t < 0 or t > self.base.horizon for t in self.checkpoints):
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
             )
-        if len(set(self.checkpoints)) < len(self.checkpoints):
-            raise ConfigurationError(
-                f"config key 'checkpoints' must be distinct, got {self.checkpoints}"
-            )
-        ks = self._resolutions or []
-        if any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ConfigurationError(
-                f"config key 'resolutions' must be strictly increasing, got {ks}"
-            )
+        require_sweep(self._resolutions or [], self.checkpoints)
         final = self.verdict.get("final_checkpoint")
         if final is not None and final not in self.checkpoints:
             raise ConfigurationError(
@@ -256,7 +247,9 @@ class RunConfig:
             )
 
 
-def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
+def _resolve_output_dir(flag_value: str | None, config: RunConfig, *files: str) -> Path:
+    """Make the output directory; refuse one that cannot be made, or in which
+    one of ``files`` or ``manifest.json`` exists and is not a regular file."""
     candidate = (
         flag_value
         or config.output_dir
@@ -264,6 +257,11 @@ def _resolve_output_dir(flag_value: str | None, config: RunConfig) -> Path:
         or "moranfield-out"
     )
     path = Path(candidate)
+    for name in (*files, "manifest.json"):
+        if (path / name).exists() and not (path / name).is_file():
+            raise ConfigurationError(
+                f"config key 'output_dir': {path / name} exists and is not a regular file"
+            )
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -294,11 +292,13 @@ def cmd_simulate(args) -> int:
     config = RunConfig.load(args.config, {"master_seed": args.seed, "resolution": args.k})
     if config.resolution is None:
         raise ConfigurationError("simulate needs a resolution (config 'resolution' or --k)")
-    outdir = _resolve_output_dir(args.output_dir, config)
+    outdir = _resolve_output_dir(
+        args.output_dir, config, "trajectory.csv", "trajectory_sidecar.json"
+    )
     schedule = config.schedule(config.resolution)
     lam0 = draw_initial_samples(config.law, 1, config.master_seed)[0]
-    initial = discretize_initial(SimplexPoint(lam0), schedule)
-    traj = simulate(initial, config.matrix, schedule, seed=config.master_seed)
+    counts0 = largest_remainder_counts(SimplexPoint(lam0), schedule.population)
+    traj = simulate(counts0, config.matrix, schedule, seed=config.master_seed)
     export_trajectory(
         traj, outdir / "trajectory.csv", outdir / "trajectory_sidecar.json", config.matrix
     )
@@ -364,7 +364,8 @@ def cmd_converge(args) -> int:
                 f"{sched.selection_weight:.6g}"
             )
         return 0
-    outdir = _resolve_output_dir(args.output_dir, config)
+    name = "regimes" if args.regime else "report"
+    outdir = _resolve_output_dir(args.output_dir, config, f"{name}.json", f"{name}.csv")
     if args.regime:
         return _run_regimes(args, config, outdir)
     report = convergence_experiment(
@@ -423,7 +424,7 @@ def cmd_residual(args) -> int:
             )
         runs.append((schedule, nodes))
     phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
-    outdir = _resolve_output_dir(args.output_dir, config)
+    outdir = _resolve_output_dir(args.output_dir, config, "residual.json")
     floors = {}
     records = []
     for schedule, nodes in runs:

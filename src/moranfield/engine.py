@@ -14,18 +14,12 @@ piecewise affine and piecewise constant interpolations of the chain.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    FitnessDegenerateError,
-)
+from .errors import DimensionError, DomainError, FitnessDegenerateError
 from .report import csv_cells, write_csv, write_json
 from .simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, payoff_fitness
 
@@ -84,27 +78,25 @@ class DiscreteState:
 class TransitionTable:
     """One-step transition distribution of the chain at a fixed state.
 
-    ``cumulative`` is the normalized cumulative over the flat outcomes
-    ``[stay, move(0,0), move(0,1), ..., move(M-1,M-1)]`` (moves row-major;
-    ``move(i, j)``: strategy i gains one bearer while j loses one).  It ends at
-    exactly 1.0.  Self-replacements are folded into the stay, so every
-    diagonal move is a zero-width step.  It is, bit for bit, the cumulative
-    that the single-chain walk (``step``, ``simulate``) and a one-replica
-    lockstep run invert.  A lockstep run of R >= 2 replicas computes the
-    fitness in one matrix product whose rounding depends on R, so its
-    cumulative may differ from this one by a few ulp.
+    ``cumulative`` is the normalized cumulative over the 1 + M(M-1) sampled
+    outcomes ``[stay, off-diagonal moves row-major]`` (``move(i, j)``, i != j:
+    strategy i gains one bearer while j loses one; a self-replacement is a
+    stay).  It ends at exactly 1.0.  It is, bit for bit, the cumulative that
+    the single-chain walk (``step``, ``simulate``) and a one-replica lockstep
+    run invert.  A lockstep run of R >= 2 replicas computes the fitness in
+    one matrix product whose rounding depends on R, so its cumulative may
+    differ from this one by a few ulp.
     """
 
     cumulative: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return math.isqrt(self.cumulative.size - 1)
+    dimension: int
 
     @property
     def move_probs(self) -> np.ndarray:
         """(M, M) move probabilities, zero on the diagonal."""
-        return self.flat_probabilities()[1:].reshape(self.dimension, self.dimension)
+        probs = np.zeros((self.dimension, self.dimension))
+        probs[~np.eye(self.dimension, dtype=bool)] = self.flat_probabilities()[1:]
+        return probs
 
     @property
     def stay_prob(self) -> float:
@@ -116,19 +108,19 @@ class TransitionTable:
         return np.diff(self.cumulative, prepend=0.0)
 
     def outcome_moves(self) -> np.ndarray:
-        """(1 + M^2, 2) array of (gainer, loser) per flat outcome; row 0 = stay = (-1, -1)."""
+        """(gainer, loser) of each outcome of ``cumulative``; the stay's is (-1, -1)."""
         return _outcome_moves(self.dimension)
 
 
 def _outcome_moves(m: int) -> np.ndarray:
-    gainers, losers = np.divmod(np.arange(m * m), m)
-    return np.vstack(([(-1, -1)], np.column_stack((gainers, losers))))
+    """(1 + M(M-1), 2) (gainer, loser) of each sampled outcome: row 0 is the
+    stay, (-1, -1), then the off-diagonal moves row-major."""
+    return np.vstack(([(-1, -1)], np.argwhere(~np.eye(m, dtype=bool))))
 
 
 def _increment_table(m: int) -> np.ndarray:
-    """(M, 1 + M(M-1)) count increment of each sampled outcome: column 0 (stay)
-    is zero, then the off-diagonal moves row-major."""
-    gainers, losers = np.nonzero(~np.eye(m, dtype=bool))
+    """(M, 1 + M(M-1)) count increment of each outcome of :func:`_outcome_moves`."""
+    gainers, losers = _outcome_moves(m)[1:].T
     eye = np.eye(m)
     return np.hstack((np.zeros((m, 1)), eye[:, gainers] - eye[:, losers]))
 
@@ -193,11 +185,8 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     cum = np.empty(1 + m * (m - 1))
     _cumulative_filler(coeffs, np.append(state.counts, 1.0)[:, None], cum[:, None])()
     cum[-1] = 1.0
-    # a diagonal move repeats the cumulative of the sampled outcome before it
-    sampled = np.concatenate(([True], ~np.eye(m, dtype=bool).ravel()))
-    flat = cum[np.cumsum(sampled) - 1]
-    flat.setflags(write=False)
-    return TransitionTable(cumulative=flat)
+    cum.setflags(write=False)
+    return TransitionTable(cumulative=cum, dimension=m)
 
 
 def _draw_blocks(uniforms):
@@ -233,9 +222,7 @@ def _walk(
     _check_dimension(m, entries)
     state, cum = np.ones((m + 1, 1)), np.empty((1 + m * (m - 1), 1))
     fill = _cumulative_filler(fitness_coefficients(entries, population, w), state, cum)
-    inc = _increment_table(m).T.astype(np.int64)
-    # (gainer, loser) of each sampled outcome after the stay
-    moves = [None, *zip(inc[1:].argmax(axis=1).tolist(), inc[1:].argmin(axis=1).tolist())]
+    inc, moves = _increment_table(m).T.astype(np.int64), _outcome_moves(m).tolist()
     current, picks = counts0.tolist(), []
     for block in _draw_blocks(uniforms[None]):
         heads = {}
@@ -377,38 +364,19 @@ def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray
     return base
 
 
-def discretize_initial(point: SimplexPoint, schedule: ScalingSchedule) -> DiscreteState:
-    """Largest-remainder projection of ``point`` onto the schedule's count lattice."""
-    counts = largest_remainder_counts(point, schedule.population)
-    return DiscreteState(counts, schedule.population, schedule.selection_weight)
-
-
-def simulate(
-    initial: DiscreteState,
-    matrix: PayoffMatrix,
-    schedule: ScalingSchedule,
-    seed: int,
-) -> Trajectory:
-    """Run ``schedule.resolution`` sequential steps from ``initial``.
+def simulate(counts0, matrix: PayoffMatrix, schedule: ScalingSchedule, seed: int) -> Trajectory:
+    """Run ``schedule.resolution`` sequential steps from the lattice counts
+    ``counts0``, which must sum to the schedule's population.
 
     The RNG stream is PCG64 seeded by ``seed`` alone, so identical seeds give
     identical trajectories.
     """
-    if initial.population != schedule.population:
-        raise ConfigurationError(
-            f"initial population {initial.population} does not match "
-            f"schedule population {schedule.population}"
-        )
-    if initial.selection_weight != schedule.selection_weight:
-        raise ConfigurationError(
-            f"initial selection weight {initial.selection_weight} does not match "
-            f"schedule weight {schedule.selection_weight}"
-        )
+    n, w = schedule.population, schedule.selection_weight
+    counts0 = DiscreteState(counts0, n, w).counts
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     # one call for all k draws gives the same values as k scalar draws
     uniforms = rng.random(schedule.resolution)
-    n, w = schedule.population, schedule.selection_weight
-    counts = _walk(initial.counts, matrix.entries, n, w, uniforms)
+    counts = _walk(counts0, matrix.entries, n, w, uniforms)
     return Trajectory(schedule=schedule, counts=counts, seed=int(seed))
 
 
@@ -424,13 +392,12 @@ def simulate_counts_batch(
 
     ``uniforms`` has shape (R, k), one draw per replica per step, each in
     [0, 1).  All replicas share the schedule's population and weight.  Each
-    step inverts the normalized cumulative of the sampled outcomes (the one
-    :func:`transition_table` holds, whose zero-width diagonal moves never
-    change a cumulative), taking the first outcome whose cumulative exceeds u
-    (``searchsorted(side="right")``).  A step is twelve numpy calls on arrays
-    of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once per run,
-    so every call's inner loop runs over replicas.  ``uniforms`` is read once,
-    in order, by :func:`_draw_blocks`, so it may draw each block when read.
+    step inverts the normalized cumulative of the sampled outcomes, the one
+    :func:`transition_table` returns, taking the first outcome whose cumulative
+    exceeds u (``searchsorted(side="right")``).  A step is twelve numpy calls
+    on arrays of shape (M + 1, R), (M, R) and (1 + M(M-1), R), allocated once
+    per run, so every call's inner loop runs over replicas.  ``uniforms`` is
+    read once, in order, by :func:`_draw_blocks`, so it may draw each block.
 
     At R = 1 the path is exactly the walk of :func:`step` and :func:`simulate`
     on the same draws.  For R >= 2 the fitness is one matrix product whose

@@ -441,6 +441,23 @@ def require_convergent_regime(schedule: ScalingSchedule) -> None:
         )
 
 
+def require_sweep(resolutions, checkpoints, ensemble_size: int = 2) -> None:
+    """Refuse, before any ensemble runs, ``resolutions`` that do not strictly
+    increase, ``checkpoints`` that are empty or repeated, and an
+    ``ensemble_size`` above ``EXACT_SIZE_CAP``; each message names its
+    argument, which is also its config key."""
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigurationError(f"resolutions must be strictly increasing, got {resolutions}")
+    if not checkpoints:
+        raise ConfigurationError("checkpoints must list at least one time")
+    if len(set(checkpoints)) < len(checkpoints):
+        raise ConfigurationError(f"checkpoints must be distinct, got {list(checkpoints)}")
+    if ensemble_size > EXACT_SIZE_CAP:
+        raise CapacityError(
+            f"ensemble_size {ensemble_size} exceeds the exact-solver cap {EXACT_SIZE_CAP}"
+        )
+
+
 def convergence_experiment(
     law: InitialLaw,
     matrix: PayoffMatrix,
@@ -460,12 +477,8 @@ def convergence_experiment(
     """
     require_convergent_regime(base)
     _require_jobs(jobs)
-    ks = [int(k) for k in resolutions]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigurationError(f"resolutions must be strictly increasing, got {ks}")
-    checkpoints = tuple(float(t) for t in checkpoints)
-    if len(set(checkpoints)) < len(checkpoints):
-        raise ConfigurationError(f"checkpoints must be distinct, got {list(checkpoints)}")
+    ks, checkpoints = [int(k) for k in resolutions], tuple(float(t) for t in checkpoints)
+    require_sweep(ks, checkpoints, ensemble_size)
     flow_cfg = flow_cfg or default_flow_config(base.horizon)
 
     started = time.perf_counter()
@@ -587,17 +600,18 @@ def regime_experiment(
     W1 between the laws at t = 0 and t = horizon.
     """
     _require_jobs(jobs)
-    horizon = base.horizon
+    horizon, ks = base.horizon, [int(k) for k in resolutions]
+    require_sweep(ks, (0.0, horizon), ensemble_size)
     records = []
-    for k in resolutions:
-        schedule = replace(base, resolution=int(k))
+    for k in ks:
+        schedule = replace(base, resolution=k)
         ensemble = run_ensemble(law, matrix, schedule, ensemble_size, (0.0, horizon), master_seed)
         start, end = ensemble.constant[0.0], ensemble.constant[horizon]
         rng = _rng(master_seed, "regimes_bootstrap", k)
         displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
         records.append(
             RegimeRecord(
-                k=int(k),
+                k=k,
                 tau=schedule.tau,
                 population=schedule.population,
                 selection_weight=schedule.selection_weight,
@@ -838,7 +852,9 @@ def residual_floor(
 
 
 def quadrature_checkpoints(schedule: ScalingSchedule, stride: int = 1) -> tuple:
-    """Grid times t_h thinned by ``stride`` (horizon always included)."""
+    """Grid times t_h thinned by ``stride`` >= 1 (horizon always included)."""
+    if stride < 1:
+        raise DomainError(f"quadrature stride must be >= 1, got {stride}")
     times = schedule.times()[::stride]
     if times[-1] != schedule.horizon:
         times = np.append(times, schedule.horizon)

@@ -424,6 +424,39 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "'output_dir'" in err and out in err, err
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("simulate", "trajectory.csv"),
+            ("simulate", "trajectory_sidecar.json"),
+            ("simulate", "manifest.json"),
+            ("converge", "report.json"),
+            ("converge", "report.csv"),
+            ("converge", "manifest.json"),
+            ("regimes", "regimes.json"),
+            ("regimes", "regimes.csv"),
+            ("regimes", "manifest.json"),
+            ("residual", "residual.json"),
+            ("residual", "manifest.json"),
+        ],
+    )
+    def test_output_file_that_is_a_directory_rejected_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, command, name
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a chain ran before the output files were checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "simulate", unreachable)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path / "cfg.json", resolution=10, resolutions=[16, 32])
+        argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'output_dir'" in err and str(out / name) in err, err
+
     # a column spread of 1e9 caps the flow step at 2.5e-10, so horizon 1 needs
     # more than flow.MAX_STEPS steps
     STIFF = [[1e9, 0.0], [0.0, 1e9]]

@@ -9,7 +9,6 @@ from moranfield.engine import (
     DiscreteState,
     ScalingSchedule,
     Trajectory,
-    discretize_initial,
     exact_drift,
     export_trajectory,
     largest_remainder_counts,
@@ -18,11 +17,7 @@ from moranfield.engine import (
     step,
     transition_table,
 )
-from moranfield.errors import (
-    ConfigurationError,
-    DomainError,
-    FitnessDegenerateError,
-)
+from moranfield.errors import DomainError, FitnessDegenerateError
 from moranfield import lab
 from moranfield.lab import InitialLaw, run_ensemble
 from moranfield.simplex import PayoffMatrix, SimplexPoint
@@ -250,21 +245,20 @@ class TestLargestRemainder:
 class TestSimulate:
     def test_zero_steps_keeps_initial(self):
         sched = ScalingSchedule(horizon=1.0, resolution=1, alpha=0.6, beta=0.4)
-        init = DiscreteState([sched.population, 0], sched.population, sched.selection_weight)
-        traj = simulate(init, A22, sched, seed=5)
+        traj = simulate([sched.population, 0], A22, sched, seed=5)
         assert len(traj.states) == 2
-        assert np.array_equal(traj.states[0].counts, init.counts)
+        assert np.array_equal(traj.states[0].counts, [sched.population, 0])
 
     def test_population_mismatch_rejected(self):
         sched = ScalingSchedule(horizon=1.0, resolution=64, alpha=0.6, beta=0.4)
-        init = DiscreteState([3, 2], 5, sched.selection_weight)
-        if sched.population != 5:
-            with pytest.raises(ConfigurationError):
-                simulate(init, A22, sched, seed=1)
+        # the counts sum to 5, the schedule's population is 12
+        assert sched.population != 5
+        with pytest.raises(DomainError, match="expected 12"):
+            simulate([3, 2], A22, sched, seed=1)
 
     def test_reproducible_from_seed(self):
         sched = ScalingSchedule(horizon=1.0, resolution=50, alpha=0.7, beta=0.3)
-        init = discretize_initial(SimplexPoint([0.5, 0.5]), sched)
+        init = largest_remainder_counts(SimplexPoint([0.5, 0.5]), sched.population)
         t1 = simulate(init, A22, sched, seed=99)
         t2 = simulate(init, A22, sched, seed=99)
         assert np.array_equal(t1.counts, t2.counts)
@@ -272,7 +266,7 @@ class TestSimulate:
     def test_step_size_bound(self):
         # every increment obeys ||dlam||_2 <= sqrt(2)/N
         sched = ScalingSchedule(horizon=1.0, resolution=200, alpha=0.55, beta=0.45)
-        init = discretize_initial(SimplexPoint([0.4, 0.6]), sched)
+        init = largest_remainder_counts(SimplexPoint([0.4, 0.6]), sched.population)
         traj = simulate(init, A22, sched, seed=3)
         props = traj.counts / sched.population
         jumps = np.linalg.norm(np.diff(props, axis=0), axis=1)
@@ -469,7 +463,7 @@ class TestExactDrift:
 class TestTrajectoryFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         sched = ScalingSchedule(horizon=1.0, resolution=25, alpha=0.6, beta=0.4)
-        init = discretize_initial(SimplexPoint([0.3, 0.7]), sched)
+        init = largest_remainder_counts(SimplexPoint([0.3, 0.7]), sched.population)
         traj = simulate(init, A22, sched, seed=2**63 - 1)
         csv_path = tmp_path / "traj.csv"
         json_path = tmp_path / "traj.json"
@@ -484,7 +478,7 @@ class TestTrajectoryFiles:
 
     def test_csv_header(self, tmp_path):
         sched = ScalingSchedule(horizon=1.0, resolution=4, alpha=0.6, beta=0.4)
-        init = discretize_initial(SimplexPoint([0.5, 0.5]), sched)
+        init = largest_remainder_counts(SimplexPoint([0.5, 0.5]), sched.population)
         traj = simulate(init, A22, sched, seed=0)
         csv_path = tmp_path / "t.csv"
         export_trajectory(traj, csv_path, tmp_path / "t.json", A22)

@@ -17,9 +17,9 @@ from moranfield.engine import (
     DRAW_BLOCK,
     DiscreteState,
     ScalingSchedule,
-    discretize_initial,
     exact_drift,
     export_trajectory,
+    largest_remainder_counts,
     simulate,
     simulate_counts_batch,
     step,
@@ -154,13 +154,13 @@ def test_walk_across_draw_blocks_is_unchanged_by_the_rebuilt_tables(monkeypatch)
     sched = ScalingSchedule(
         horizon=1.0, resolution=k, alpha=1.0, beta=0.0, n_floor=6, n_scale=1e-9, w_scale=0.5
     )
-    init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)
+    init = largest_remainder_counts(SimplexPoint([0.2, 0.3, 0.5]), sched.population)
     uniforms = np.random.default_rng(5).random((1, k))
     n, w = sched.population, sched.selection_weight
-    path = engine._walk(init.counts, M3.entries, n, w, uniforms[0])
-    assert np.array_equal(path, simulate_counts_batch([init.counts], M3, sched, uniforms)[0])
+    path = engine._walk(init, M3.entries, n, w, uniforms[0])
+    assert np.array_equal(path, simulate_counts_batch([init], M3, sched, uniforms)[0])
     monkeypatch.setattr(engine, "DRAW_BLOCK", k)
-    assert np.array_equal(path, engine._walk(init.counts, M3.entries, n, w, uniforms[0]))
+    assert np.array_equal(path, engine._walk(init, M3.entries, n, w, uniforms[0]))
 
 
 @pytest.mark.parametrize("bad", [1.0, np.nan, -0.5])
@@ -249,7 +249,7 @@ M3 = PayoffMatrix([[1.0, 0.0, 2.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]])
 def test_simulate_counts_are_pinned():
     # sha256 of the count path produced by the scalar step loop this kernel replaced
     sched = ScalingSchedule(horizon=1.0, resolution=2048, alpha=0.6, beta=0.4)
-    init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)
+    init = largest_remainder_counts(SimplexPoint([0.2, 0.3, 0.5]), sched.population)
     traj = simulate(init, M3, sched, seed=20260810)
     assert traj.counts.shape == (2049, 3)
     assert len(traj.states) == 2049
@@ -278,9 +278,9 @@ M4 = PayoffMatrix([[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 1.0], [3.0, 4.0, 1.0, 2
 )
 def test_lockstep_paths_are_pinned(matrix, lam, schedule, digest):
     # sha256 of 16 replica paths, so a change that flips a single step shows
-    init = discretize_initial(SimplexPoint(lam), schedule)
+    init = largest_remainder_counts(SimplexPoint(lam), schedule.population)
     uniforms = np.random.default_rng(20260810).random((16, schedule.resolution))
-    paths = simulate_counts_batch(np.tile(init.counts, (16, 1)), matrix, schedule, uniforms)
+    paths = simulate_counts_batch(np.tile(init, (16, 1)), matrix, schedule, uniforms)
     assert paths.shape == (16, 2049, matrix.dimension)
     assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
@@ -308,7 +308,6 @@ def kernel_head(matrix, schedule, counts):
 def test_cumulative_is_exact_at_one_replica_and_within_3_ulp_at_more(matrix, schedule):
     # the fitness product's rounding depends on R, so only R = 1 is bit for bit
     m, n, w = matrix.dimension, schedule.population, schedule.selection_weight
-    sampled = np.concatenate(([True], ~np.eye(m, dtype=bool).ravel()))
     rng = np.random.default_rng(20260810)
     for r in (2, 3, 4, 8, 16, 31, 64, 128, 200, 256):
         cuts = np.sort(rng.integers(0, n + 1, (m - 1, r)), axis=0)
@@ -317,7 +316,7 @@ def test_cumulative_is_exact_at_one_replica_and_within_3_ulp_at_more(matrix, sch
         for j in range(r):
             alone[:, j] = kernel_head(matrix, schedule, counts[:, j : j + 1])[:, 0]
             table = transition_table(DiscreteState(counts[:, j], n, w), matrix)
-            assert np.array_equal(table.cumulative[sampled][:-1], alone[:, j])
+            assert np.array_equal(table.cumulative[:-1], alone[:, j])
         np.testing.assert_array_max_ulp(kernel_head(matrix, schedule, counts), alone, maxulp=3)
 
 
@@ -335,14 +334,14 @@ def test_kept_columns_are_the_full_path_columns(chain, data):
 @pytest.mark.parametrize("columns", [[2, 1], [1, 1], [0, 7], [-1, 3]])
 def test_columns_must_be_increasing_grid_indices(columns):
     sched = ScalingSchedule(horizon=1.0, resolution=6, alpha=0.6, beta=0.4, n_scale=5.0)
-    counts0 = [discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched).counts]
+    counts0 = [largest_remainder_counts(SimplexPoint([0.2, 0.3, 0.5]), sched.population)]
     with pytest.raises(DomainError, match="columns"):
         simulate_counts_batch(counts0, M3, sched, np.full((1, 6), 0.5), columns)
 
 
 def test_trajectory_export_bytes_are_pinned(tmp_path):
     sched = ScalingSchedule(horizon=1.0, resolution=1024, alpha=0.6, beta=0.4)
-    init = discretize_initial(SimplexPoint([0.1, 0.2, 0.3, 0.4]), sched)
+    init = largest_remainder_counts(SimplexPoint([0.1, 0.2, 0.3, 0.4]), sched.population)
     traj = simulate(init, M4, sched, seed=20260810)
     export_trajectory(traj, tmp_path / "t.csv", tmp_path / "t.json", M4)
     files = (tmp_path / "t.csv", tmp_path / "t.json")
@@ -354,8 +353,8 @@ def test_trajectory_export_bytes_are_pinned(tmp_path):
 
 def test_simulate_reads_one_stream_like_the_batch_kernel():
     sched = ScalingSchedule(horizon=1.0, resolution=300, alpha=0.6, beta=0.4)
-    init = discretize_initial(SimplexPoint([0.2, 0.3, 0.5]), sched)
+    init = largest_remainder_counts(SimplexPoint([0.2, 0.3, 0.5]), sched.population)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
     uniforms = np.array([[rng.random() for _ in range(sched.resolution)]])
-    batch = simulate_counts_batch([init.counts], M3, sched, uniforms)
+    batch = simulate_counts_batch([init], M3, sched, uniforms)
     assert np.array_equal(simulate(init, M3, sched, seed=7).counts, batch[0])

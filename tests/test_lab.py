@@ -275,6 +275,32 @@ class TestConvergenceExperiment:
         assert header == "k,t,w1,ci,w1_bar_gap,n_k,w_k,tau_k"
 
 
+@pytest.mark.parametrize(
+    "experiment, resolutions, ensemble_size, checkpoints, error, match",
+    [
+        ("regime", [16, 16, 8], 8, None, ConfigurationError, "resolutions"),
+        ("converge", [8, 16], 8, [], ConfigurationError, "checkpoints"),
+        ("regime", [16], transport.EXACT_SIZE_CAP + 1, None, CapacityError, "ensemble_size"),
+        ("converge", [16], transport.EXACT_SIZE_CAP + 1, (1.0,), CapacityError, "ensemble_size"),
+    ],
+    ids=["repeated-resolutions", "no-checkpoints", "regime-above-cap", "converge-above-cap"],
+)
+def test_experiments_refuse_a_bad_sweep_before_any_ensemble(
+    monkeypatch, experiment, resolutions, ensemble_size, checkpoints, error, match
+):
+    def unreachable(*args):
+        raise AssertionError("an ensemble ran before the sweep was checked")
+
+    monkeypatch.setattr(lab, "run_ensemble", unreachable)
+    law = InitialLaw.uniform(2)
+    base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+    with pytest.raises(error, match=match):
+        if experiment == "regime":
+            regime_experiment(law, A22, base, resolutions, ensemble_size, 0)
+        else:
+            convergence_experiment(law, A22, base, resolutions, ensemble_size, checkpoints, 0)
+
+
 class TestRegimeExperiment:
     def test_classification(self):
         assert classify_regime(1.0, 0.5) == "frozen"
@@ -470,6 +496,10 @@ class TestWeakFormResidual:
         nodes = quadrature_checkpoints(sched, stride=4)
         assert len(nodes) == 17
         assert nodes[0] == 0.0 and nodes[-1] == 1.0
+        # stride 0 is no slice step; stride -1 would run backwards to a second horizon
+        for stride in (0, -1):
+            with pytest.raises(DomainError, match="stride must be >= 1"):
+                quadrature_checkpoints(sched, stride=stride)
 
     def test_two_resolution_scaling_consistency(self):
         # residuals at k and 4k, after subtracting the Monte Carlo floor,
