@@ -29,13 +29,14 @@ import numpy as np
 
 from . import __version__, oracles
 from .engine import ScalingSchedule, export_trajectory, largest_remainder_counts, simulate
-from .errors import ConfigurationError, DomainError, RegimeError, SimulationError
-from .flow import MAX_STEPS, FlowConfig, default_flow_config
+from .errors import ConfigurationError, DomainError, ResolutionError, SimulationError
+from .flow import FlowConfig, default_flow_config
 from .lab import (
     InitialLaw,
     convergence_experiment,
     draw_initial_samples,
     quadrature_checkpoints,
+    quadrature_nodes,
     regime_experiment,
     require_convergent_regime,
     require_sweep,
@@ -46,7 +47,6 @@ from .lab import (
 )
 from .report import RESIDUAL_SCHEMA, payload_digest, write_csv, write_json, write_report
 from .simplex import PayoffMatrix, SimplexPoint
-from .transport import EXACT_SIZE_CAP
 
 OUTPUT_DIR_ENV = "MORANFIELD_OUTPUT_DIR"
 MANIFEST_SCHEMA = "moranfield-manifest/v1"
@@ -120,7 +120,8 @@ def _read_verdict(key, value):
 
 
 #: each config key's reader and default (None: no default; payoff_matrix and
-#: initial_law are required, the others optional).  A reader takes (key, value)
+#: initial_law are required, the others optional, and checkpoints defaults to
+#: [T/4, T/2, T] of the horizon T).  A reader takes (key, value)
 #: and returns the value typed, or raises ConfigurationError naming the key.
 #: ScalingSchedule checks the ranges of the six schedule keys, FlowConfig that
 #: of flow_step, PayoffMatrix and InitialLaw their own.
@@ -132,7 +133,7 @@ _SCHEMA = {
     "n_scale": (_number(), 1.0),
     "w_scale": (_number(), 1.0),
     "ensemble_size": (_number(integral=True, least=2), 256),
-    "checkpoints": (_list_of(_number()), [0.25, 0.5, 1.0]),
+    "checkpoints": (_list_of(_number()), None),
     "master_seed": (_number(integral=True, least=0), 0),
     "quadrature_stride": (_number(integral=True, least=0), 0),
     "max_exact_size": (_number(integral=True), 4096),
@@ -164,6 +165,9 @@ class RunConfig:
             if key not in self.data:
                 raise ConfigurationError(f"config is missing required key {key!r}")
         values = {key: _SCHEMA[key][0](key, value) for key, value in self.data.items()}
+        if "checkpoints" not in values:
+            t = values["horizon"]
+            self.data["checkpoints"] = values["checkpoints"] = [t / 4, t / 2, t]
         self.matrix = values["payoff_matrix"]
         self.law = values["initial_law"]
         self.ensemble_size = values["ensemble_size"]
@@ -176,16 +180,14 @@ class RunConfig:
         self._resolutions = values.get("resolutions")
         schedule_keys = ("horizon", "alpha", "beta", "n_floor", "n_scale", "w_scale")
         try:
-            # every resolution's schedule is this one with its resolution replaced
-            self.base = ScalingSchedule(resolution=1, **{key: values[key] for key in schedule_keys})
+            # every resolution's schedule is this one with its resolution replaced;
+            # it is made at the largest requested k, whose population is the largest
+            k = max([self.resolution or 1, *(self._resolutions or [])])
+            self.base = ScalingSchedule(resolution=k, **{key: values[key] for key in schedule_keys})
         except DomainError as err:
             raise ConfigurationError(f"invalid config value: {err}") from err
         self.flow = values.get("flow_step") or default_flow_config(self.base.horizon)
-        if self.law.dimension != self.matrix.dimension:
-            raise ConfigurationError(
-                f"initial law dimension {self.law.dimension} does not match "
-                f"payoff matrix dimension {self.matrix.dimension}"
-            )
+        self.law.require_matrix(self.matrix)
         if any(t < 0 or t > self.base.horizon for t in self.checkpoints):
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
@@ -232,19 +234,17 @@ class RunConfig:
         return payload_digest(self.to_dict())
 
     def require_flow_steps(self) -> None:
-        """Refuse a horizon the flow cannot cover in ``MAX_STEPS`` steps, naming
-        ``payoff_matrix``, whose column spread caps the step, and ``flow_step``
-        when it is set.  Every pushforward of ``converge`` and ``residual`` lies
-        in [0, horizon], so none of them fails after the chains have run."""
-        step = self.flow.step(self.matrix.entries)
-        if self.base.horizon > MAX_STEPS * step:
+        """Refuse a horizon beyond the flow's step budget (:meth:`FlowConfig.step`),
+        naming ``payoff_matrix``, whose column spread caps the step, and ``flow_step``
+        when it is set.  Every pushforward of ``converge`` and ``residual`` lies in
+        [0, horizon], so none of them fails after the chains have run."""
+        try:
+            self.flow.step(self.matrix.entries, self.base.horizon)
+        except DomainError as err:
             keys = "key 'payoff_matrix'"
             if "flow_step" in self.data:
                 keys = "keys 'payoff_matrix' and 'flow_step'"
-            raise ConfigurationError(
-                f"horizon {self.base.horizon} needs more than {MAX_STEPS} flow steps of "
-                f"{step:.3e} under config {keys}"
-            )
+            raise ConfigurationError(f"{err} under config {keys}") from err
 
 
 def _resolve_output_dir(flag_value: str | None, config: RunConfig, *files: str) -> Path:
@@ -347,14 +347,11 @@ def _load_sweep_config(args) -> RunConfig:
 def cmd_converge(args) -> int:
     """``converge``; with ``args.regime`` (``regimes``) the regime scan."""
     config = _load_sweep_config(args)
-    if config.ensemble_size > EXACT_SIZE_CAP:
-        raise ConfigurationError(
-            f"ensemble_size {config.ensemble_size} exceeds the exact W1 cap {EXACT_SIZE_CAP}"
-        )
+    ks = config.resolutions()
+    require_sweep(ks, config.checkpoints, config.ensemble_size)
     if not args.regime:
         require_convergent_regime(config.base)
         config.require_flow_steps()
-    ks = config.resolutions()
     if args.dry_run:
         print("k        tau_k        N_k      w_k")
         for k in ks:
@@ -413,17 +410,17 @@ def cmd_residual(args) -> int:
     config.require_flow_steps()
     stride = config.quadrature_stride
     runs = []
+    phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
     # every node set is checked before the first chain step
     for k in config.resolutions():
         schedule = config.schedule(k)
         nodes = quadrature_checkpoints(schedule, stride=stride or (1 if k <= 128 else 4))
-        if len(nodes) < 16:
-            raise ConfigurationError(
-                f"config key 'quadrature_stride' ({stride}, 0 = by k) leaves {len(nodes)} "
-                f"quadrature nodes at k={k}; at least 16 are needed"
-            )
+        try:
+            quadrature_nodes(nodes, phis)
+        except ResolutionError as err:
+            msg = f"config key 'quadrature_stride' ({stride}, 0 = by k) at k={k}: {err}"
+            raise ConfigurationError(msg) from err
         runs.append((schedule, nodes))
-    phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
     outdir = _resolve_output_dir(args.output_dir, config, "residual.json")
     floors = {}
     records = []
@@ -574,7 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, RegimeError) as err:
+    except ConfigurationError as err:
         print(f"FAIL: configuration: {err}", file=sys.stderr)
         return 2
     except SimulationError as err:

@@ -27,6 +27,8 @@ from .simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, payoff_fi
 GRID_SNAP = 1e-9
 #: steps of ``uniforms`` the chain kernel reads at a time
 DRAW_BLOCK = 1024
+#: populations must lie below this: the kernel holds counts as float64, exact below it
+MAX_POPULATION = 2**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +264,9 @@ class ScalingSchedule:
     """Resolution-indexed scaling of step size, population and selection.
 
     ``tau = horizon / resolution``; ``population = max(n_floor,
-    round(n_scale * tau**-alpha))``; ``selection_weight = min(1, w_scale *
-    tau**beta)``.  Rounding is half-up.  ``w_scale = 0`` yields the neutral
-    chain.
+    round(n_scale * tau**-alpha))``, finite and below ``MAX_POPULATION``;
+    ``selection_weight = min(1, w_scale * tau**beta)``.  Rounding is half-up.
+    ``w_scale = 0`` yields the neutral chain.
     """
 
     horizon: float
@@ -291,14 +293,28 @@ class ScalingSchedule:
             raise DomainError(f"n_scale must be positive and finite, got {self.n_scale}")
         if not 0 <= self.w_scale < np.inf:
             raise DomainError(f"w_scale must be nonnegative and finite, got {self.w_scale}")
+        if not self._population() < MAX_POPULATION:
+            raise DomainError(
+                f"population max(n_floor, n_scale * (horizon / resolution)**-alpha) must lie "
+                f"below 2**53, got {self._population():.6g} at resolution {self.resolution}"
+            )
 
     @property
     def tau(self) -> float:
         return self.horizon / self.resolution
 
+    def _population(self):
+        """The population before its conversion to int: inf where ``tau**-alpha``
+        overflows, which a float power raises rather than returns."""
+        try:
+            scaled = np.floor(self.n_scale * self.tau**-self.alpha + 0.5)
+        except OverflowError:
+            scaled = np.inf
+        return max(self.n_floor, scaled)
+
     @property
     def population(self) -> int:
-        return max(int(self.n_floor), int(np.floor(self.n_scale * self.tau**-self.alpha + 0.5)))
+        return int(self._population())
 
     @property
     def selection_weight(self) -> float:

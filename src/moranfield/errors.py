@@ -14,15 +14,15 @@ class DimensionError(SimulationError, ValueError):
 
 
 class ConfigurationError(SimulationError, ValueError):
-    """Inconsistent run configuration (schedule/state mismatch, bad config file)."""
+    """A run input refused before any work; the command line exits 2 on it and its subclasses."""
 
 
 class FitnessDegenerateError(SimulationError, ArithmeticError):
     """Mean fitness is not positive, so birth probabilities are undefined."""
 
 
-class CapacityError(SimulationError, ValueError):
-    """Problem size exceeds the exact solver's cap."""
+class CapacityError(ConfigurationError):
+    """An ensemble size above the exact solver's cap."""
 
 
 class InvalidWitnessError(SimulationError, ValueError):
@@ -37,8 +37,8 @@ class StiffnessError(SimulationError, RuntimeError):
         self.sample, self.detail = sample, detail
 
 
-class RegimeError(SimulationError, ValueError):
-    """Scaling exponents violate the required convergence regime."""
+class RegimeError(ConfigurationError):
+    """Scaling exponents outside the convergent regime."""
 
 
 class ResolutionError(SimulationError, ValueError):

@@ -47,9 +47,13 @@ class FlowConfig:
         if not 0 < self.step_size < np.inf:  # written so that nan fails
             raise DomainError(f"step size must be positive and finite, got {self.step_size}")
 
-    def step(self, entries: np.ndarray) -> float:
-        """The step taken under payoff ``entries``: ``step_size`` capped by :func:`max_step`."""
-        return min(self.step_size, max_step(entries))
+    def step(self, entries: np.ndarray, t: float = 0.0) -> float:
+        """The step under payoff ``entries``, ``step_size`` capped by :func:`max_step`;
+        DomainError when a flow to time ``t`` takes more than ``MAX_STEPS`` of them."""
+        step = min(self.step_size, max_step(entries))
+        if t > MAX_STEPS * step:
+            raise DomainError(f"flow time {t} needs more than {MAX_STEPS} flow steps of {step:.3e}")
+        return step
 
 
 def default_flow_config(horizon: float) -> FlowConfig:
@@ -103,9 +107,7 @@ def pushforward(
         raise DimensionError(
             f"samples have {samples.dimension} strategies, matrix has {matrix.dimension}"
         )
-    current, step = samples.array, cfg.step(matrix.entries)
-    if t > MAX_STEPS * step:
-        raise DomainError(f"flow time {t} needs more than {MAX_STEPS} steps of {step:.3e}")
+    current, step = samples.array, cfg.step(matrix.entries, t)
     remaining = float(t)
     while remaining > 1e-15 * max(1.0, t):
         h = min(step, remaining)

@@ -29,7 +29,6 @@ from .engine import (
     simulate_counts_batch,
 )
 from .errors import (
-    CapacityError,
     ConfigurationError,
     DomainError,
     RegimeError,
@@ -40,19 +39,21 @@ from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
 from .simplex import PayoffMatrix, SimplexPoint, _as_numbers, replicator_field_array
 from .transport import (
-    EXACT_SIZE_CAP,
     EmpiricalMeasure,
     _cost_matrix,
     assignment_mean,
     coordinate_witness,
     distance_witness,
     reduced_costs,
+    require_exact_sizes,
     w1_dual_lower_bound,
     w1_exact,
 )
 
 TEST_FUNCTION_FAMILY_VERSION = "tf-v1"
 BOOTSTRAP_RESAMPLES = 200
+#: fewest trapezoid nodes of a weak-form residual or its floor
+MIN_QUADRATURE_NODES = 16
 
 #: spawn key of each RNG stream under ``master_seed``: the only place a lane
 #: number appears.  ``r`` is a replica, ``idx`` a checkpoint index and ``k`` a
@@ -167,6 +168,14 @@ class InitialLaw:
             )
         return law
 
+    def require_matrix(self, matrix: PayoffMatrix) -> None:
+        """ConfigurationError unless this law draws points of ``matrix``'s dimension."""
+        if self.dimension != matrix.dimension:
+            raise ConfigurationError(
+                f"initial law dimension {self.dimension} does not match "
+                f"payoff matrix dimension {matrix.dimension}"
+            )
+
 
 def _rng(master_seed: int, stream: str, *index) -> np.random.Generator:
     """Generator of ``stream`` (a key of :data:`STREAMS`) at ``index``."""
@@ -241,10 +250,7 @@ def run_ensemble(
     """
     if ensemble_size < 2:
         raise DomainError(f"ensemble size must be >= 2, got {ensemble_size}")
-    if law.dimension != matrix.dimension:
-        raise ConfigurationError(
-            f"law dimension {law.dimension} != matrix dimension {matrix.dimension}"
-        )
+    law.require_matrix(matrix)
     checkpoints = tuple(float(t) for t in checkpoints)
     grid = {t: locate_on_grid(t, schedule.horizon, schedule.resolution) for t in checkpoints}
     # the kernel keeps only the grid columns the interpolators read
@@ -287,16 +293,13 @@ class PairedBootstrap:
     :func:`bootstrap_w1_ci`: the checks, every draw from ``rng`` (one replica
     index array per resample, for both sides), and the costs ``dist`` and their
     ``reduced`` costs with each side's points in ``np.lexsort`` order.  Row b of
-    ``rows`` and ``cols`` holds resample b's sorted ranks on each side.  Raises
-    CapacityError above ``EXACT_SIZE_CAP`` points, before any costs.
+    ``rows`` and ``cols`` holds resample b's sorted ranks on each side.  Sizes
+    that :func:`require_exact_sizes` refuses are refused before any costs.
     """
 
     def __init__(self, mu, nu, rng, n_resamples=BOOTSTRAP_RESAMPLES):
+        require_exact_sizes(mu.size, nu.size)
         r = mu.size
-        if nu.size != r:
-            raise ConfigurationError(f"paired bootstrap needs equal sizes, got {r} vs {nu.size}")
-        if r > EXACT_SIZE_CAP:
-            raise CapacityError(f"ensemble size {r} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
         if n_resamples < 2:
             raise DomainError(f"a bootstrap spread needs at least 2 resamples, got {n_resamples}")
         # first coordinate as the primary key: rows in that order solved fastest
@@ -433,7 +436,7 @@ def require_convergent_regime(schedule: ScalingSchedule) -> None:
     """Raise RegimeError unless ``alpha + beta = 1`` with ``alpha > 1/2``, the
     scaling regime in which the chain law converges to the flow pushforward."""
     alpha, beta = schedule.alpha, schedule.beta
-    if abs(alpha + beta - 1.0) > 1e-9 or alpha <= 0.5:
+    if classify_regime(alpha, beta) != "critical" or alpha <= 0.5:
         raise RegimeError(
             f"convergence requires alpha + beta = 1 with alpha > 1/2 (the critical "
             f"threshold below which fluctuations dominate); got alpha={alpha}, "
@@ -444,7 +447,7 @@ def require_convergent_regime(schedule: ScalingSchedule) -> None:
 def require_sweep(resolutions, checkpoints, ensemble_size: int = 2) -> None:
     """Refuse, before any ensemble runs, ``resolutions`` that do not strictly
     increase, ``checkpoints`` that are empty or repeated, and an
-    ``ensemble_size`` above ``EXACT_SIZE_CAP``; each message names its
+    ``ensemble_size`` the exact solver does not admit; each message names its
     argument, which is also its config key."""
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigurationError(f"resolutions must be strictly increasing, got {resolutions}")
@@ -452,10 +455,7 @@ def require_sweep(resolutions, checkpoints, ensemble_size: int = 2) -> None:
         raise ConfigurationError("checkpoints must list at least one time")
     if len(set(checkpoints)) < len(checkpoints):
         raise ConfigurationError(f"checkpoints must be distinct, got {list(checkpoints)}")
-    if ensemble_size > EXACT_SIZE_CAP:
-        raise CapacityError(
-            f"ensemble_size {ensemble_size} exceeds the exact-solver cap {EXACT_SIZE_CAP}"
-        )
+    require_exact_sizes(ensemble_size, ensemble_size)
 
 
 def convergence_experiment(
@@ -749,11 +749,14 @@ class ResidualEstimate:
     node_count: int
 
 
-def _quadrature_nodes(checkpoints, phis) -> list:
-    """Sorted trapezoid nodes: at least 16, spanning ``[0, horizon]`` of every ``phi``."""
+def quadrature_nodes(checkpoints, phis) -> list:
+    """Sorted trapezoid nodes: ResolutionError for fewer than ``MIN_QUADRATURE_NODES``,
+    ConfigurationError unless they span ``[0, horizon]`` of every ``phi``."""
     nodes = sorted(float(t) for t in checkpoints)
-    if len(nodes) < 16:
-        raise ResolutionError(f"time quadrature needs at least 16 nodes, got {len(nodes)}")
+    if len(nodes) < MIN_QUADRATURE_NODES:
+        raise ResolutionError(
+            f"time quadrature needs at least {MIN_QUADRATURE_NODES} nodes, got {len(nodes)}"
+        )
     if abs(nodes[0]) > 1e-12 or any(abs(nodes[-1] - phi.horizon) > 1e-12 for phi in phis):
         raise ConfigurationError("quadrature nodes must span [0, horizon]")
     return nodes
@@ -798,9 +801,9 @@ def weak_form_residual(
     integral of the constant-law average of ``grad phi . b``, and the initial
     term ``mean phi(0, .)``; for the exact transported law the three cancel.
     The ensemble's checkpoints serve as quadrature nodes and must span
-    ``[0, phi.horizon]`` with at least 16 nodes.
+    ``[0, phi.horizon]`` with at least ``MIN_QUADRATURE_NODES`` nodes.
     """
-    nodes = _quadrature_nodes(ensemble.checkpoints, [phi])
+    nodes = quadrature_nodes(ensemble.checkpoints, [phi])
     dt_points = np.concatenate([ensemble.affine[t].array for t in nodes])
     adv_points = np.concatenate([ensemble.constant[t].array for t in nodes])
     term_dt, term_adv = _weak_form_terms(phi, nodes, dt_points, adv_points, matrix)
@@ -830,7 +833,7 @@ def residual_floor(
     pass over both sets stacked: every row takes the same RK4 steps, so this gives
     the bits of two passes.
     """
-    nodes = _quadrature_nodes(checkpoints, phis)
+    nodes = quadrature_nodes(checkpoints, phis)
     replicas = range(ensemble_size)
     sets = {s: _draws(law, master_seed, s, replicas) for s in ("floor_dt", "floor_adv")}
     stacked = EmpiricalMeasure(np.concatenate(list(sets.values())))

@@ -156,18 +156,20 @@ def reduced_costs(dist: np.ndarray) -> np.ndarray:
     return buf
 
 
-def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact 1-Wasserstein distance between two measures of equal size.
+def require_exact_sizes(rows: int, cols: int) -> None:
+    """The exact solver's admission rule, checked before any cost matrix:
+    DimensionError unless the ``rows`` and ``cols`` points per side are equal,
+    and CapacityError above ``EXACT_SIZE_CAP``."""
+    if rows != cols:
+        raise DimensionError(f"exact W1 needs equal sizes, got {rows} vs {cols}")
+    if rows > EXACT_SIZE_CAP:
+        raise CapacityError(f"ensemble_size {rows} exceeds the exact-solver cap {EXACT_SIZE_CAP}")
 
-    Raises CapacityError above EXACT_SIZE_CAP points per side and
-    DimensionError when the sizes or the dimensions differ.
-    """
-    if mu.size > EXACT_SIZE_CAP or nu.size > EXACT_SIZE_CAP:
-        raise CapacityError(
-            f"ensemble sizes ({mu.size}, {nu.size}) exceed the exact-solver cap {EXACT_SIZE_CAP}"
-        )
-    if mu.size != nu.size:
-        raise DimensionError(f"exact W1 needs equal sizes, got {mu.size} vs {nu.size}")
+
+def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Exact 1-Wasserstein distance between two measures whose sizes
+    :func:`require_exact_sizes` admits; DimensionError when their dimensions differ."""
+    require_exact_sizes(mu.size, nu.size)
     return assignment_mean(_cost_matrix(mu, nu))
 
 

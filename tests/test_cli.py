@@ -14,6 +14,7 @@ from moranfield import cli, lab
 from moranfield.cli import RunConfig, main
 from moranfield.errors import ConfigurationError
 from moranfield.report import read_report, write_report
+from moranfield.transport import EXACT_SIZE_CAP
 
 
 def write_config(path, **overrides):
@@ -385,6 +386,12 @@ class TestConfigValidation:
             ("converge", {"checkpoints": [0.5, 0.5, 1.0]}, "checkpoints"),
             ("regimes", {"resolutions": [16, 16]}, "resolutions"),
             ("residual", {"resolutions": [32, 16]}, "resolutions"),
+            # a population of 2**53 or more: float64 counts would lose a +-1 step
+            ("simulate", {"n_scale": 1e18}, "n_scale"),
+            ("simulate", {"n_scale": 1e308, "alpha": 2}, "n_scale"),
+            ("residual", {"n_floor": 2**53}, "n_floor"),
+            # an explicit list is checked against the horizon
+            ("simulate", {"horizon": 0.5, "checkpoints": [1.0]}, "checkpoints"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -456,6 +463,61 @@ class TestConfigValidation:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "'output_dir'" in err and str(out / name) in err, err
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize(
+        "command, overrides, keys",
+        [
+            ("converge", {"ensemble_size": EXACT_SIZE_CAP + 1}, ["ensemble_size"]),
+            ("regimes", {"ensemble_size": EXACT_SIZE_CAP + 1}, ["ensemble_size"]),
+            ("converge", {"n_scale": 1e18}, ["n_scale", "alpha"]),
+            ("regimes", {"n_scale": 1e18}, ["n_scale", "alpha"]),
+            ("regimes", {"n_scale": 1e308, "alpha": 2}, ["n_scale", "alpha"]),
+        ],
+    )
+    def test_sweep_refused_before_any_chain_or_schedule_line(
+        self, tmp_path, capsys, monkeypatch, dry_run, command, overrides, keys
+    ):
+        def unreachable(*args):
+            raise AssertionError("a chain ran before the sweep was checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        cfg = write_config(tmp_path / "cfg.json", resolutions=[8, 16], **overrides)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
+        assert main(argv + dry_run) == 2
+        captured = capsys.readouterr()
+        assert all(key in captured.err for key in keys), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "regimes", "residual"])
+    def test_default_checkpoints_follow_the_horizon(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            horizon=0.5,
+            checkpoints=None,
+            resolution=8,
+            resolutions=[32, 64],
+            ensemble_size=4,
+        )
+        assert RunConfig.load(str(cfg), {}).checkpoints == [0.125, 0.25, 0.5]
+        argv = [command, "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "1"]
+        assert main(argv) == 0
+
+    def test_default_checkpoints_keep_the_config_hash(self):
+        # at the default horizon the default is the fixed [0.25, 0.5, 1.0] it replaced
+        config = RunConfig(
+            {
+                "payoff_matrix": [[1.0, 2.0], [3.0, 4.0]],
+                "initial_law": {"kind": "dirichlet", "concentration": [2.0, 2.0]},
+            }
+        )
+        assert config.data["checkpoints"] == [0.25, 0.5, 1.0]
+        assert config.sha256() == (
+            "1e47ebb5b20b191b48219ce4559025fb4e55ba7279112416008eb4984c078c43"
+        )
 
     # a column spread of 1e9 caps the flow step at 2.5e-10, so horizon 1 needs
     # more than flow.MAX_STEPS steps

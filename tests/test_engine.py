@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -219,6 +220,28 @@ class TestScalingSchedule:
         values = {"horizon": 1.0, "resolution": 4, "alpha": 0.6, "beta": 0.4, field: bad}
         with pytest.raises(DomainError, match=field):
             ScalingSchedule(**values)
+
+    @pytest.mark.parametrize(
+        "fields, got",
+        [
+            # the kernel's float64 counts would lose a +-1 step
+            ({"resolution": 1, "n_scale": 2.0**53}, "9.0072e+15 at resolution 1"),
+            ({"n_floor": 2**53}, "9.0072e+15 at resolution 16"),
+            # the product overflows to inf, and a float power raises OverflowError
+            ({"n_scale": 1e308, "alpha": 2.0}, "inf at resolution 16"),
+            ({"alpha": 2000.0}, "inf at resolution 16"),
+        ],
+    )
+    def test_rejects_a_population_of_2_to_the_53_or_more(self, fields, got):
+        values = {"horizon": 1.0, "resolution": 16, "alpha": 0.6, "beta": 0.4, **fields}
+        with pytest.raises(DomainError, match=re.escape(f"must lie below 2**53, got {got}") + "$"):
+            ScalingSchedule(**values)
+
+    def test_population_below_2_to_the_53_accepted(self):
+        sched = ScalingSchedule(
+            horizon=1.0, resolution=16, alpha=0.6, beta=0.4, n_floor=2**53 - 1
+        )
+        assert sched.population == 2**53 - 1
 
 
 class TestLargestRemainder:

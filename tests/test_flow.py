@@ -195,7 +195,7 @@ class TestPushforward:
         # a payoff spread of 1e16 bounds the step to 2.5e-17, which would not even
         # move t = 1 down by one ulp: the loop would never end
         stiff = PayoffMatrix([[1e16, 0.0], [0.0, 1e16]])
-        with pytest.raises(DomainError, match="needs more than 16777216 steps"):
+        with pytest.raises(DomainError, match="needs more than 16777216 flow steps"):
             pushforward(EmpiricalMeasure([[0.25, 0.75]]), stiff, 1.0, CFG)
 
 

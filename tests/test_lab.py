@@ -301,6 +301,29 @@ def test_experiments_refuse_a_bad_sweep_before_any_ensemble(
             convergence_experiment(law, A22, base, resolutions, ensemble_size, checkpoints, 0)
 
 
+@pytest.mark.parametrize("caller", ["w1_exact", "PairedBootstrap", "regime", "converge"])
+def test_every_exact_solver_caller_refuses_one_capacity_text(monkeypatch, caller):
+    def unreachable(*args):
+        raise AssertionError("an ensemble ran before the cap was checked")
+
+    monkeypatch.setattr(lab, "run_ensemble", unreachable)
+    size = transport.EXACT_SIZE_CAP + 1
+    mu = EmpiricalMeasure(np.full((size, 2), 0.5))
+    law = InitialLaw.uniform(2)
+    base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+    calls = {
+        "w1_exact": lambda: w1_exact(mu, mu),
+        "PairedBootstrap": lambda: PairedBootstrap(mu, mu, np.random.default_rng(48)),
+        "regime": lambda: regime_experiment(law, A22, base, [16], size, 0),
+        "converge": lambda: convergence_experiment(law, A22, base, [16], size, (1.0,), 0),
+    }
+    text = f"^ensemble_size {size} exceeds the exact-solver cap {transport.EXACT_SIZE_CAP}$"
+    with pytest.raises(CapacityError, match=text) as caught:
+        calls[caller]()
+    # the command line exits 2 on the ConfigurationError family
+    assert isinstance(caught.value, ConfigurationError)
+
+
 class TestRegimeExperiment:
     def test_classification(self):
         assert classify_regime(1.0, 0.5) == "frozen"
@@ -644,6 +667,14 @@ class TestBootstrap:
         mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=8))
         nu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=8))
         with pytest.raises(DimensionError, match="different dimensions: 2 vs 3"):
+            PairedBootstrap(mu, nu, rng)
+
+    def test_unequal_sizes_raise(self):
+        # the exact solver's rule, as in w1_exact: not a configuration error
+        rng = np.random.default_rng(47)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=3))
+        nu = EmpiricalMeasure(rng.dirichlet(np.ones(2), size=4))
+        with pytest.raises(DimensionError, match="^exact W1 needs equal sizes, got 3 vs 4$"):
             PairedBootstrap(mu, nu, rng)
 
     def test_size_above_the_cap_raises_before_any_cost_matrix(self, monkeypatch):

@@ -122,7 +122,7 @@ class TestW1Exact:
         mu = random_measure(rng, size)
         with pytest.raises(
             CapacityError,
-            match=rf"\({size}, {size}\) exceed the exact-solver cap {EXACT_SIZE_CAP}$",
+            match=rf"^ensemble_size {size} exceeds the exact-solver cap {EXACT_SIZE_CAP}$",
         ):
             w1_exact(mu, mu)
 
