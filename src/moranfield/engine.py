@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FitnessDegenerateError
 from .report import csv_cells, write_csv, write_json
-from .simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, payoff_fitness
+from .simplex import (
+    PayoffMatrix,
+    SimplexPoint,
+    fitness_coefficients,
+    payoff_fitness,
+    require_chain,
+    require_integer,
+    require_strategies,
+)
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
 GRID_SNAP = 1e-9
@@ -44,19 +52,14 @@ class DiscreteState:
     selection_weight: float
 
     def __init__(self, counts, population, selection_weight):
-        arr = np.asarray(counts, dtype=np.int64)
-        n = int(population)
-        w = float(selection_weight)
+        # as objects, numpy's integers read as ints and fractions are kept
+        arr = np.asarray(counts, dtype=object)
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionError(f"counts must be a vector of M >= 2 entries, got {arr!r}")
-        if n < 2:
-            raise DomainError(f"population must be at least 2, got {population}")
-        if np.any(arr < 0):
-            raise DomainError(f"negative strategy count in {arr!r}")
+        n, w = require_chain(population, selection_weight)
+        arr = np.array([require_integer(c, "strategy count", 0) for c in arr], dtype=np.int64)
         if arr.sum() != n:
             raise DomainError(f"counts {arr.tolist()} sum to {arr.sum()}, expected {n}")
-        if not 0.0 <= w <= 1.0:
-            raise DomainError(f"selection weight must lie in [0, 1], got {selection_weight}")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "population", n)
@@ -127,11 +130,6 @@ def _increment_table(m: int) -> np.ndarray:
     return np.hstack((np.zeros((m, 1)), eye[:, gainers] - eye[:, losers]))
 
 
-def _check_dimension(m: int, entries: np.ndarray) -> None:
-    if m != entries.shape[0]:
-        raise DimensionError(f"state has {m} strategies, matrix has {entries.shape[0]}")
-
-
 _DEGENERATE = "mean fitness is not positive; birth probabilities are undefined"
 
 
@@ -148,8 +146,10 @@ def _cumulative_filler(coeffs: np.ndarray, state: np.ndarray, cum: np.ndarray):
     total weight, which stays in ``cum[-1]`` (normalized it is exactly 1.0).
 
     ``fill`` reads ``state`` as it is when it runs, so one filler serves a
-    whole run; it raises FitnessDegenerateError unless every total is > 0.
+    whole run; it raises FitnessDegenerateError unless every total is > 0, and
+    DimensionError unless ``state`` holds as many strategies as ``coeffs``.
     """
+    require_strategies(state.shape[0] - 1, coeffs)
     m, r = coeffs.shape[0], state.shape[1]
     counts, fit, grid = state[:m], np.empty((m, r)), np.empty((m * m, r))
     products, fit_col, counts_row = grid.reshape(m, m, r), fit[:, None], counts[None]
@@ -182,7 +182,6 @@ def transition_table(state: DiscreteState, matrix: PayoffMatrix) -> TransitionTa
     c_i^2 f_i / W``, where W is the total weight ``N^2 fbar``.
     """
     m = state.dimension
-    _check_dimension(m, matrix.entries)
     coeffs = fitness_coefficients(matrix.entries, state.population, state.selection_weight)
     cum = np.empty(1 + m * (m - 1))
     _cumulative_filler(coeffs, np.append(state.counts, 1.0)[:, None], cum[:, None])()
@@ -221,7 +220,6 @@ def _walk(
     sum of the drawn outcomes' count increments.
     """
     m = counts0.size
-    _check_dimension(m, entries)
     state, cum = np.ones((m + 1, 1)), np.empty((1 + m * (m - 1), 1))
     fill = _cumulative_filler(fitness_coefficients(entries, population, w), state, cum)
     inc, moves = _increment_table(m).T.astype(np.int64), _outcome_moves(m).tolist()
@@ -254,11 +252,6 @@ def step(state: DiscreteState, matrix: PayoffMatrix, rng: np.random.Generator) -
     return DiscreteState(path[1], n, w)
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int (numpy's included) and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingSchedule:
     """Resolution-indexed scaling of step size, population and selection.
@@ -266,7 +259,9 @@ class ScalingSchedule:
     ``tau = horizon / resolution``; ``population = max(n_floor,
     round(n_scale * tau**-alpha))``, finite and below ``MAX_POPULATION``;
     ``selection_weight = min(1, w_scale * tau**beta)``.  Rounding is half-up.
-    ``w_scale = 0`` yields the neutral chain.
+    A power of tau that overflows, or a negative power of a tau of 0, is inf:
+    such a population is refused, such a weight is 1.  ``w_scale = 0`` yields
+    the neutral chain.
     """
 
     horizon: float
@@ -281,14 +276,12 @@ class ScalingSchedule:
         # written so that nan fails every range check
         if not 0 < self.horizon < np.inf:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
-        if not _is_integer(self.resolution) or self.resolution < 1:
-            raise DomainError(f"resolution must be an integer >= 1, got {self.resolution!r}")
+        require_integer(self.resolution, "resolution", 1)
         if not 0 < self.alpha < np.inf:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 <= self.beta < np.inf:
             raise DomainError(f"beta must be nonnegative and finite, got {self.beta}")
-        if not _is_integer(self.n_floor) or self.n_floor < 2:
-            raise DomainError(f"n_floor must be an integer >= 2, got {self.n_floor!r}")
+        require_integer(self.n_floor, "n_floor", 2)
         if not 0 < self.n_scale < np.inf:
             raise DomainError(f"n_scale must be positive and finite, got {self.n_scale}")
         if not 0 <= self.w_scale < np.inf:
@@ -303,14 +296,17 @@ class ScalingSchedule:
     def tau(self) -> float:
         return self.horizon / self.resolution
 
-    def _population(self):
-        """The population before its conversion to int: inf where ``tau**-alpha``
-        overflows, which a float power raises rather than returns."""
+    def _tau_power(self, exponent: float) -> float:
+        """``tau**exponent``, inf where a float power raises instead: on
+        overflow, and for a negative exponent of a tau of 0."""
         try:
-            scaled = np.floor(self.n_scale * self.tau**-self.alpha + 0.5)
-        except OverflowError:
-            scaled = np.inf
-        return max(self.n_floor, scaled)
+            return self.tau**exponent
+        except (OverflowError, ZeroDivisionError):
+            return np.inf
+
+    def _population(self):
+        """The population before its conversion to int; inf when it overflows."""
+        return max(self.n_floor, np.floor(self.n_scale * self._tau_power(-self.alpha) + 0.5))
 
     @property
     def population(self) -> int:
@@ -318,7 +314,9 @@ class ScalingSchedule:
 
     @property
     def selection_weight(self) -> float:
-        return min(1.0, self.w_scale * self.tau**self.beta)
+        if self.w_scale == 0:  # 0 * inf would be nan
+            return 0.0
+        return min(1.0, self.w_scale * self._tau_power(self.beta))
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.resolution + 1)
@@ -366,11 +364,9 @@ def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray
 
     Floors each ``N * lam_i`` and hands the remaining units to the largest
     fractional parts, ties broken by lowest index.  The per-coordinate error
-    stays below 1/N.
+    stays below 1/N.  The population is checked by :func:`require_chain`.
     """
-    n = int(population)
-    if n < 2:
-        raise DomainError(f"population must be at least 2, got {population}")
+    n, _ = require_chain(population)
     scaled = point.coords * n
     base = np.floor(scaled).astype(np.int64)
     short = n - int(base.sum())
@@ -406,6 +402,7 @@ def simulate_counts_batch(
     """Advance R chains in lockstep; returns counts of shape (R, k+1, M), or
     (R, len(columns), M) holding only the sorted grid indices ``columns``.
 
+    ``counts0`` holds R rows of lattice counts, each read by DiscreteState;
     ``uniforms`` has shape (R, k), one draw per replica per step, each in
     [0, 1).  All replicas share the schedule's population and weight.  Each
     step inverts the normalized cumulative of the sampled outcomes, the one
@@ -420,7 +417,8 @@ def simulate_counts_batch(
     rounding depends on R, so a replica's cumulative may differ by a few ulp
     and a draw that close to an outcome boundary may pick the next outcome.
     """
-    counts0 = np.asarray(counts0, dtype=np.int64)
+    n, w = schedule.population, schedule.selection_weight
+    counts0 = np.array([DiscreteState(c, n, w).counts for c in counts0], dtype=np.int64)
     k = schedule.resolution
     if uniforms.shape != (counts0.shape[0], k):
         raise DimensionError(f"uniforms shape {uniforms.shape} != {(counts0.shape[0], k)}")
@@ -428,7 +426,6 @@ def simulate_counts_batch(
     if columns is not None and (np.diff(columns, prepend=-1, append=k + 1) <= 0).any():
         raise DomainError(f"columns must be increasing grid indices in [0, {k}], got {columns}")
     r, m = counts0.shape
-    _check_dimension(m, matrix.entries)
     slot = {h: j for j, h in enumerate(range(k + 1) if columns is None else columns)}
     inc = _increment_table(m)
     out = np.empty((len(slot), m, r), dtype=np.int64)
@@ -437,8 +434,7 @@ def simulate_counts_batch(
     current, delta = state[:m], np.empty((m, r))
     current[...] = counts0.T
     cum = np.empty((1 + m * (m - 1), r))
-    coeffs = fitness_coefficients(matrix.entries, schedule.population, schedule.selection_weight)
-    fill = _cumulative_filler(coeffs, state, cum)
+    fill = _cumulative_filler(fitness_coefficients(matrix.entries, n, w), state, cum)
     # picked counts the head rows <= u; the last row holds the total weight
     head = cum[:-1]
     passed, picked = np.empty(head.shape, dtype=bool), np.empty(r, dtype=np.intp)
@@ -480,7 +476,6 @@ def exact_drift(state: DiscreteState, matrix: PayoffMatrix) -> np.ndarray:
     transition table outcomes gives the same vector.
     """
     n = state.population
-    _check_dimension(state.dimension, matrix.entries)
     lam = (state.counts / n)[:, None]
     _, fit = payoff_fitness(lam, matrix.entries, n, state.selection_weight)
     lam_fit = lam * fit
@@ -497,17 +492,20 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path, matrix: PayoffMa
 
     The CSV keeps 17 significant digits so proportions (and hence integer
     counts) round-trip bit-exactly; the sidecar holds schedule, seed and
-    payoff matrix.  A proportion takes one of the N + 1 values j / N, so each
-    is formatted once, and the rows go to :func:`write_csv` in blocks of
-    ``DRAW_BLOCK``, each a column of times and one column of formatted
-    proportions per strategy.
+    payoff matrix.  A strategy's proportion takes one of the values j / N
+    between its column's smallest and largest count, at most k + 1 of them
+    since a step moves a count by at most 1, so each is formatted once; the
+    rows go to :func:`write_csv` in blocks of ``DRAW_BLOCK``, each a column
+    of times and one column of formatted proportions per strategy.
     """
     n, counts = traj.schedule.population, traj.counts
-    if counts.min() < 0 or counts.max() > n:
+    lows, highs = counts.min(axis=0), counts.max(axis=0)
+    if lows.min() < 0 or highs.max() > n:
         raise DomainError(f"trajectory counts must lie in [0, {n}]")
-    text, times = csv_cells(np.arange(n + 1) / n), traj.times()
+    texts = [csv_cells(np.arange(lo, hi + 1) / n) for lo, hi in zip(lows, highs)]
+    offsets, times = (counts - lows).T, traj.times()
     blocks = (
-        [times[a : a + DRAW_BLOCK], *text[counts[a : a + DRAW_BLOCK]].T]
+        [times[a : a + DRAW_BLOCK], *(t[c[a : a + DRAW_BLOCK]] for t, c in zip(texts, offsets))]
         for a in range(0, len(counts), DRAW_BLOCK)
     )
     header = ["t"] + [f"lambda_{i + 1}" for i in range(counts.shape[1])]

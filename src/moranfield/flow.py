@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, StiffnessError
-from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array
+from .errors import DomainError, StiffnessError
+from .simplex import PayoffMatrix, SimplexPoint, replicator_field_array, require_strategies
 from .transport import EmpiricalMeasure
 
 #: largest per-step renormalization accepted as rounding (clip + sum defect)
@@ -103,10 +103,7 @@ def pushforward(
     """Apply the flow map to every sample; preserves count and sample order."""
     if not 0 <= t < np.inf:  # written so that nan fails
         raise DomainError(f"flow time must be finite and nonnegative, got {t}")
-    if samples.dimension != matrix.dimension:
-        raise DimensionError(
-            f"samples have {samples.dimension} strategies, matrix has {matrix.dimension}"
-        )
+    require_strategies(samples.dimension, matrix.entries)
     current, step = samples.array, cfg.step(matrix.entries, t)
     remaining = float(t)
     while remaining > 1e-15 * max(1.0, t):

@@ -37,7 +37,14 @@ from .errors import (
 )
 from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
-from .simplex import PayoffMatrix, SimplexPoint, _as_numbers, replicator_field_array
+from .simplex import (
+    PayoffMatrix,
+    SimplexPoint,
+    _as_numbers,
+    replicator_field_array,
+    require_integer,
+    require_strategies,
+)
 from .transport import (
     EmpiricalMeasure,
     _cost_matrix,
@@ -98,11 +105,7 @@ class InitialLaw:
 
     @classmethod
     def uniform(cls, dimension: int) -> "InitialLaw":
-        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
-            raise DomainError(f"uniform law dimension must be an integer, got {dimension!r}")
-        if dimension < 2:
-            raise DomainError("uniform law needs dimension >= 2")
-        return cls(kind="uniform", dimension=int(dimension))
+        return cls(kind="uniform", dimension=require_integer(dimension, "uniform law dimension", 2))
 
     def sample_one(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "dirac":
@@ -248,8 +251,7 @@ def run_ensemble(
     fitness product's rounding, which depends on R (a few ulp in a
     cumulative), so a draw that close to an outcome boundary may move.
     """
-    if ensemble_size < 2:
-        raise DomainError(f"ensemble size must be >= 2, got {ensemble_size}")
+    require_integer(ensemble_size, "ensemble size", 2)
     law.require_matrix(matrix)
     checkpoints = tuple(float(t) for t in checkpoints)
     grid = {t: locate_on_grid(t, schedule.horizon, schedule.resolution) for t in checkpoints}
@@ -310,19 +312,15 @@ class PairedBootstrap:
         self.rows, self.cols = (np.sort(np.argsort(order)[draws], axis=1) for order in orders)
 
 
-def _require_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-
-
 def bootstrap_w1_ci(prepared: PairedBootstrap, jobs: int = 1) -> float:
     """Paired-bootstrap half-width (1.96 sigma) of ``prepared``, its resamples
-    solved on ``jobs`` threads, the calling one included.  Each thread claims
-    one resample at a time and each value lands in its draw's slot, so the
-    half-width is bit-identical for any ``jobs``.  After a solve fails no
-    resample is claimed, and its error is raised with its type once every
-    helper has stopped.  Raises DomainError for ``jobs`` < 1."""
-    _require_jobs(jobs)
+    solved on ``jobs`` threads, the calling one included, or on one per
+    resample when they are fewer.  Each thread claims one resample at a time
+    and each value lands in its draw's slot, so the half-width is
+    bit-identical for any ``jobs``.  After a solve fails no resample is
+    claimed, and its error is raised with its type once every helper has
+    stopped.  Raises DomainError unless ``jobs`` is an integer >= 1."""
+    require_integer(jobs, "jobs", 1)
     values = np.empty(len(prepared.rows))
     unclaimed = list(range(values.size))
     errors, lock = [], threading.Lock()
@@ -342,7 +340,7 @@ def bootstrap_w1_ci(prepared: PairedBootstrap, jobs: int = 1) -> float:
 
     helpers = []
     try:
-        for _ in range(jobs - 1):
+        for _ in range(min(jobs, values.size) - 1):
             helper = threading.Thread(target=solve_claims)
             helper.start()
             helpers.append(helper)
@@ -476,7 +474,7 @@ def convergence_experiment(
     scaling regime (:func:`require_convergent_regime`).
     """
     require_convergent_regime(base)
-    _require_jobs(jobs)
+    require_integer(jobs, "jobs", 1)
     ks, checkpoints = [int(k) for k in resolutions], tuple(float(t) for t in checkpoints)
     require_sweep(ks, checkpoints, ensemble_size)
     flow_cfg = flow_cfg or default_flow_config(base.horizon)
@@ -599,7 +597,7 @@ def regime_experiment(
     per-unit-time drift magnitude ``w_k / (N_k tau_k)`` next to the observed
     W1 between the laws at t = 0 and t = horizon.
     """
-    _require_jobs(jobs)
+    require_integer(jobs, "jobs", 1)
     horizon, ks = base.horizon, [int(k) for k in resolutions]
     require_sweep(ks, (0.0, horizon), ensemble_size)
     records = []
@@ -803,6 +801,7 @@ def weak_form_residual(
     The ensemble's checkpoints serve as quadrature nodes and must span
     ``[0, phi.horizon]`` with at least ``MIN_QUADRATURE_NODES`` nodes.
     """
+    require_strategies(ensemble.initial.dimension, matrix.entries)
     nodes = quadrature_nodes(ensemble.checkpoints, [phi])
     dt_points = np.concatenate([ensemble.affine[t].array for t in nodes])
     adv_points = np.concatenate([ensemble.constant[t].array for t in nodes])
@@ -856,8 +855,7 @@ def residual_floor(
 
 def quadrature_checkpoints(schedule: ScalingSchedule, stride: int = 1) -> tuple:
     """Grid times t_h thinned by ``stride`` >= 1 (horizon always included)."""
-    if stride < 1:
-        raise DomainError(f"quadrature stride must be >= 1, got {stride}")
+    require_integer(stride, "quadrature stride", 1)
     times = schedule.times()[::stride]
     if times[-1] != schedule.horizon:
         times = np.append(times, schedule.horizon)

@@ -31,37 +31,68 @@ def _as_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def _as_vector(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-d coordinate vector, got shape {arr.shape}")
+def simplex_rows(points) -> np.ndarray:
+    """The (R, M) array of R >= 1 simplex points of M >= 2 strategies, read-only.
+
+    Every coordinate must lie in [0, 1] and every row sum to 1, both within
+    ``SIMPLEX_TOL`` (nan fails); rounding dust inside the tolerance is clipped
+    into [0, 1].  The one membership rule, of ``EmpiricalMeasure`` and of a
+    :class:`SimplexPoint` (one row).
+    """
+    # numpy reads a SimplexPoint as the sequence of its coordinates
+    arr = np.array(points, dtype=float)
+    if arr.shape[:1] == (0,):
+        raise DomainError("an empirical measure needs at least one point")
+    if arr.ndim != 2:
+        raise DimensionError(f"expected an (R, M) point array, got shape {arr.shape}")
+    if arr.shape[1] < 2:
+        raise DomainError("a simplex point needs at least two strategies (M >= 2)")
+    in_range = (arr >= -SIMPLEX_TOL) & (arr <= 1.0 + SIMPLEX_TOL)
+    on_simplex = in_range.all(axis=1) & (np.abs(arr.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    if not on_simplex.all():
+        bad = int(np.argmin(on_simplex))
+        raise DomainError(f"row {bad} is not a simplex point: {arr[bad]!r}")
+    arr = np.clip(arr, 0.0, 1.0)
+    arr.setflags(write=False)
     return arr
+
+
+def require_strategies(m: int, entries: np.ndarray) -> None:
+    """DimensionError unless payoff ``entries`` are those of ``m`` strategies."""
+    if m != entries.shape[0]:
+        raise DimensionError(f"{m} strategies do not match a payoff matrix of {entries.shape[0]}")
+
+
+def require_integer(value, what: str, least: int) -> int:
+    """``value`` as an int: DomainError naming ``what`` unless it is an integer
+    (numpy's included, a bool not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_chain(population, w=0.0) -> tuple[int, float]:
+    """A chain's population N and selection weight w as (int, float):
+    DomainError unless N is an integer >= 2 and 0 <= w <= 1 (nan fails)."""
+    n = require_integer(population, "population", 2)
+    if not 0.0 <= w <= 1.0:
+        raise DomainError(f"selection weight must lie in [0, 1], got {w!r}")
+    return n, float(w)
 
 
 @dataclass(frozen=True, eq=False)
 class SimplexPoint:
     """A point of the probability simplex: M proportions summing to one.
 
-    Coordinates may be any reals in [0, 1]; membership is checked with an
-    absolute tolerance of ``SIMPLEX_TOL`` and negative rounding dust inside
-    the tolerance is clipped to zero.  Lattice alignment (multiples of 1/N)
-    is not required here; it is enforced by DiscreteState.
+    ``coords`` is a vector that :func:`simplex_rows` accepts as one row.
+    Lattice alignment (multiples of 1/N) is not required here; it is
+    enforced by DiscreteState.
     """
 
     coords: np.ndarray
 
     def __init__(self, coords):
-        arr = _as_vector(coords)
-        if arr.size < 2:
-            raise DomainError("a simplex point needs at least two strategies (M >= 2)")
-        if not np.all((arr >= -SIMPLEX_TOL) & (arr <= 1.0 + SIMPLEX_TOL)):  # nan fails too
-            raise DomainError(f"coordinates outside [0, 1]: {arr!r}")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= SIMPLEX_TOL:
-            raise DomainError(f"coordinates sum to {total!r}, not 1")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "coords", simplex_rows([coords])[0])
 
     @property
     def dimension(self) -> int:
@@ -118,31 +149,17 @@ class PayoffMatrix:
         return f"PayoffMatrix({self.to_rows()!r})"
 
 
-def _check_dims(point: SimplexPoint, matrix: PayoffMatrix) -> None:
-    if point.dimension != matrix.dimension:
-        raise DimensionError(
-            f"point has {point.dimension} strategies, matrix has {matrix.dimension}"
-        )
-
-
 def payoff_fitness(lam: np.ndarray, entries: np.ndarray, population: int, w: float):
     """The one payoff/fitness formula of the package: payoffs and fitnesses of
     an (M, R) array of proportions, as two new (M, R) arrays.
 
     In a population of N an individual never meets itself, so with counts
     ``c = N * lam`` the payoff is ``pay_i = (sum_j A_ij c_j - A_ii) / (N - 1)``
-    and the fitness is ``fit = (1 - w) + w * pay``.  Raises DomainError unless
-    N >= 2 and 0 <= w <= 1, and DimensionError unless A has M rows.
+    and the fitness is ``fit = (1 - w) + w * pay``.  Raises what
+    :func:`require_chain` and :func:`require_strategies` raise.
     """
-    n = population
-    if n < 2:
-        raise DomainError(f"population must be at least 2, got {n}")
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"selection weight must lie in [0, 1], got {w}")
-    if entries.shape[0] != lam.shape[0]:
-        raise DimensionError(
-            f"proportions have {lam.shape[0]} strategies, matrix has {entries.shape[0]}"
-        )
+    n, w = require_chain(population, w)
+    require_strategies(lam.shape[0], entries)
     per_bearer = entries / (n - 1.0)
     pay = per_bearer @ (n * lam) - per_bearer.diagonal()[:, None]
     return pay, (1.0 - w) + w * pay
@@ -167,7 +184,7 @@ def replicator_field(point: SimplexPoint, matrix: PayoffMatrix) -> np.ndarray:
     ``b_i = lam_i * ((A lam)_i - (A lam) . lam)``.  The components sum to
     zero, so the field is tangent to the simplex.
     """
-    _check_dims(point, matrix)
+    require_strategies(point.dimension, matrix.entries)
     lam = point.coords
     a_lam = matrix.entries @ lam
     return lam * (a_lam - float(a_lam @ lam))

@@ -38,7 +38,7 @@ from .errors import (
     DomainError,
     InvalidWitnessError,
 )
-from .simplex import SIMPLEX_TOL, SimplexPoint
+from .simplex import SimplexPoint, simplex_rows
 
 #: largest ensemble size accepted by the exact solver
 EXACT_SIZE_CAP = 4096
@@ -51,25 +51,10 @@ SNAP_EPS = 2.0
 
 
 class EmpiricalMeasure:
-    """Uniformly weighted multiset of simplex points."""
+    """Uniformly weighted multiset of simplex points, the rows :func:`simplex_rows` reads."""
 
     def __init__(self, points):
-        # numpy reads a SimplexPoint as the sequence of its coordinates
-        arr = np.array(points, dtype=float)
-        if arr.shape[:1] == (0,):
-            raise DomainError("an empirical measure needs at least one point")
-        if arr.ndim != 2 or arr.shape[1] < 2:
-            raise DimensionError(f"expected an (R, M>=2) point array, got shape {arr.shape}")
-        # written so that nan fails
-        on_simplex = np.all(arr >= -SIMPLEX_TOL, axis=1) & (
-            np.abs(arr.sum(axis=1) - 1.0) <= SIMPLEX_TOL
-        )
-        if not on_simplex.all():
-            bad = int(np.argmin(on_simplex))
-            raise DomainError(f"row {bad} is not a simplex point: {arr[bad]!r}")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.setflags(write=False)
-        self._array = arr
+        self._array = simplex_rows(points)
 
     @property
     def array(self) -> np.ndarray:

@@ -390,6 +390,9 @@ class TestConfigValidation:
             ("simulate", {"n_scale": 1e18}, "n_scale"),
             ("simulate", {"n_scale": 1e308, "alpha": 2}, "n_scale"),
             ("residual", {"n_floor": 2**53}, "n_floor"),
+            # tau = horizon / k is 0.0, whose negative power raised ZeroDivisionError
+            ("regimes", {"horizon": 5e-324}, "horizon"),
+            ("simulate", {"horizon": 5e-324}, "horizon"),
             # an explicit list is checked against the horizon
             ("simulate", {"horizon": 0.5, "checkpoints": [1.0]}, "checkpoints"),
         ],
@@ -505,6 +508,16 @@ class TestConfigValidation:
         assert RunConfig.load(str(cfg), {}).checkpoints == [0.125, 0.25, 0.5]
         argv = [command, "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--jobs", "1"]
         assert main(argv) == 0
+
+    def test_an_overflowing_weight_power_is_a_weight_of_one(self, tmp_path, capsys):
+        # tau**beta = 1e300**2 overflowed a float power: OverflowError, exit 1
+        cfg = write_config(
+            tmp_path / "cfg.json", horizon=1e300, beta=2, resolutions=[1, 2], checkpoints=None
+        )
+        assert main(["regimes", "--dry-run", "--config", str(cfg)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[0][:4] == ["k", "tau_k", "N_k", "w_k"]
+        assert [row[2:4] for row in rows[1:]] == [["2", "1"], ["2", "1"]]
 
     def test_default_checkpoints_keep_the_config_hash(self):
         # at the default horizon the default is the fixed [0.25, 0.5, 1.0] it replaced

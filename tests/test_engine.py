@@ -99,6 +99,26 @@ class TestDiscreteState:
         s = DiscreteState([1, 3, 4], 8, 0.0)
         assert np.all(np.isin(s.counts, np.arange(9)))
 
+    @pytest.mark.parametrize(
+        "counts, population, match",
+        [
+            # int() truncated these to [2, 1] and 3
+            ([2.5, 1.5], 4, "^strategy count must be an integer >= 0, got 2.5$"),
+            ([2, 1], 3.9, "^population must be an integer >= 2, got 3.9$"),
+            ([2.0, 1.0], 3, "^strategy count must be an integer >= 0, got 2.0$"),
+            ([True, True], 2, "^strategy count must be an integer >= 0, got True$"),
+            ([2, 0], 2.0, "^population must be an integer >= 2, got 2.0$"),
+            ([1, 1], True, "^population must be an integer >= 2, got True$"),
+        ],
+    )
+    def test_rejects_counts_and_populations_off_the_integers(self, counts, population, match):
+        with pytest.raises(DomainError, match=match):
+            DiscreteState(counts, population, 0.1)
+
+    def test_numpy_integers_accepted(self):
+        s = DiscreteState(np.array([2, 1], dtype=np.int32), np.int64(3), 0.1)
+        assert s.counts.tolist() == [2, 1] and s.population == 3
+
 
 class TestTransitionTable:
     def test_neutral_two_strategy_example(self):
@@ -237,6 +257,20 @@ class TestScalingSchedule:
         with pytest.raises(DomainError, match=re.escape(f"must lie below 2**53, got {got}") + "$"):
             ScalingSchedule(**values)
 
+    @pytest.mark.parametrize("resolution", [2, 4])
+    def test_rejects_a_tau_that_underflows_to_zero(self, resolution):
+        # 5e-324 / k is 0.0, and 0.0 ** -alpha raised ZeroDivisionError
+        got = f"got inf at resolution {resolution}"
+        with pytest.raises(DomainError, match=re.escape(got) + "$"):
+            ScalingSchedule(horizon=5e-324, resolution=resolution, alpha=0.6, beta=0.4)
+
+    def test_an_overflowing_tau_power_is_a_weight_of_one(self):
+        # 1e300 ** 2 raised OverflowError
+        sched = ScalingSchedule(horizon=1e300, resolution=1, alpha=0.6, beta=2.0)
+        assert sched.population == 2 and sched.selection_weight == 1.0
+        neutral = ScalingSchedule(horizon=1e300, resolution=1, alpha=0.6, beta=2.0, w_scale=0.0)
+        assert neutral.selection_weight == 0.0
+
     def test_population_below_2_to_the_53_accepted(self):
         sched = ScalingSchedule(
             horizon=1.0, resolution=16, alpha=0.6, beta=0.4, n_floor=2**53 - 1
@@ -252,6 +286,12 @@ class TestLargestRemainder:
     def test_tie_break_lowest_index(self):
         counts = largest_remainder_counts(SimplexPoint([0.25, 0.25, 0.5]), 2)
         assert counts.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("population", [4.9, 4.0, np.float64(4.0), True, 1])
+    def test_rejects_a_population_that_is_not_an_integer_of_at_least_2(self, population):
+        # int(4.9) rounded onto N = 4
+        with pytest.raises(DomainError, match="^population must be an integer >= 2, got"):
+            largest_remainder_counts(SimplexPoint([0.5, 0.5]), population)
 
     def test_error_bound(self):
         rng = np.random.default_rng(13)
@@ -278,6 +318,15 @@ class TestSimulate:
         assert sched.population != 5
         with pytest.raises(DomainError, match="expected 12"):
             simulate([3, 2], A22, sched, seed=1)
+
+    def test_fractional_counts_rejected(self):
+        sched = ScalingSchedule(horizon=1.0, resolution=4, alpha=0.6, beta=0.4, n_floor=4)
+        assert sched.population == 4
+        # these ran from [2, 1]
+        with pytest.raises(DomainError, match="^strategy count must be an integer >= 0, got 2.5$"):
+            simulate([2.5, 1.5], A22, sched, seed=1)
+        with pytest.raises(DomainError, match="^strategy count must be an integer >= 0, got 2.5$"):
+            simulate_counts_batch([[2.5, 1.5]], A22, sched, np.zeros((1, 4)))
 
     def test_reproducible_from_seed(self):
         sched = ScalingSchedule(horizon=1.0, resolution=50, alpha=0.7, beta=0.3)
@@ -508,9 +557,19 @@ class TestTrajectoryFiles:
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,lambda_1,lambda_2"
 
+    def test_export_formats_only_the_visited_proportions(self, tmp_path):
+        # N = 3_482_202_253_184_497: formatting all N + 1 proportions needed 24.7 PiB
+        sched = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4, n_scale=1e15)
+        init = largest_remainder_counts(SimplexPoint([0.5, 0.5]), sched.population)
+        traj = simulate(init, A22, sched, seed=0)
+        csv_path = tmp_path / "t.csv"
+        export_trajectory(traj, csv_path, tmp_path / "t.json", A22)
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(data[:, 1:], traj.counts / sched.population)
+
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_export_rejects_counts_off_the_lattice(self, tmp_path, bad):
-        # the export looks each count up among the N + 1 formatted proportions
+        # the export looks each count up among its column's formatted proportions
         sched = ScalingSchedule(
             horizon=1.0, resolution=1, alpha=1.0, beta=0.0, n_floor=5, n_scale=1e-9
         )

@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,6 +480,13 @@ class TestWeakFormResidual:
         with pytest.raises(ConfigurationError):
             weak_form_residual(ens, A22, phi)
 
+    def test_mismatched_matrix_raises_dimension_error(self, small_ensemble):
+        # numpy's matmul raised a bare ValueError
+        phi = standard_test_functions(2, 1.0)[0]
+        text = "^2 strategies do not match a payoff matrix of 3$"
+        with pytest.raises(DimensionError, match=text):
+            weak_form_residual(small_ensemble, RPS, phi)
+
     def test_residual_small_at_moderate_resolution(self, small_ensemble):
         phi = standard_test_functions(2, 1.0)[0]
         est = weak_form_residual(small_ensemble, A22, phi)
@@ -521,7 +529,7 @@ class TestWeakFormResidual:
         assert nodes[0] == 0.0 and nodes[-1] == 1.0
         # stride 0 is no slice step; stride -1 would run backwards to a second horizon
         for stride in (0, -1):
-            with pytest.raises(DomainError, match="stride must be >= 1"):
+            with pytest.raises(DomainError, match="stride must be an integer >= 1"):
                 quadrature_checkpoints(sched, stride=stride)
 
     def test_two_resolution_scaling_consistency(self):
@@ -690,7 +698,7 @@ class TestBootstrap:
     def test_too_few_jobs_raise(self, jobs):
         mu = EmpiricalMeasure(np.random.default_rng(46).dirichlet(np.ones(2), size=8))
         prepared = PairedBootstrap(mu, mu, np.random.default_rng(47))
-        with pytest.raises(DomainError, match="jobs must be >= 1"):
+        with pytest.raises(DomainError, match="jobs must be an integer >= 1"):
             bootstrap_w1_ci(prepared, jobs)
 
     def test_warm_and_cold_agree_at_near_zero_w1(self):
@@ -747,6 +755,30 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_no_more_helpers_than_resamples(self, monkeypatch):
+        # a fake Thread counts its starts and never runs, so no real thread is
+        # started and the calling thread solves every resample
+        starts = []
+
+        class CountingThread:
+            def __init__(self, target):
+                pass
+
+            def start(self):
+                starts.append(self)
+
+            def join(self):
+                pass
+
+        rng = np.random.default_rng(32)
+        mu = EmpiricalMeasure(rng.dirichlet(np.ones(3), size=24))
+        serial = bootstrap_w1_ci(PairedBootstrap(mu, mu, np.random.default_rng(33), n_resamples=40))
+        fake = SimpleNamespace(Thread=CountingThread, Lock=threading.Lock)
+        monkeypatch.setattr(lab, "threading", fake)
+        prepared = PairedBootstrap(mu, mu, np.random.default_rng(33), n_resamples=40)
+        assert bootstrap_w1_ci(prepared, jobs=1000) == serial
+        assert len(starts) == 39
+
     @pytest.fixture
     def interleaved(self):
         # a short switch interval makes the helper threads interleave often
@@ -786,7 +818,7 @@ class TestWorkerPool:
         monkeypatch.setattr(lab, "run_ensemble", unreachable)
         law = InitialLaw.dirichlet([2.0, 2.0])
         base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
-        with pytest.raises(DomainError, match="jobs must be >= 1"):
+        with pytest.raises(DomainError, match="jobs must be an integer >= 1"):
             if experiment == "converge":
                 convergence_experiment(law, A22, base, [8], 16, (1.0,), 36, jobs=jobs)
             else:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranfield.errors import DimensionError, DomainError
 from moranfield.simplex import (
+    SIMPLEX_TOL,
     PayoffMatrix,
     SimplexPoint,
     fitness_coefficients,
@@ -12,6 +13,7 @@ from moranfield.simplex import (
     replicator_field,
     replicator_field_array,
 )
+from moranfield.transport import EmpiricalMeasure
 
 
 def enumerated_payoff(counts, entries):
@@ -287,3 +289,45 @@ class TestReplicatorField:
         batch = replicator_field_array(pts, RPS.entries)
         for row, lam in zip(batch, pts):
             assert row == pytest.approx(replicator_field(SimplexPoint(lam), RPS), abs=1e-14)
+
+
+#: per-coordinate rounding dust around the membership tolerance, both sides of it
+DUST = [k * SIMPLEX_TOL for k in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0)]
+
+
+@st.composite
+def near_simplex_rows(draw):
+    """A simplex point, a vertex, a face point or an interior one, with dust
+    added to each coordinate, and now and then one coordinate not finite."""
+    m = draw(st.integers(2, 4))
+
+    def coordinates(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+
+    weights = coordinates([0.0, 1.0, 2.0, 3.0])
+    if weights.sum() == 0:
+        weights[0] = 1.0
+    row = weights / weights.sum() + coordinates(DUST)
+    if draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, m - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return row.tolist()
+
+
+def _accepted(make):
+    try:
+        return make()
+    except DomainError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+# the point refused this row and the measure accepted it
+@example([1.0 + 1.5e-12, -1e-12])
+@given(near_simplex_rows())
+def test_point_and_measure_accept_the_same_rows(row):
+    point = _accepted(lambda: SimplexPoint(row).coords)
+    measure = _accepted(lambda: EmpiricalMeasure([row]).array[0])
+    assert (point is None) == (measure is None)
+    if point is not None:
+        assert np.array_equal(point, measure)
+        assert point.min() >= 0.0 and point.max() <= 1.0
