@@ -38,7 +38,6 @@ from .lab import (
     quadrature_checkpoints,
     quadrature_nodes,
     regime_experiment,
-    require_convergent_regime,
     require_sweep,
     residual_floor,
     run_ensemble,
@@ -234,12 +233,12 @@ class RunConfig:
         return payload_digest(self.to_dict())
 
     def require_flow_steps(self) -> None:
-        """Refuse a horizon beyond the flow's step budget (:meth:`FlowConfig.step`),
-        naming ``payoff_matrix``, whose column spread caps the step, and ``flow_step``
-        when it is set.  Every pushforward of ``converge`` and ``residual`` lies in
-        [0, horizon], so none of them fails after the chains have run."""
+        """Refuse exponents with no ``limit_speed`` c, and a flow time c * horizon beyond
+        the step budget (:meth:`FlowConfig.step`), naming ``payoff_matrix``, whose column
+        spread caps the step, and ``flow_step`` when set.  Every pushforward of ``converge``
+        and ``residual`` lies in [0, c * horizon], so none fails after the chains ran."""
         try:
-            self.flow.step(self.matrix.entries, self.base.horizon)
+            self.flow.step(self.matrix.entries, self.base.limit_speed * self.base.horizon)
         except DomainError as err:
             keys = "key 'payoff_matrix'"
             if "flow_step" in self.data:
@@ -350,7 +349,6 @@ def cmd_converge(args) -> int:
     ks = config.resolutions()
     require_sweep(ks, config.checkpoints, config.ensemble_size)
     if not args.regime:
-        require_convergent_regime(config.base)
         config.require_flow_steps()
     if args.dry_run:
         print("k        tau_k        N_k      w_k")
@@ -438,6 +436,7 @@ def cmd_residual(args) -> int:
                 config.master_seed,
                 phis,
                 config.flow,
+                config.base.limit_speed,
             )
         for phi, floor in zip(phis, floors[nodes]):
             est = weak_form_residual(ensemble, config.matrix, phi)

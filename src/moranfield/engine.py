@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FitnessDegenerateError
+from .errors import DimensionError, DomainError, FitnessDegenerateError, RegimeError
 from .report import csv_cells, write_csv, write_json
 from .simplex import (
     PayoffMatrix,
@@ -317,6 +317,28 @@ class ScalingSchedule:
         if self.w_scale == 0:  # 0 * inf would be nan
             return 0.0
         return min(1.0, self.w_scale * self._tau_power(self.beta))
+
+    @property
+    def regime(self) -> str:
+        """"frozen" if alpha + beta > 1 (the drift w/(N tau) vanishes), "critical"
+        at 1 (within 1e-9), else "divergent"."""
+        total = self.alpha + self.beta
+        if total > 1.0 + 1e-9:
+            return "frozen"
+        return "divergent" if total < 1.0 - 1e-9 else "critical"
+
+    @property
+    def limit_speed(self) -> float:
+        """Speed c = w_scale / n_scale of the replicator flow that the chain law
+        converges to (0.0 for the neutral chain: the identity); RegimeError unless
+        alpha + beta = 1 with alpha > 1/2."""
+        if self.regime != "critical" or self.alpha <= 0.5:
+            raise RegimeError(
+                f"convergence requires alpha + beta = 1 with alpha > 1/2 (the critical "
+                f"threshold below which fluctuations dominate); got alpha={self.alpha}, "
+                f"beta={self.beta}; the regime scan measures other exponents"
+            )
+        return self.w_scale / self.n_scale
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.resolution + 1)

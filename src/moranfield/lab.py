@@ -28,13 +28,7 @@ from .engine import (
     locate_on_grid,
     simulate_counts_batch,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    RegimeError,
-    ResolutionError,
-    StiffnessError,
-)
+from .errors import ConfigurationError, DomainError, ResolutionError, StiffnessError
 from .flow import FlowConfig, default_flow_config, pushforward
 from .report import REGIME_SCHEMA, REPORT_SCHEMA
 from .simplex import (
@@ -410,13 +404,13 @@ class ConvergenceReport:
         return header, [list(zip(*rows))]
 
 
-def _limit_measures(initial, matrix, checkpoints, flow_cfg):
-    """Pushforward of the initial samples at each checkpoint (integrated once)."""
+def _limit_measures(initial, matrix, checkpoints, flow_cfg, speed):
+    """Pushforward of the samples at each checkpoint t by the flow to time speed * t."""
     out = {}
     current = initial
     prev_t = 0.0
     for t in sorted(checkpoints):
-        current = pushforward(current, matrix, t - prev_t, flow_cfg)
+        current = pushforward(current, matrix, speed * (t - prev_t), flow_cfg)
         out[t] = current
         prev_t = t
     return out
@@ -428,18 +422,6 @@ def _distance_witnesses(mu, nu):
     witnesses.append(distance_witness(mu.array.mean(axis=0) / mu.array.mean(axis=0).sum()))
     witnesses.append(distance_witness(nu.array.mean(axis=0) / nu.array.mean(axis=0).sum()))
     return witnesses
-
-
-def require_convergent_regime(schedule: ScalingSchedule) -> None:
-    """Raise RegimeError unless ``alpha + beta = 1`` with ``alpha > 1/2``, the
-    scaling regime in which the chain law converges to the flow pushforward."""
-    alpha, beta = schedule.alpha, schedule.beta
-    if classify_regime(alpha, beta) != "critical" or alpha <= 0.5:
-        raise RegimeError(
-            f"convergence requires alpha + beta = 1 with alpha > 1/2 (the critical "
-            f"threshold below which fluctuations dominate); got alpha={alpha}, "
-            f"beta={beta}; the regime scan measures other exponents"
-        )
 
 
 def require_sweep(resolutions, checkpoints, ensemble_size: int = 2) -> None:
@@ -470,10 +452,10 @@ def convergence_experiment(
     """Compare chain snapshot laws against the flow pushforward across resolutions.
 
     ``base`` supplies horizon, exponents and prefactors; its resolution field
-    is replaced by each entry of ``resolutions``.  Requires the convergent
-    scaling regime (:func:`require_convergent_regime`).
+    is replaced by each entry of ``resolutions``.  The limit is the flow at
+    ``base.limit_speed``, which raises RegimeError outside the convergent regime.
     """
-    require_convergent_regime(base)
+    speed = base.limit_speed
     require_integer(jobs, "jobs", 1)
     ks, checkpoints = [int(k) for k in resolutions], tuple(float(t) for t in checkpoints)
     require_sweep(ks, checkpoints, ensemble_size)
@@ -488,7 +470,7 @@ def convergence_experiment(
         if limits is None:
             # initial draws are keyed by (master_seed, replica) only, so
             # the pushforward side is shared by all resolutions
-            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg)
+            limits = _limit_measures(ensemble.initial, matrix, checkpoints, flow_cfg, speed)
         rows = []
         for idx, t in enumerate(checkpoints):
             chain, limit = ensemble.affine[t], limits[t]
@@ -571,16 +553,6 @@ class RegimeReport:
         return header, [list(zip(*rows))]
 
 
-def classify_regime(alpha: float, beta: float, tol: float = 1e-9) -> str:
-    """"frozen" if alpha+beta > 1 (drift vanishes), "critical" at 1, else "divergent"."""
-    total = alpha + beta
-    if total > 1.0 + tol:
-        return "frozen"
-    if total < 1.0 - tol:
-        return "divergent"
-    return "critical"
-
-
 def regime_experiment(
     law: InitialLaw,
     matrix: PayoffMatrix,
@@ -623,7 +595,7 @@ def regime_experiment(
         alpha=float(base.alpha),
         beta=float(base.beta),
         horizon=float(horizon),
-        classification=classify_regime(base.alpha, base.beta),
+        classification=base.regime,
         ensemble_size=int(ensemble_size),
         master_seed=int(master_seed),
         law=law.to_dict(),
@@ -760,8 +732,9 @@ def quadrature_nodes(checkpoints, phis) -> list:
     return nodes
 
 
-def _weak_form_terms(phi, nodes, dt_points, adv_points, matrix):
-    """Per-replica trapezoid integrals over ``nodes`` of ``d_t phi`` and ``grad phi . b``.
+def _weak_form_terms(phi, nodes, dt_points, adv_points, matrix, speed):
+    """Per-replica trapezoid integrals over ``nodes`` of ``d_t phi`` and ``grad phi . c b``,
+    where c is the flow's ``speed``.
 
     ``dt_points`` and ``adv_points`` stack, node by node, the (R, M) samples each
     integrand is averaged over; one pass serves every node, each row scaled by its window.
@@ -772,7 +745,7 @@ def _weak_form_terms(phi, nodes, dt_points, adv_points, matrix):
     adv_vals = np.einsum(
         "rm,rm->r",
         window[:, None] * phi._poly_grad(adv_points),
-        replicator_field_array(adv_points, matrix.entries),
+        speed * replicator_field_array(adv_points, matrix.entries),
     )
     return tuple(np.trapezoid(v.reshape(len(nodes), r), nodes, axis=0) for v in (dt_vals, adv_vals))
 
@@ -796,16 +769,18 @@ def weak_form_residual(
     """Monte Carlo + trapezoid estimate of the continuity-equation defect.
 
     Sums the time integral of the affine-law average of ``d_t phi``, the time
-    integral of the constant-law average of ``grad phi . b``, and the initial
+    integral of the constant-law average of ``grad phi . c b`` at the limit speed
+    c of the ensemble's schedule (RegimeError when it has none), and the initial
     term ``mean phi(0, .)``; for the exact transported law the three cancel.
     The ensemble's checkpoints serve as quadrature nodes and must span
     ``[0, phi.horizon]`` with at least ``MIN_QUADRATURE_NODES`` nodes.
     """
+    speed = ensemble.schedule.limit_speed
     require_strategies(ensemble.initial.dimension, matrix.entries)
     nodes = quadrature_nodes(ensemble.checkpoints, [phi])
     dt_points = np.concatenate([ensemble.affine[t].array for t in nodes])
     adv_points = np.concatenate([ensemble.constant[t].array for t in nodes])
-    term_dt, term_adv = _weak_form_terms(phi, nodes, dt_points, adv_points, matrix)
+    term_dt, term_adv = _weak_form_terms(phi, nodes, dt_points, adv_points, matrix, speed)
     contributions = term_dt + term_adv + phi.value(0.0, ensemble.affine[nodes[0]].array)
     return _estimate([contributions], _rng(ensemble.master_seed, "residual_bootstrap"), len(nodes))
 
@@ -818,26 +793,27 @@ def residual_floor(
     master_seed: int,
     phis,
     flow_cfg: FlowConfig,
+    speed: float,
 ) -> list[ResidualEstimate]:
     """Statistical floor of the residual estimator under the exact dynamics, per ``phi``.
 
     The three weak-form terms are estimated from three independent replica
-    sets transported by the exact flow.  The transported law satisfies the
-    identity exactly, so nothing survives except Monte Carlo noise at
-    ensemble size R (plus time quadrature): the level below which a measured
-    residual is indistinguishable from zero.  (A single shared replica set
-    would telescope pathwise and report only quadrature error.)  The replica
-    sets and their flow passes depend only on the law, the matrix, the nodes,
-    the seed and ``flow_cfg``, so they are computed once for all of ``phis``, in one
-    pass over both sets stacked: every row takes the same RK4 steps, so this gives
-    the bits of two passes.
+    sets transported by the exact flow at ``speed`` (the caller's limit speed c).
+    The transported law satisfies the identity exactly, so nothing survives
+    except Monte Carlo noise at ensemble size R (plus time quadrature): the
+    level below which a measured residual is indistinguishable from zero.  (A
+    single shared replica set would telescope pathwise and report only
+    quadrature error.)  The replica sets and their flow passes depend only on
+    the law, the matrix, the nodes, the seed, ``flow_cfg`` and ``speed``, so they
+    are computed once for all of ``phis``, in one pass over both sets stacked:
+    every row takes the same RK4 steps, so this gives the bits of two passes.
     """
     nodes = quadrature_nodes(checkpoints, phis)
     replicas = range(ensemble_size)
     sets = {s: _draws(law, master_seed, s, replicas) for s in ("floor_dt", "floor_adv")}
     stacked = EmpiricalMeasure(np.concatenate(list(sets.values())))
     try:
-        flowed = _limit_measures(stacked, matrix, nodes, flow_cfg)
+        flowed = _limit_measures(stacked, matrix, nodes, flow_cfg, speed)
     except StiffnessError as err:  # name the set and the replica of the stacked row
         stream = list(sets)[err.sample // ensemble_size]
         raise StiffnessError(err.sample % ensemble_size, err.detail, f"{stream} sample") from err
@@ -848,7 +824,8 @@ def residual_floor(
 
     floors = []
     for phi in phis:
-        terms = [*_weak_form_terms(phi, nodes, dt_rows, adv_rows, matrix), phi.value(0.0, initial)]
+        terms = list(_weak_form_terms(phi, nodes, dt_rows, adv_rows, matrix, speed))
+        terms.append(phi.value(0.0, initial))
         floors.append(_estimate(terms, _rng(master_seed, "floor_bootstrap"), len(nodes)))
     return floors
 

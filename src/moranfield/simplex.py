@@ -21,12 +21,17 @@ SIMPLEX_TOL = 1e-12
 
 def _as_numbers(values, what: str) -> np.ndarray:
     """``values`` as a float array; DomainError names ``what`` when an entry is
-    not a number or is a bool, which the float conversion reads as 0 or 1."""
+    not a number or is a bool, which the float conversion reads as 0 or 1.  An
+    array is judged by its dtype; only other input has its entries scanned."""
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as err:
         raise DomainError(f"{what} must be numeric: {err}") from None
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        bools = values.dtype == bool
+    else:
+        bools = any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)
+    if bools:
         raise DomainError(f"{what} must be numbers, not booleans, got {values!r}")
     return arr
 
@@ -36,11 +41,11 @@ def simplex_rows(points) -> np.ndarray:
 
     Every coordinate must lie in [0, 1] and every row sum to 1, both within
     ``SIMPLEX_TOL`` (nan fails); rounding dust inside the tolerance is clipped
-    into [0, 1].  The one membership rule, of ``EmpiricalMeasure`` and of a
-    :class:`SimplexPoint` (one row).
+    into [0, 1].  Booleans are refused (:func:`_as_numbers`).  The one
+    membership rule, of ``EmpiricalMeasure`` and of a :class:`SimplexPoint` (one row).
     """
     # numpy reads a SimplexPoint as the sequence of its coordinates
-    arr = np.array(points, dtype=float)
+    arr = _as_numbers(points, "simplex coordinates")
     if arr.shape[:1] == (0,):
         raise DomainError("an empirical measure needs at least one point")
     if arr.ndim != 2:
@@ -92,7 +97,8 @@ class SimplexPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", simplex_rows([coords])[0])
+        rows = coords[None] if isinstance(coords, np.ndarray) else [coords]
+        object.__setattr__(self, "coords", simplex_rows(rows)[0])
 
     @property
     def dimension(self) -> int:

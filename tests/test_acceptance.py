@@ -72,7 +72,14 @@ def residual_data():
         )
         phis = standard_test_functions(2, 1.0)
         floors = residual_floor(
-            HEADLINE_LAW, HEADLINE_MATRIX, 256, nodes, ACCEPTANCE_SEED, phis, flow_cfg
+            HEADLINE_LAW,
+            HEADLINE_MATRIX,
+            256,
+            nodes,
+            ACCEPTANCE_SEED,
+            phis,
+            flow_cfg,
+            schedule.limit_speed,
         )
         for phi, floor in zip(phis, floors):
             est = weak_form_residual(ensemble, HEADLINE_MATRIX, phi)

@@ -245,6 +245,24 @@ class TestResidual:
         assert main(argv) == 0
         assert len(calls) == 129
 
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.4, 0.4)])
+    def test_exponents_with_no_flow_limit_exit_2_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, alpha, beta
+    ):
+        # frozen and divergent exponents have no flow limit to compare against
+        def unreachable(*args):
+            raise AssertionError("a chain ran before the regime was checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        cfg = write_config(
+            tmp_path / "cfg.json", alpha=alpha, beta=beta, resolutions=[16, 32], ensemble_size=4
+        )
+        out = tmp_path / "out"
+        assert main(["residual", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert "alpha + beta = 1 with alpha > 1/2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_opens_no_process_pool(self, tmp_path, monkeypatch):
         # residual has no assignment solves, so --jobs leaves it in one thread
         def refuse(*args, **kwargs):

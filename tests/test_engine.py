@@ -18,7 +18,7 @@ from moranfield.engine import (
     step,
     transition_table,
 )
-from moranfield.errors import DomainError, FitnessDegenerateError
+from moranfield.errors import DomainError, FitnessDegenerateError, RegimeError
 from moranfield import lab
 from moranfield.lab import InitialLaw, run_ensemble
 from moranfield.simplex import PayoffMatrix, SimplexPoint
@@ -222,6 +222,28 @@ class TestScalingSchedule:
     def test_neutral_scale(self):
         sched = ScalingSchedule(horizon=1.0, resolution=16, alpha=0.6, beta=0.4, w_scale=0.0)
         assert sched.selection_weight == 0.0
+
+    def test_limit_speed_is_w_scale_over_n_scale(self):
+        sched = ScalingSchedule(1.0, 16, alpha=0.6, beta=0.4, n_scale=4.0, w_scale=2.0)
+        assert (sched.regime, sched.limit_speed) == ("critical", 0.5)
+        # the neutral chain's limit is the identity
+        assert ScalingSchedule(1.0, 16, alpha=0.6, beta=0.4, w_scale=0.0).limit_speed == 0.0
+        assert ScalingSchedule(1.0, 16, alpha=0.6, beta=0.4 + 5e-10).regime == "critical"
+
+    @pytest.mark.parametrize(
+        "alpha, beta, regime",
+        [
+            (1.0, 0.5, "frozen"),
+            (0.3, 0.3, "divergent"),
+            (0.4, 0.6, "critical"),
+            (0.5, 0.5, "critical"),
+        ],
+    )
+    def test_no_limit_speed_off_the_convergent_regime(self, alpha, beta, regime):
+        sched = ScalingSchedule(1.0, 16, alpha=alpha, beta=beta)
+        assert sched.regime == regime
+        with pytest.raises(RegimeError, match=r"alpha \+ beta = 1 with alpha > 1/2"):
+            sched.limit_speed
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):

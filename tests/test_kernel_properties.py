@@ -26,7 +26,7 @@ from moranfield.engine import (
     transition_table,
 )
 from moranfield.errors import DomainError, FitnessDegenerateError
-from moranfield.simplex import PayoffMatrix, SimplexPoint, fitness_coefficients
+from moranfield.simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, replicator_field
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -358,3 +358,22 @@ def test_simulate_reads_one_stream_like_the_batch_kernel():
     uniforms = np.array([[rng.random() for _ in range(sched.resolution)]])
     batch = simulate_counts_batch([init], M3, sched, uniforms)
     assert np.array_equal(simulate(init, M3, sched, seed=7).counts, batch[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_scale=st.floats(0.25, 4.0),
+    w_scale=st.floats(0.25, 4.0),
+    lam=st.floats(0.05, 0.95),
+)
+def test_limit_speed_is_the_chain_drift_per_unit_time(n_scale, w_scale, lam):
+    # the drift per unit time is w / (N tau) * (F + O(1/N)) / fbar; at
+    # alpha + beta = 1, w / (N tau) is c up to N's rounding, fbar = 1 + O(w),
+    # and for this matrix |F| <= 1/2 and the self-interaction term is <= 2/(N - 1)
+    matrix = PayoffMatrix([[1.0, 2.0], [3.0, 4.0]])
+    sched = ScalingSchedule(1.0, 2**22, 0.6, 0.4, n_scale=n_scale, w_scale=w_scale)
+    n, w, c = sched.population, sched.selection_weight, sched.limit_speed
+    state = DiscreteState(largest_remainder_counts(SimplexPoint([lam, 1.0 - lam]), n), n, w)
+    field = replicator_field(state.proportions(), matrix)
+    gap = exact_drift(state, matrix) / sched.tau - c * field
+    assert np.abs(gap).max() <= c * (2.0 * w + 4.0 / n)

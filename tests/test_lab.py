@@ -33,7 +33,6 @@ from moranfield.lab import (
     PairedBootstrap,
     TestFunction,
     bootstrap_w1_ci,
-    classify_regime,
     convergence_experiment,
     draw_initial_samples,
     quadrature_checkpoints,
@@ -326,11 +325,6 @@ def test_every_exact_solver_caller_refuses_one_capacity_text(monkeypatch, caller
 
 
 class TestRegimeExperiment:
-    def test_classification(self):
-        assert classify_regime(1.0, 0.5) == "frozen"
-        assert classify_regime(0.6, 0.4) == "critical"
-        assert classify_regime(0.3, 0.3) == "divergent"
-
     def test_frozen_regime_drift_shrinks(self):
         law = InitialLaw.dirac(SimplexPoint([0.5, 0.5]))
         base = ScalingSchedule(horizon=1.0, resolution=32, alpha=1.0, beta=0.5)
@@ -499,7 +493,7 @@ class TestWeakFormResidual:
         phi = standard_test_functions(2, 1.0)[0]
         (floor,) = residual_floor(
             law, A22, 128, quadrature_checkpoints(sched), 28, [phi],
-            FlowConfig(step_size=1 / 256),
+            FlowConfig(step_size=1 / 256), sched.limit_speed,
         )
         # transported law solves the equation: only quadrature + MC noise left
         assert floor.value <= 0.02
@@ -519,7 +513,8 @@ class TestWeakFormResidual:
         nodes = quadrature_checkpoints(sched)[cut]
         with pytest.raises(error):
             residual_floor(
-                law, A22, 64, nodes, 3, standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 256)
+                law, A22, 64, nodes, 3, standard_test_functions(2, 1.0),
+                FlowConfig(step_size=1 / 256), sched.limit_speed,
             )
 
     def test_quadrature_checkpoints_stride(self):
@@ -546,7 +541,7 @@ class TestWeakFormResidual:
             nodes = quadrature_checkpoints(sched, stride=1 if k == 64 else 4)
             ens = run_ensemble(law, A22, sched, 256, nodes, master_seed=31)
             est = weak_form_residual(ens, A22, phi)
-            (floor,) = residual_floor(law, A22, 256, nodes, 31, [phi], flow_cfg)
+            (floor,) = residual_floor(law, A22, 256, nodes, 31, [phi], flow_cfg, 1.0)
             excesses.append(max(est.value - (floor.value + floor.ci_halfwidth), 0.0))
             scales.append(
                 (1.0 / sched.population + sched.selection_weight)
@@ -556,6 +551,46 @@ class TestWeakFormResidual:
             measured = excesses[0] / excesses[1]
             predicted = scales[0] / scales[1]
             assert predicted / 3 <= measured <= predicted * 3
+
+
+class TestLimitSpeed:
+    """Runs compare the chain with the flow at the schedule's ``limit_speed``
+    c = w_scale / n_scale, the limit of its drift per unit time; against any
+    other speed neither W1 nor the residual would decay as k grows."""
+
+    LAW = InitialLaw.dirichlet([2.0, 2.0])
+    SEED = 20260810
+
+    @pytest.mark.parametrize("scales", [{"n_scale": 4.0}, {"w_scale": 4.0}, {"w_scale": 0.0}])
+    def test_w1_to_the_limit_decreases_with_k(self, monkeypatch, scales):
+        # only W1 is read, so the bootstrap's 200 solves per k are skipped
+        monkeypatch.setattr(lab, "bootstrap_w1_ci", lambda prepared, jobs: 0.0)
+        base = ScalingSchedule(1.0, 64, alpha=0.6, beta=0.4, **scales)
+        ks = [64, 256, 1024, 4096]
+        report = convergence_experiment(self.LAW, A22, base, ks, 256, (1.0,), self.SEED)
+        w1 = [rec.checkpoints[0].w1_to_limit for rec in report.resolutions]
+        assert all(b < a for a, b in zip(w1, w1[1:])), w1
+
+    def test_residual_falls_below_its_floor(self):
+        phi = standard_test_functions(2, 1.0)[0]
+        for k, stride in ((128, 1), (512, 4), (2048, 4)):
+            sched = ScalingSchedule(1.0, k, alpha=0.6, beta=0.4, n_scale=4.0)
+            nodes = quadrature_checkpoints(sched, stride)
+            ensemble = run_ensemble(self.LAW, A22, sched, 256, nodes, self.SEED)
+            est = weak_form_residual(ensemble, A22, phi)
+            (floor,) = residual_floor(
+                self.LAW, A22, 256, nodes, self.SEED, [phi], FlowConfig(1 / 1024), sched.limit_speed
+            )
+            assert est.value < floor.value + floor.ci_halfwidth, (k, est, floor)
+
+    @pytest.mark.parametrize("scales", [{"n_scale": 4.0}, {"n_scale": 0.25}, {"w_scale": 4.0}])
+    def test_drift_scale_tends_to_the_limit_speed(self, scales):
+        base = ScalingSchedule(1.0, 64, alpha=0.6, beta=0.4, **scales)
+        report = regime_experiment(self.LAW, A22, base, [64, 512, 4096], 2, self.SEED)
+        # w / (N tau) is c times n_scale * tau**-alpha / N, which N's rounding
+        # keeps within 1/(2N) of 1
+        for rec in report.records:
+            assert abs(rec.drift_scale / base.limit_speed - 1.0) <= 0.5 / rec.population + 1e-12
 
 
 def _per_node_terms(phi, nodes, dt_points, adv_points, matrix):
@@ -588,9 +623,8 @@ class TestWholeArrayResidual:
             dt_points = rng.dirichlet(np.ones(m), size=(n, r))
             adv_points = rng.dirichlet(np.full(m, 0.5), size=(n, r))
             for phi in phis:
-                stacked = lab._weak_form_terms(
-                    phi, nodes, dt_points.reshape(n * r, m), adv_points.reshape(n * r, m), matrix
-                )
+                dt_rows, adv_rows = dt_points.reshape(n * r, m), adv_points.reshape(n * r, m)
+                stacked = lab._weak_form_terms(phi, nodes, dt_rows, adv_rows, matrix, 1.0)
                 looped = _per_node_terms(phi, nodes, dt_points, adv_points, matrix)
                 for got, want in zip(stacked, looped):
                     assert np.array_equal(got, want)
@@ -603,8 +637,12 @@ class TestWholeArrayResidual:
         cfg = FlowConfig(step_size=1 / 64)
         for r in (2, 5, 128):
             sets = [rng.dirichlet(np.ones(m), size=r) for _ in range(2)]
-            stacked = lab._limit_measures(EmpiricalMeasure(np.concatenate(sets)), matrix, nodes, cfg)
-            apart = [lab._limit_measures(EmpiricalMeasure(x), matrix, nodes, cfg) for x in sets]
+            stacked = lab._limit_measures(
+                EmpiricalMeasure(np.concatenate(sets)), matrix, nodes, cfg, 1.0
+            )
+            apart = [
+                lab._limit_measures(EmpiricalMeasure(x), matrix, nodes, cfg, 1.0) for x in sets
+            ]
             for t in nodes:
                 assert np.array_equal(stacked[t].array[:r], apart[0][t].array)
                 assert np.array_equal(stacked[t].array[r:], apart[1][t].array)
@@ -637,7 +675,7 @@ class TestWholeArrayResidual:
         with pytest.raises(StiffnessError, match=r"^floor_adv sample 2: "):
             residual_floor(
                 InitialLaw.uniform(2), A22, 4, list(np.linspace(0.0, 1.0, 17)), 0,
-                standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 16),
+                standard_test_functions(2, 1.0), FlowConfig(step_size=1 / 16), 1.0,
             )
 
 

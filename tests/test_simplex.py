@@ -79,6 +79,21 @@ class TestSimplexPoint:
         with pytest.raises(DomainError):
             SimplexPoint([1.0])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SimplexPoint([True, False]),
+            lambda: SimplexPoint([True, 0.0]),
+            lambda: SimplexPoint(np.array([True, False])),
+            lambda: SimplexPoint(np.array([True, 0.0], dtype=object)),
+            lambda: EmpiricalMeasure([[True, False]]),
+        ],
+    )
+    def test_rejects_booleans(self, make):
+        # the float conversion would read each of these as the vertex [1, 0]
+        with pytest.raises(DomainError, match="not booleans"):
+            make()
+
     def test_immutable(self):
         p = SimplexPoint([0.5, 0.5])
         with pytest.raises(ValueError):
