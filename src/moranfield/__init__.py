@@ -32,10 +32,8 @@ from .errors import (
 )
 from .flow import FlowConfig, default_flow_config, flow, pushforward
 from .lab import (
-    ConvergenceReport,
     EnsembleResult,
     InitialLaw,
-    RegimeReport,
     ResidualEstimate,
     TestFunction,
     convergence_experiment,

@@ -22,6 +22,7 @@ import math
 import os
 import platform
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,10 +35,12 @@ from .flow import FlowConfig, default_flow_config
 from .lab import (
     InitialLaw,
     convergence_experiment,
+    convergence_table,
     draw_initial_samples,
     quadrature_checkpoints,
     quadrature_nodes,
     regime_experiment,
+    regime_table,
     require_sweep,
     residual_floor,
     run_ensemble,
@@ -312,12 +315,12 @@ def cmd_simulate(args) -> int:
 def _verdict(report, thresholds) -> tuple[bool, str]:
     ratio_cap, final_ratio = thresholds["max_consecutive_ratio"], thresholds["final_ratio"]
     by_kt = {
-        (rec.k, c.t): c.w1_to_limit
-        for rec in report.resolutions
-        for c in rec.checkpoints
+        (rec["k"], c["t"]): c["w1_to_limit"]
+        for rec in report["resolutions"]
+        for c in rec["checkpoints"]
     }
-    ks = [rec.k for rec in report.resolutions]
-    ts = [c.t for c in report.resolutions[0].checkpoints]
+    ks = [rec["k"] for rec in report["resolutions"]]
+    ts = [c["t"] for c in report["resolutions"][0]["checkpoints"]]
     monotone = all(
         by_kt[(kb, t)] <= ratio_cap * by_kt[(ka, t)]
         for ka, kb in zip(ks, ks[1:])
@@ -363,6 +366,7 @@ def cmd_converge(args) -> int:
     outdir = _resolve_output_dir(args.output_dir, config, f"{name}.json", f"{name}.csv")
     if args.regime:
         return _run_regimes(args, config, outdir)
+    started = time.perf_counter()
     report = convergence_experiment(
         config.law,
         config.matrix,
@@ -374,8 +378,8 @@ def cmd_converge(args) -> int:
         config.flow,
         jobs=args.jobs,
     )
-    write_report(outdir / "report.json", report.payload(), report.wall_clock_seconds)
-    write_csv(outdir / "report.csv", *report.table())
+    write_report(outdir / "report.json", report, time.perf_counter() - started)
+    write_csv(outdir / "report.csv", *convergence_table(report))
     _write_manifest(outdir, "converge", config)
     passed, detail = _verdict(report, config.verdict)
     print(f"{'PASS' if passed else 'FAIL'}: {detail}")
@@ -392,13 +396,13 @@ def _run_regimes(args, config: RunConfig, outdir: Path) -> int:
         config.master_seed,
         jobs=args.jobs,
     )
-    write_report(outdir / "regimes.json", report.payload())
-    write_csv(outdir / "regimes.csv", *report.table())
+    write_report(outdir / "regimes.json", report)
+    write_csv(outdir / "regimes.csv", *regime_table(report))
     _write_manifest(outdir, "regimes", config)
-    final = report.records[-1]
+    final, total = report["records"][-1], report["alpha"] + report["beta"]
     print(
-        f"regime: {report.classification} (alpha+beta={report.alpha + report.beta:g}); "
-        f"W1(start,end) at k={final.k}: {final.w1_start_end:.6g}"
+        f"regime: {report['classification']} (alpha+beta={total:g}); "
+        f"W1(start,end) at k={final['k']}: {final['w1_start_end']:.6g}"
     )
     return 0
 

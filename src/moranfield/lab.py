@@ -12,13 +12,15 @@ Every random draw comes from a named stream of :data:`STREAMS`, seeded by
 and chain streams, and everything runs in the calling process.  Threads
 serve only the bootstrap assignment solves, whose resample indices are drawn
 here, so results do not depend on the number of threads.
+
+The convergence and regime experiments return their report payload: a dict
+of JSON values, written as it is by ``report.write_report``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -352,58 +354,6 @@ def bootstrap_w1_ci(prepared: PairedBootstrap, jobs: int = 1) -> float:
 # -- convergence experiment -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CheckpointRecord:
-    t: float
-    w1_to_limit: float
-    ci_halfwidth: float
-    w1_dual_lb: float
-    affine_constant_gap: float
-
-
-@dataclass(frozen=True, eq=False)
-class ResolutionRecord:
-    k: int
-    tau: float
-    population: int
-    selection_weight: float
-    checkpoints: list
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
-    """Per-resolution W1 distances between chain snapshots and the flow limit."""
-
-    alpha: float
-    beta: float
-    horizon: float
-    ensemble_size: int
-    master_seed: int
-    law: dict
-    payoff_matrix: list
-    flow_step: float
-    resolutions: list
-    wall_clock_seconds: float = 0.0
-
-    def payload(self) -> dict:
-        """Canonical content; excludes wall clock so identical runs compare equal."""
-        data = asdict(self)
-        del data["wall_clock_seconds"]
-        return {"schema": REPORT_SCHEMA, **data}
-
-    def table(self) -> tuple[list, list]:
-        """CSV header and one block of columns for ``report.write_csv``: one row
-        per (resolution, checkpoint)."""
-        header = ["k", "t", "w1", "ci", "w1_bar_gap", "n_k", "w_k", "tau_k"]
-        rows = [
-            [rec.k, c.t, c.w1_to_limit, c.ci_halfwidth, c.affine_constant_gap,
-             rec.population, rec.selection_weight, rec.tau]
-            for rec in self.resolutions
-            for c in rec.checkpoints
-        ]
-        return header, [list(zip(*rows))]
-
-
 def _limit_measures(initial, matrix, checkpoints, flow_cfg, speed):
     """Pushforward of the samples at each checkpoint t by the flow to time speed * t."""
     out = {}
@@ -438,6 +388,15 @@ def require_sweep(resolutions, checkpoints, ensemble_size: int = 2) -> None:
     require_exact_sizes(ensemble_size, ensemble_size)
 
 
+def _schedule_fields(schedule: ScalingSchedule) -> dict:
+    return {
+        "k": schedule.resolution,
+        "tau": schedule.tau,
+        "population": schedule.population,
+        "selection_weight": schedule.selection_weight,
+    }
+
+
 def convergence_experiment(
     law: InitialLaw,
     matrix: PayoffMatrix,
@@ -448,20 +407,23 @@ def convergence_experiment(
     master_seed: int,
     flow_cfg: FlowConfig | None = None,
     jobs: int = 1,
-) -> ConvergenceReport:
+) -> dict:
     """Compare chain snapshot laws against the flow pushforward across resolutions.
 
     ``base`` supplies horizon, exponents and prefactors; its resolution field
     is replaced by each entry of ``resolutions``.  The limit is the flow at
-    ``base.limit_speed``, which raises RegimeError outside the convergent regime.
+    ``base.limit_speed``, which raises RegimeError outside the convergent regime;
+    a flow to its last checkpoint beyond the step budget raises DomainError.
+    Both are raised before any chain step.  Returns the report payload: per
+    resolution and checkpoint, W1 to the limit with its bootstrap half-width.
     """
     speed = base.limit_speed
     require_integer(jobs, "jobs", 1)
     ks, checkpoints = [int(k) for k in resolutions], tuple(float(t) for t in checkpoints)
     require_sweep(ks, checkpoints, ensemble_size)
     flow_cfg = flow_cfg or default_flow_config(base.horizon)
+    flow_step = flow_cfg.step(matrix.entries, speed * max(checkpoints))
 
-    started = time.perf_counter()
     records = []
     limits = None
     for k in ks:
@@ -477,80 +439,43 @@ def convergence_experiment(
             rng = _rng(master_seed, "converge_bootstrap", idx, k)
             dual = w1_dual_lower_bound(chain, limit, _distance_witnesses(chain, limit))
             rows.append(
-                CheckpointRecord(
-                    t=t,
-                    w1_to_limit=float(w1_exact(chain, limit)),
-                    ci_halfwidth=bootstrap_w1_ci(PairedBootstrap(chain, limit, rng), jobs),
-                    w1_dual_lb=float(dual),
-                    affine_constant_gap=float(w1_exact(chain, ensemble.constant[t])),
-                )
+                {
+                    "t": t,
+                    "w1_to_limit": float(w1_exact(chain, limit)),
+                    "ci_halfwidth": bootstrap_w1_ci(PairedBootstrap(chain, limit, rng), jobs),
+                    "w1_dual_lb": float(dual),
+                    "affine_constant_gap": float(w1_exact(chain, ensemble.constant[t])),
+                }
             )
-        records.append(
-            ResolutionRecord(
-                k=k,
-                tau=schedule.tau,
-                population=schedule.population,
-                selection_weight=schedule.selection_weight,
-                checkpoints=rows,
-            )
-        )
-    return ConvergenceReport(
-        alpha=base.alpha,
-        beta=base.beta,
-        horizon=base.horizon,
-        ensemble_size=int(ensemble_size),
-        master_seed=int(master_seed),
-        law=law.to_dict(),
-        payoff_matrix=matrix.to_rows(),
-        flow_step=flow_cfg.step(matrix.entries),
-        resolutions=records,
-        wall_clock_seconds=time.perf_counter() - started,
-    )
+        records.append({**_schedule_fields(schedule), "checkpoints": rows})
+    return {
+        "schema": REPORT_SCHEMA,
+        "alpha": base.alpha,
+        "beta": base.beta,
+        "horizon": base.horizon,
+        "ensemble_size": int(ensemble_size),
+        "master_seed": int(master_seed),
+        "law": law.to_dict(),
+        "payoff_matrix": matrix.to_rows(),
+        "flow_step": flow_step,
+        "resolutions": records,
+    }
+
+
+def convergence_table(report: dict) -> tuple[list, list]:
+    """CSV header and one block of columns of a :func:`convergence_experiment`
+    payload for ``report.write_csv``: one row per (resolution, checkpoint)."""
+    header = ["k", "t", "w1", "ci", "w1_bar_gap", "n_k", "w_k", "tau_k"]
+    rows = [
+        [rec["k"], c["t"], c["w1_to_limit"], c["ci_halfwidth"], c["affine_constant_gap"],
+         rec["population"], rec["selection_weight"], rec["tau"]]
+        for rec in report["resolutions"]
+        for c in rec["checkpoints"]
+    ]
+    return header, [list(zip(*rows))]
 
 
 # -- regime experiment -------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RegimeRecord:
-    k: int
-    tau: float
-    population: int
-    selection_weight: float
-    drift_scale: float
-    w1_start_end: float
-    ci_halfwidth: float
-    mean_displacement_rate: float
-
-
-@dataclass(frozen=True, eq=False)
-class RegimeReport:
-    """Start-to-end displacement of the chain law across resolutions."""
-
-    alpha: float
-    beta: float
-    horizon: float
-    classification: str
-    ensemble_size: int
-    master_seed: int
-    law: dict
-    payoff_matrix: list
-    records: list
-
-    def payload(self) -> dict:
-        return {"schema": REGIME_SCHEMA, **asdict(self)}
-
-    def table(self) -> tuple[list, list]:
-        """CSV header and one block of columns for ``report.write_csv``: one row
-        per resolution."""
-        header = ["k", "tau_k", "n_k", "w_k", "drift_scale", "w1_start_end", "ci",
-                  "mean_displacement_rate"]
-        rows = [
-            [r.k, r.tau, r.population, r.selection_weight, r.drift_scale,
-             r.w1_start_end, r.ci_halfwidth, r.mean_displacement_rate]
-            for r in self.records
-        ]
-        return header, [list(zip(*rows))]
 
 
 def regime_experiment(
@@ -561,13 +486,14 @@ def regime_experiment(
     ensemble_size: int,
     master_seed: int,
     jobs: int = 1,
-) -> RegimeReport:
+) -> dict:
     """Measure the start-to-end drift of the chain law for the exponents of ``base``.
 
     ``base`` supplies horizon, exponents and prefactors; its resolution field
-    is replaced by each entry of ``resolutions``.  Reports the predicted
-    per-unit-time drift magnitude ``w_k / (N_k tau_k)`` next to the observed
-    W1 between the laws at t = 0 and t = horizon.
+    is replaced by each entry of ``resolutions``.  Returns the report payload:
+    per resolution, the predicted per-unit-time drift magnitude
+    ``w_k / (N_k tau_k)`` next to the observed W1 between the laws at t = 0
+    and t = horizon.
     """
     require_integer(jobs, "jobs", 1)
     horizon, ks = base.horizon, [int(k) for k in resolutions]
@@ -580,28 +506,37 @@ def regime_experiment(
         rng = _rng(master_seed, "regimes_bootstrap", k)
         displacement = float(np.linalg.norm(end.array - start.array, axis=1).mean() / horizon)
         records.append(
-            RegimeRecord(
-                k=k,
-                tau=schedule.tau,
-                population=schedule.population,
-                selection_weight=schedule.selection_weight,
-                drift_scale=schedule.selection_weight / (schedule.population * schedule.tau),
-                w1_start_end=float(w1_exact(start, end)),
-                ci_halfwidth=bootstrap_w1_ci(PairedBootstrap(start, end, rng), jobs),
-                mean_displacement_rate=displacement,
-            )
+            {
+                **_schedule_fields(schedule),
+                "drift_scale": schedule.selection_weight / (schedule.population * schedule.tau),
+                "w1_start_end": float(w1_exact(start, end)),
+                "ci_halfwidth": bootstrap_w1_ci(PairedBootstrap(start, end, rng), jobs),
+                "mean_displacement_rate": displacement,
+            }
         )
-    return RegimeReport(
-        alpha=float(base.alpha),
-        beta=float(base.beta),
-        horizon=float(horizon),
-        classification=base.regime,
-        ensemble_size=int(ensemble_size),
-        master_seed=int(master_seed),
-        law=law.to_dict(),
-        payoff_matrix=matrix.to_rows(),
-        records=records,
-    )
+    return {
+        "schema": REGIME_SCHEMA,
+        "alpha": float(base.alpha),
+        "beta": float(base.beta),
+        "horizon": float(horizon),
+        "classification": base.regime,
+        "ensemble_size": int(ensemble_size),
+        "master_seed": int(master_seed),
+        "law": law.to_dict(),
+        "payoff_matrix": matrix.to_rows(),
+        "records": records,
+    }
+
+
+def regime_table(report: dict) -> tuple[list, list]:
+    """CSV header and one block of columns of a :func:`regime_experiment`
+    payload for ``report.write_csv``: one row per resolution."""
+    header = ["k", "tau_k", "n_k", "w_k", "drift_scale", "w1_start_end", "ci",
+              "mean_displacement_rate"]
+    keys = ["k", "tau", "population", "selection_weight", "drift_scale", "w1_start_end",
+            "ci_halfwidth", "mean_displacement_rate"]
+    rows = [[rec[key] for key in keys] for rec in report["records"]]
+    return header, [list(zip(*rows))]
 
 
 # -- test functions and the weak-form residual --------------------------------

@@ -148,6 +148,16 @@ class TestConverge:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"]
 
+    def test_wall_clock_stays_outside_the_payload(self, tmp_path):
+        # the command times the run; the digest covers the payload only
+        cfg = write_config(tmp_path / "cfg.json", resolutions=[8], ensemble_size=8)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        seconds = json.loads((out / "report.json").read_text())["wall_clock_seconds"]
+        assert isinstance(seconds, float) and seconds > 0
+        payload = read_report(out / "report.json")
+        assert "wall_clock_seconds" not in payload and payload["resolutions"][0]["k"] == 8
+
     def test_zero_w1_leaves_the_final_ratio_undefined(self, tmp_path, capsys):
         # a vertex is a fixed point of chain and flow, so W1 is 0 at every k
         cfg = write_config(
@@ -225,6 +235,7 @@ class TestRegimes:
         assert "frozen" in capsys.readouterr().out
         data = json.loads((out / "regimes.json").read_text())
         assert [r["k"] for r in data["records"]] == [8, 16]
+        assert "wall_clock_seconds" not in data
 
 
 class TestResidual:

@@ -34,9 +34,11 @@ from moranfield.lab import (
     TestFunction,
     bootstrap_w1_ci,
     convergence_experiment,
+    convergence_table,
     draw_initial_samples,
     quadrature_checkpoints,
     regime_experiment,
+    regime_table,
     residual_floor,
     run_ensemble,
     standard_test_functions,
@@ -221,6 +223,16 @@ class TestConvergenceExperiment:
         with pytest.raises(ConfigurationError, match="checkpoints must be distinct"):
             convergence_experiment(law, A22, base, [8, 16], 8, (0.5, 0.5, 1.0), 0)
 
+    def test_refuses_an_over_budget_flow_before_any_ensemble(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an ensemble ran before the flow budget was checked")
+
+        monkeypatch.setattr(lab, "run_ensemble", unreachable)
+        law = InitialLaw.uniform(2)
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4, w_scale=1e8)
+        with pytest.raises(DomainError, match="flow steps"):
+            convergence_experiment(law, A22, base, [8, 16], 8, (0.5, 1.0), 0)
+
     def test_fixed_point_dirac_law_stays_flat(self):
         # chain started at the cyclic interior fixed point: distances stay at
         # the discretization + Monte Carlo floor with no growth in k
@@ -229,10 +241,10 @@ class TestConvergenceExperiment:
         report = convergence_experiment(
             law, RPS, base, [32, 128], 64, (0.5, 1.0), master_seed=11
         )
-        floors = [np.sqrt(2) * 20 / rec.population for rec in report.resolutions]
-        for rec, floor in zip(report.resolutions, floors):
-            for c in rec.checkpoints:
-                assert c.w1_to_limit <= floor
+        floors = [np.sqrt(2) * 20 / rec["population"] for rec in report["resolutions"]]
+        for rec, floor in zip(report["resolutions"], floors):
+            for c in rec["checkpoints"]:
+                assert c["w1_to_limit"] <= floor
 
     def test_constant_matrix_limit_is_initial_law(self):
         law = InitialLaw.uniform(3)
@@ -240,7 +252,7 @@ class TestConvergenceExperiment:
         report = convergence_experiment(
             law, CONST3, base, [16, 64], 48, (1.0,), master_seed=12
         )
-        w1s = [rec.checkpoints[0].w1_to_limit for rec in report.resolutions]
+        w1s = [rec["checkpoints"][0]["w1_to_limit"] for rec in report["resolutions"]]
         assert w1s[1] < w1s[0]
 
     def test_dual_bound_below_exact(self):
@@ -249,9 +261,9 @@ class TestConvergenceExperiment:
         report = convergence_experiment(
             law, A22, base, [16, 32], 32, (0.5, 1.0), master_seed=13
         )
-        for rec in report.resolutions:
-            for c in rec.checkpoints:
-                assert c.w1_dual_lb <= c.w1_to_limit + 1e-10
+        for rec in report["resolutions"]:
+            for c in rec["checkpoints"]:
+                assert c["w1_dual_lb"] <= c["w1_to_limit"] + 1e-10
 
     def test_reproducible_payload(self):
         law = InitialLaw.dirichlet([2.0, 2.0])
@@ -259,8 +271,8 @@ class TestConvergenceExperiment:
         args = (law, A22, base, [8, 16], 16, (1.0,), 14)
         r1 = convergence_experiment(*args)
         r2 = convergence_experiment(*args)
-        assert r1.payload() == r2.payload()
-        assert payload_digest(r1.payload()) == payload_digest(r2.payload())
+        assert r1 == r2
+        assert payload_digest(r1) == payload_digest(r2)
 
     def test_json_csv_roundtrip(self, tmp_path):
         law = InitialLaw.uniform(2)
@@ -268,9 +280,9 @@ class TestConvergenceExperiment:
         report = convergence_experiment(law, A22, base, [8], 8, (1.0,), 15)
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "report.csv"
-        write_report(jpath, report.payload(), report.wall_clock_seconds)
-        write_csv(cpath, *report.table())
-        assert read_report(jpath) == report.payload()
+        write_report(jpath, report, 1.5)
+        write_csv(cpath, *convergence_table(report))
+        assert read_report(jpath) == report
         header = cpath.read_text().splitlines()[0]
         assert header == "k,t,w1,ci,w1_bar_gap,n_k,w_k,tau_k"
 
@@ -331,10 +343,10 @@ class TestRegimeExperiment:
         report = regime_experiment(
             law, A22, base, resolutions=[32, 128], ensemble_size=64, master_seed=16
         )
-        assert report.classification == "frozen"
-        w1s = [r.w1_start_end for r in report.records]
+        assert report["classification"] == "frozen"
+        w1s = [r["w1_start_end"] for r in report["records"]]
         assert w1s[1] < w1s[0]
-        scales = [r.drift_scale for r in report.records]
+        scales = [r["drift_scale"] for r in report["records"]]
         assert scales[1] == pytest.approx((32 / 128) ** 0.5 * scales[0], rel=0.2)
 
     def test_critical_matches_convergence_setup(self):
@@ -343,10 +355,10 @@ class TestRegimeExperiment:
         report = regime_experiment(
             law, A22, base, resolutions=[16], ensemble_size=16, master_seed=17
         )
-        assert report.classification == "critical"
-        assert report.records[0].drift_scale == pytest.approx(
-            report.records[0].selection_weight
-            / (report.records[0].population * report.records[0].tau)
+        assert report["classification"] == "critical"
+        rec = report["records"][0]
+        assert rec["drift_scale"] == pytest.approx(
+            rec["selection_weight"] / (rec["population"] * rec["tau"])
         )
 
     def test_neutral_scale_is_frozen_with_diffusive_bound(self):
@@ -362,9 +374,9 @@ class TestRegimeExperiment:
         report = regime_experiment(
             law, A22, sched, resolutions=[k], ensemble_size=reps, master_seed=18
         )
-        rec = report.records[0]
-        tau = rec.tau
-        assert rec.w1_start_end <= np.sqrt(2.0) * np.sqrt(tau ** (2 * alpha - 1))
+        rec = report["records"][0]
+        tau = rec["tau"]
+        assert rec["w1_start_end"] <= np.sqrt(2.0) * np.sqrt(tau ** (2 * alpha - 1))
 
         n = sched.population
         ens = run_ensemble(law, A22, sched, reps, quadrature_checkpoints(sched), 18)
@@ -404,9 +416,10 @@ class TestRegimeExperiment:
         report = regime_experiment(
             law, A22, base, resolutions=[8], ensemble_size=8, master_seed=20
         )
-        write_report(tmp_path / "r.json", report.payload())
-        write_csv(tmp_path / "r.csv", *report.table())
+        write_report(tmp_path / "r.json", report)
+        write_csv(tmp_path / "r.csv", *regime_table(report))
         data = read_report(tmp_path / "r.json")
+        assert data == report
         assert data["classification"] == "frozen"
         assert (tmp_path / "r.csv").read_text().splitlines()[1].startswith("8,")
 
@@ -568,7 +581,7 @@ class TestLimitSpeed:
         base = ScalingSchedule(1.0, 64, alpha=0.6, beta=0.4, **scales)
         ks = [64, 256, 1024, 4096]
         report = convergence_experiment(self.LAW, A22, base, ks, 256, (1.0,), self.SEED)
-        w1 = [rec.checkpoints[0].w1_to_limit for rec in report.resolutions]
+        w1 = [rec["checkpoints"][0]["w1_to_limit"] for rec in report["resolutions"]]
         assert all(b < a for a, b in zip(w1, w1[1:])), w1
 
     def test_residual_falls_below_its_floor(self):
@@ -589,8 +602,9 @@ class TestLimitSpeed:
         report = regime_experiment(self.LAW, A22, base, [64, 512, 4096], 2, self.SEED)
         # w / (N tau) is c times n_scale * tau**-alpha / N, which N's rounding
         # keeps within 1/(2N) of 1
-        for rec in report.records:
-            assert abs(rec.drift_scale / base.limit_speed - 1.0) <= 0.5 / rec.population + 1e-12
+        for rec in report["records"]:
+            bound = 0.5 / rec["population"] + 1e-12
+            assert abs(rec["drift_scale"] / base.limit_speed - 1.0) <= bound
 
 
 def _per_node_terms(phi, nodes, dt_points, adv_points, matrix):
@@ -832,7 +846,7 @@ class TestWorkerPool:
             payload_digest(
                 convergence_experiment(
                     law, A22, base, [8, 16], 16, (0.5, 1.0), master_seed=34, jobs=jobs
-                ).payload()
+                )
             )
             for jobs in (1, 2, 3, 41)
         }
@@ -842,7 +856,7 @@ class TestWorkerPool:
         law = InitialLaw.dirichlet([2.0, 2.0, 2.0])
         base = ScalingSchedule(horizon=1.0, resolution=16, alpha=1.0, beta=0.5)
         payloads = [
-            regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=jobs).payload()
+            regime_experiment(law, RPS, base, [16, 64], 16, 35, jobs=jobs)
             for jobs in (1, 2, 3, 41)
         ]
         assert all(payload == payloads[0] for payload in payloads)

@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 
 from moranfield.engine import ScalingSchedule, Trajectory, export_trajectory
-from moranfield.lab import InitialLaw, convergence_experiment, regime_experiment
+from moranfield.lab import (
+    InitialLaw,
+    convergence_experiment,
+    convergence_table,
+    regime_experiment,
+    regime_table,
+)
 from moranfield.report import write_csv
 from moranfield.simplex import PayoffMatrix
 
@@ -36,14 +42,14 @@ def test_converge_table_bytes_match_csv_writer(tmp_path):
     base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
     # the checkpoint 1 is an int among floats in the t column
     report = convergence_experiment(InitialLaw.uniform(2), A22, base, [8, 16], 8, (0.5, 1), 15)
-    header, (block,) = report.table()
+    header, (block,) = convergence_table(report)
     assert_table_bytes(tmp_path, header, block)
 
 
 def test_regimes_table_bytes_match_csv_writer(tmp_path):
     base = ScalingSchedule(horizon=1.0, resolution=8, alpha=1.0, beta=0.5)
     report = regime_experiment(InitialLaw.uniform(2), A22, base, [8, 16], 8, 20)
-    header, (block,) = report.table()
+    header, (block,) = regime_table(report)
     assert_table_bytes(tmp_path, header, block)
 
 
