@@ -522,6 +522,15 @@ def _count(least: int):
     return read
 
 
+def default_jobs() -> int:
+    """The ``--jobs`` default: the CPUs this process may run on, its affinity
+    set where the platform has one (``taskset`` narrows it), else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moranfield",
@@ -536,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=_count(1),
-            default=os.cpu_count() or 1,
+            default=default_jobs(),
             help="threads, the calling one included, for the bootstrap assignment solves of "
             "converge and regimes (results are identical for any value); simulate and "
             "residual ignore it",

@@ -29,6 +29,7 @@ from .simplex import (
     require_chain,
     require_integer,
     require_strategies,
+    simplex_rows,
 )
 
 #: snap window (relative to the grid step) for treating a query time as a grid node
@@ -52,16 +53,9 @@ class DiscreteState:
     selection_weight: float
 
     def __init__(self, counts, population, selection_weight):
-        # as objects, numpy's integers read as ints and fractions are kept
-        arr = np.asarray(counts, dtype=object)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DimensionError(f"counts must be a vector of M >= 2 entries, got {arr!r}")
         n, w = require_chain(population, selection_weight)
-        arr = np.array([require_integer(c, "strategy count", 0) for c in arr], dtype=np.int64)
-        if arr.sum() != n:
-            raise DomainError(f"counts {arr.tolist()} sum to {arr.sum()}, expected {n}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        rows = counts[None] if isinstance(counts, np.ndarray) else [counts]
+        object.__setattr__(self, "counts", count_rows(rows, n)[0])
         object.__setattr__(self, "population", n)
         object.__setattr__(self, "selection_weight", w)
 
@@ -77,6 +71,38 @@ class DiscreteState:
             f"DiscreteState(counts={self.counts.tolist()}, population={self.population}, "
             f"selection_weight={self.selection_weight})"
         )
+
+
+def count_rows(counts, population) -> np.ndarray:
+    """The (R, M) int64 array of R >= 1 rows of M >= 2 strategy counts, read-only.
+
+    DimensionError for any other shape.  DomainError unless ``population`` is
+    an integer >= 2, every count an integer >= 0 (a float or a bool is refused,
+    as :func:`require_integer` refuses it, and the first bad count is named)
+    and every row sums to ``population``.  An array of a signed integer dtype
+    is checked whole; other input count by count.  The one count rule, of
+    DiscreteState and of a lockstep run's initial rows.
+    """
+    signed = isinstance(counts, np.ndarray) and counts.dtype.kind == "i"
+    # as objects, numpy's integers read as ints and fractions are kept
+    arr = counts if signed else np.asarray(counts, dtype=object)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
+        raise DimensionError(f"counts must be rows of M >= 2 entries, got shape {arr.shape}")
+    n, _ = require_chain(population)
+    if signed:
+        arr = arr.astype(np.int64)
+        if (arr < 0).any():  # refused, and named, by the rule for one count
+            require_integer(arr[arr < 0][0].item(), "strategy count", 0)
+    else:
+        arr = np.array(
+            [[require_integer(c, "strategy count", 0) for c in row] for row in arr], dtype=np.int64
+        )
+    sums = arr.sum(axis=1)
+    if (sums != n).any():
+        bad = int(np.argmax(sums != n))
+        raise DomainError(f"counts {arr[bad].tolist()} sum to {sums[bad]}, expected {n}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,21 +407,27 @@ class Trajectory:
         return self.schedule.times()
 
 
-def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray:
-    """Round a simplex point onto the 1/N lattice by largest remainder.
+def largest_remainder_rows(points, population: int) -> np.ndarray:
+    """Round R simplex points, the rows :func:`simplex_rows` reads, onto the
+    1/N lattice by largest remainder: their (R, M) counts.
 
-    Floors each ``N * lam_i`` and hands the remaining units to the largest
-    fractional parts, ties broken by lowest index.  The per-coordinate error
-    stays below 1/N.  The population is checked by :func:`require_chain`.
+    Floors each ``N * lam_i`` and hands each row's remaining units to its
+    largest fractional parts, ties broken by lowest index.  The per-coordinate
+    error stays below 1/N.  The population is checked by :func:`require_chain`.
     """
     n, _ = require_chain(population)
-    scaled = point.coords * n
+    scaled = simplex_rows(points) * n
     base = np.floor(scaled).astype(np.int64)
-    short = n - int(base.sum())
-    if short:
-        order = np.argsort(-(scaled - base), kind="stable")
-        base[order[:short]] += 1
+    short = n - base.sum(axis=1)
+    order = np.argsort(-(scaled - base), axis=1, kind="stable")
+    # the first ``short`` entries of each row's order gain one unit
+    base[np.arange(base.shape[0])[:, None], order] += np.arange(base.shape[1]) < short[:, None]
     return base
+
+
+def largest_remainder_counts(point: SimplexPoint, population: int) -> np.ndarray:
+    """:func:`largest_remainder_rows` of the one point ``point``."""
+    return largest_remainder_rows(point.coords[None], population)[0]
 
 
 def simulate(counts0, matrix: PayoffMatrix, schedule: ScalingSchedule, seed: int) -> Trajectory:
@@ -424,7 +456,7 @@ def simulate_counts_batch(
     """Advance R chains in lockstep; returns counts of shape (R, k+1, M), or
     (R, len(columns), M) holding only the sorted grid indices ``columns``.
 
-    ``counts0`` holds R rows of lattice counts, each read by DiscreteState;
+    ``counts0`` holds R rows of lattice counts, read by :func:`count_rows`;
     ``uniforms`` has shape (R, k), one draw per replica per step, each in
     [0, 1).  All replicas share the schedule's population and weight.  Each
     step inverts the normalized cumulative of the sampled outcomes, the one
@@ -440,7 +472,7 @@ def simulate_counts_batch(
     and a draw that close to an outcome boundary may pick the next outcome.
     """
     n, w = schedule.population, schedule.selection_weight
-    counts0 = np.array([DiscreteState(c, n, w).counts for c in counts0], dtype=np.int64)
+    counts0 = count_rows(counts0, n)
     k = schedule.resolution
     if uniforms.shape != (counts0.shape[0], k):
         raise DimensionError(f"uniforms shape {uniforms.shape} != {(counts0.shape[0], k)}")

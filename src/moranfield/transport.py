@@ -11,7 +11,10 @@ costs less row and column potentials of one optimal matching of the full
 problem, converged to within ``POTENTIAL_TOL``.  Potentials move the cost of
 every perfect matching of the matrix, or of any paired resample of it, by
 one constant, so a resample solved on the reduced costs has the same optimum,
-found faster, and faster still with each side's points sorted.  A reduced
+found faster, and faster still with each side's points sorted.  The solver
+adds one row at a time, so which side is the rows matters too: the
+``converge`` bootstrap solves fastest with the flow pushforward's samples as
+rows and the chain law's lattice points as columns.  A reduced
 cost within tol = ``SNAP_EPS`` machine epsilons of the largest cost is
 rounding noise around a true zero and is set to exactly 0.0.  The solver's
 shortest augmenting path search (Crouse 2016), among columns tied at the

@@ -692,6 +692,15 @@ class TestValidate:
         assert exit_info.value.code == 2
         assert "argument --jobs" in capsys.readouterr().err
 
+    def test_jobs_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # as under ``taskset -c 0`` on a 2-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli.build_parser().parse_args(["converge"]).jobs == 1
+        # a platform with no affinity call falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli.build_parser().parse_args(["converge"]).jobs == 2
+
     def test_fails_without_self_interaction_correction(self, monkeypatch, capsys):
         # the transition oracle enumerates pairs itself, so a payoff formula
         # that lets an individual meet itself must not pass

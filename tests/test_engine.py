@@ -10,6 +10,7 @@ from moranfield.engine import (
     DiscreteState,
     ScalingSchedule,
     Trajectory,
+    count_rows,
     exact_drift,
     export_trajectory,
     largest_remainder_counts,
@@ -18,7 +19,7 @@ from moranfield.engine import (
     step,
     transition_table,
 )
-from moranfield.errors import DomainError, FitnessDegenerateError, RegimeError
+from moranfield.errors import DimensionError, DomainError, FitnessDegenerateError, RegimeError
 from moranfield import lab
 from moranfield.lab import InitialLaw, run_ensemble
 from moranfield.simplex import PayoffMatrix, SimplexPoint
@@ -114,6 +115,16 @@ class TestDiscreteState:
     def test_rejects_counts_and_populations_off_the_integers(self, counts, population, match):
         with pytest.raises(DomainError, match=match):
             DiscreteState(counts, population, 0.1)
+
+    @pytest.mark.parametrize("counts", [5, [5], [[2, 3]], np.array([[2, 3]]), np.array(5)])
+    def test_rejects_anything_but_one_row_of_at_least_two_counts(self, counts):
+        with pytest.raises(DimensionError, match="rows of M >= 2 entries"):
+            DiscreteState(counts, 5, 0.5)
+
+    @pytest.mark.parametrize("counts", [[], [2, 3], [[5]], np.zeros((0, 2), dtype=np.int64)])
+    def test_count_rows_refuses_anything_but_rows_of_at_least_two_counts(self, counts):
+        with pytest.raises(DimensionError, match="rows of M >= 2 entries"):
+            count_rows(counts, 5)
 
     def test_numpy_integers_accepted(self):
         s = DiscreteState(np.array([2, 1], dtype=np.int32), np.int64(3), 0.1)

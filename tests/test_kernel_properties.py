@@ -4,12 +4,13 @@ R replicas, and the single-chain walk behind ``step`` and ``simulate``, which
 must equal the lockstep loop at R = 1."""
 
 import hashlib
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moranfield import engine
@@ -17,16 +18,24 @@ from moranfield.engine import (
     DRAW_BLOCK,
     DiscreteState,
     ScalingSchedule,
+    count_rows,
     exact_drift,
     export_trajectory,
     largest_remainder_counts,
+    largest_remainder_rows,
     simulate,
     simulate_counts_batch,
     step,
     transition_table,
 )
 from moranfield.errors import DomainError, FitnessDegenerateError
-from moranfield.simplex import PayoffMatrix, SimplexPoint, fitness_coefficients, replicator_field
+from moranfield.simplex import (
+    PayoffMatrix,
+    SimplexPoint,
+    fitness_coefficients,
+    replicator_field,
+    require_integer,
+)
 
 unit = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -377,3 +386,83 @@ def test_limit_speed_is_the_chain_drift_per_unit_time(n_scale, w_scale, lam):
     field = replicator_field(state.proportions(), matrix)
     gap = exact_drift(state, matrix) / sched.tau - c * field
     assert np.abs(gap).max() <= c * (2.0 * w + 4.0 / n)
+
+
+def per_row_largest_remainder(point: SimplexPoint, n: int) -> list:
+    """The rounding rule one row at a time in Python floats: floor N * lam_i,
+    then one more unit to each of the largest remainders, lowest index first."""
+    scaled = [x * n for x in point.coords.tolist()]
+    base = [math.floor(x) for x in scaled]
+    order = sorted(range(len(base)), key=lambda i: (-(scaled[i] - base[i]), i))
+    for i in order[: n - sum(base)]:
+        base[i] += 1
+    return base
+
+
+# integer weights give remainders that tie exactly, float weights generic ones
+weights = st.one_of(st.integers(0, 6), st.floats(0.0, 6.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda m: st.lists(st.lists(weights, min_size=m, max_size=m), min_size=1, max_size=6)
+    ),
+    st.integers(2, 10**6),
+)
+def test_array_rounding_is_the_per_row_rounding(rows, n):
+    rows = np.array(rows, dtype=float)
+    assume(np.all(rows.sum(axis=1) > 0))
+    points = rows / rows.sum(axis=1, keepdims=True)
+    counts = largest_remainder_rows(points, n)
+    assert counts.dtype == np.int64
+    for row, lam in zip(counts, points):
+        assert row.tolist() == per_row_largest_remainder(SimplexPoint(lam), n)
+        assert row.tolist() == largest_remainder_counts(SimplexPoint(lam), n).tolist()
+
+
+def per_row_counts(row, n: int) -> np.ndarray:
+    """The count rule one row at a time: each count read by require_integer."""
+    arr = np.array(
+        [require_integer(c, "strategy count", 0) for c in np.asarray(row, dtype=object)],
+        dtype=np.int64,
+    )
+    if arr.sum() != n:
+        raise DomainError(f"counts sum to {arr.sum()}, expected {n}")
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.lists(
+            st.tuples(
+                st.lists(st.integers(-2, 6), min_size=m - 1, max_size=m - 1),
+                st.sampled_from([0, 0, 0, 1]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.integers(2, 6),
+    st.sampled_from(["int64", "int32", "halves", "list"]),
+)
+@example(heads=[([1], 0), ([1], 1)], n=2, form="int64")  # a later row off by one
+@example(heads=[([-1], 0)], n=2, form="int64")  # [-1, 3] sums to 2
+def test_count_rows_refuses_what_a_row_at_a_time_refuses(heads, n, form):
+    # each row's last count makes it sum to n, unless the row is pushed off
+    # by one; halves holds fractional counts and integral floats, both refused
+    rows = [head + [n - sum(head) + off] for head, off in heads]
+    counts = {
+        "int64": np.array(rows, dtype=np.int64),
+        "int32": np.array(rows, dtype=np.int32),
+        "halves": np.array(rows) * 0.5,
+        "list": rows,
+    }[form]
+    try:
+        expected = np.array([per_row_counts(row, n) for row in counts])
+    except DomainError:
+        with pytest.raises(DomainError):
+            count_rows(counts, n)
+    else:
+        assert np.array_equal(count_rows(counts, n), expected)

@@ -7,12 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranfield.engine import (
     DRAW_BLOCK,
     DiscreteState,
     ScalingSchedule,
     exact_drift,
+    largest_remainder_rows,
     simulate_counts_batch,
     transition_table,
 )
@@ -273,6 +276,30 @@ class TestConvergenceExperiment:
         r2 = convergence_experiment(*args)
         assert r1 == r2
         assert payload_digest(r1) == payload_digest(r2)
+
+    def test_the_limit_measure_is_the_assignment_rows(self, monkeypatch):
+        # the pushforward's samples as rows solve the resamples faster
+        limits, calls = [], []
+        real_limits, real_bootstrap = lab._limit_measures, lab.PairedBootstrap
+
+        def record_limits(*args):
+            limits.append(real_limits(*args))
+            return limits[-1]
+
+        def record_bootstrap(mu, nu, rng):
+            calls.append((mu, nu))
+            return real_bootstrap(mu, nu, rng, n_resamples=2)
+
+        monkeypatch.setattr(lab, "_limit_measures", record_limits)
+        monkeypatch.setattr(lab, "PairedBootstrap", record_bootstrap)
+        law = InitialLaw.dirichlet([2.0, 2.0])
+        base = ScalingSchedule(horizon=1.0, resolution=8, alpha=0.6, beta=0.4)
+        convergence_experiment(law, A22, base, [8, 16], 8, (0.5, 1.0), master_seed=16)
+        (limit,) = limits
+        assert len(calls) == 4
+        for (mu, nu), t in zip(calls, [0.5, 1.0, 0.5, 1.0]):
+            assert mu is limit[t]
+            assert all(nu is not m for m in limit.values())
 
     def test_json_csv_roundtrip(self, tmp_path):
         law = InitialLaw.uniform(2)
@@ -752,6 +779,25 @@ class TestBootstrap:
         prepared = PairedBootstrap(mu, mu, np.random.default_rng(47))
         with pytest.raises(DomainError, match="jobs must be an integer >= 1"):
             bootstrap_w1_ci(prepared, jobs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(8, 32), st.integers(2, 12), st.integers(0, 2**32))
+    def test_either_side_as_rows_gives_the_same_resample_means(self, m, r, n, seed):
+        # a chain law on the 1/N lattice, with repeated points, against
+        # continuous samples, as in convergence_experiment
+        rng = np.random.default_rng(seed)
+        lattice = EmpiricalMeasure(largest_remainder_rows(rng.dirichlet(np.ones(m), r), n) / n)
+        smooth = EmpiricalMeasure(rng.dirichlet(np.ones(m), r))
+        means = []
+        for mu, nu in ((smooth, lattice), (lattice, smooth)):
+            p = PairedBootstrap(mu, nu, np.random.default_rng(seed), n_resamples=8)
+            means.append(
+                [
+                    transport.assignment_mean(p.dist, rows, cols, p.reduced)
+                    for rows, cols in zip(p.rows, p.cols)
+                ]
+            )
+        assert means[0] == pytest.approx(means[1], rel=1e-12)
 
     def test_warm_and_cold_agree_at_near_zero_w1(self):
         # the initial draws against their lattice rounding at N = 8: W1 is
