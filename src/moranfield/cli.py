@@ -92,38 +92,88 @@ def _list_of(read):
     return read_list
 
 
-def _built(make):
-    """Reader that builds ``make(value)``, which checks the value itself."""
+def _built(make, read=None):
+    """Reader that builds ``make(value)``, which checks the value; ``read`` reads it first."""
 
-    def read(key, value):
+    def build(key, value):
+        if read is not None:
+            value = read(key, value)
         try:
             return make(value)
         except (TypeError, ValueError) as err:
             raise ConfigurationError(f"invalid config key {key!r}: {err}") from err
 
-    return read
+    return build
 
 
-def _read_flow_step(key, value):
-    return _built(FlowConfig)(key, _number()(key, value))
+def _given(value: dict, schema: dict) -> dict:
+    """``value``'s non-null entries over ``schema``'s defaults: null means the default."""
+    defaults = {name: default for name, (_, default) in schema.items() if default is not None}
+    return {**defaults, **{name: v for name, v in value.items() if v is not None}}
 
 
-# the verdict thresholds given none; final_checkpoint defaults to the last checkpoint
-_VERDICT = {"max_consecutive_ratio": 1.2, "final_ratio": 0.5}
-
-
-def _read_verdict(key, value):
+def _object(key, value) -> dict:
+    """``value``, refused unless a JSON object; ``key`` None is the whole config."""
     if not isinstance(value, dict):
-        raise ConfigurationError(f"config key {key!r} must be an object")
-    for name in value:
-        if name not in (*_VERDICT, "final_checkpoint"):
-            raise ConfigurationError(f"unknown config key '{key}.{name}'")
-    return {name: _number()(f"{key}.{name}", v) for name, v in {**_VERDICT, **value}.items()}
+        where = "config" if key is None else f"config key {key!r}"
+        raise ConfigurationError(f"{where} must be a JSON object")
+    return value
 
 
-#: each config key's reader and default (None: no default; payoff_matrix and
-#: initial_law are required, the others optional, and checkpoints defaults to
-#: [T/4, T/2, T] of the horizon T).  A reader takes (key, value)
+def _fields(key, value, schema, required=()):
+    """Reader of the config object ``value``, each entry typed by its reader in
+    ``schema`` (name: (reader, default or None)), over the defaults.  Refuses a
+    value that is not an object, an unknown name and a missing or null name of
+    ``required``; each message names ``key.<name>``, the bare name at ``key`` None."""
+    prefix = "" if key is None else f"{key}."
+    for name in _object(key, value):
+        if name not in schema:
+            raise ConfigurationError(f"unknown config key '{prefix}{name}'")
+    given = _given(value, schema)
+    for name in required:
+        if name not in given:
+            raise ConfigurationError(f"config is missing required key '{prefix}{name}'")
+    return {name: schema[name][0](prefix + name, v) for name, v in given.items()}
+
+
+#: the verdict thresholds; final_checkpoint defaults to the last checkpoint
+_VERDICT = {
+    "max_consecutive_ratio": (_number(), 1.2),
+    "final_ratio": (_number(), 0.5),
+    "final_checkpoint": (_number(), None),
+}
+
+#: each initial-law kind's one field, read by that kind's constructor
+_LAWS = {
+    "dirac": ("point", _built(InitialLaw.dirac)),
+    "dirichlet": ("concentration", _built(InitialLaw.dirichlet)),
+    "uniform": ("dimension", _built(InitialLaw.uniform, _number(integral=True))),
+}
+
+
+def _read_law(key, value):
+    """The ``initial_law`` object: ``kind`` picks its one field, and any kind may
+    carry ``dimension``, an integer equal to the law's."""
+    kind = _object(key, value).get("kind")
+    if kind not in list(_LAWS):  # a list compares a kind that a dict could not hash
+        raise ConfigurationError(
+            f"config key '{key}.kind' must be one of {sorted(_LAWS)}, got {kind!r}"
+        )
+    field, read = _LAWS[kind]
+    schema = {"kind": (lambda _, kind: kind, None), "dimension": (_number(integral=True), None)}
+    values = _fields(key, value, {**schema, field: (read, None)}, (field,))
+    law = values.pop(field)  # a uniform law's field is its dimension
+    if values.get("dimension", law.dimension) != law.dimension:
+        raise ConfigurationError(
+            f"config key '{key}.dimension' ({values['dimension']!r}) does not match "
+            f"the {law.dimension} entries of '{key}.{field}'"
+        )
+    return law
+
+
+#: each top-level config key's reader and default (None: no default; payoff_matrix
+#: and initial_law are required, and a command may require more; checkpoints
+#: defaults to [T/4, T/2, T] of the horizon T).  A reader takes (key, value)
 #: and returns the value typed, or raises ConfigurationError naming the key.
 #: ScalingSchedule checks the ranges of the six schedule keys, FlowConfig that
 #: of flow_step, PayoffMatrix and InitialLaw their own.
@@ -139,12 +189,12 @@ _SCHEMA = {
     "master_seed": (_number(integral=True, least=0), 0),
     "quadrature_stride": (_number(integral=True, least=0), 0),
     "max_exact_size": (_number(integral=True), 4096),
-    "verdict": (_read_verdict, _VERDICT),
+    "verdict": (lambda key, value: _fields(key, value, _VERDICT), _given({}, _VERDICT)),
     "payoff_matrix": (_built(PayoffMatrix), None),
-    "initial_law": (lambda key, value: InitialLaw.from_dict(value), None),
+    "initial_law": (_read_law, None),
     "resolutions": (_list_of(_number(integral=True, least=1)), None),
     "resolution": (_number(integral=True, least=1), None),
-    "flow_step": (_read_flow_step, None),
+    "flow_step": (_built(FlowConfig, _number()), None),
     "output_dir": (_built(os.fspath), None),
 }
 
@@ -157,16 +207,9 @@ class RunConfig:
     attributes.
     """
 
-    def __init__(self, data: dict):
-        for key in data:
-            if key not in _SCHEMA:
-                raise ConfigurationError(f"unknown config key {key!r}")
-        defaults = {key: default for key, (_, default) in _SCHEMA.items() if default is not None}
-        self.data = {**defaults, **{k: v for k, v in data.items() if v is not None}}
-        for key in ("payoff_matrix", "initial_law"):
-            if key not in self.data:
-                raise ConfigurationError(f"config is missing required key {key!r}")
-        values = {key: _SCHEMA[key][0](key, value) for key, value in self.data.items()}
+    def __init__(self, data: dict, required=()):
+        values = _fields(None, data, _SCHEMA, ("payoff_matrix", "initial_law", *required))
+        self.data = _given(data, _SCHEMA)
         if "checkpoints" not in values:
             t = values["horizon"]
             self.data["checkpoints"] = values["checkpoints"] = [t / 4, t / 2, t]
@@ -179,12 +222,12 @@ class RunConfig:
         self.verdict = values["verdict"]
         self.resolution = values.get("resolution")
         self.output_dir = values.get("output_dir")
-        self._resolutions = values.get("resolutions")
+        self.resolutions = values.get("resolutions")
         schedule_keys = ("horizon", "alpha", "beta", "n_floor", "n_scale", "w_scale")
         try:
             # every resolution's schedule is this one with its resolution replaced;
             # it is made at the largest requested k, whose population is the largest
-            k = max([self.resolution or 1, *(self._resolutions or [])])
+            k = max([self.resolution or 1, *(self.resolutions or [])])
             self.base = ScalingSchedule(resolution=k, **{key: values[key] for key in schedule_keys})
         except DomainError as err:
             raise ConfigurationError(f"invalid config value: {err}") from err
@@ -194,7 +237,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"checkpoints must lie in [0, {self.base.horizon}], got {self.checkpoints}"
             )
-        require_sweep(self._resolutions or [], self.checkpoints)
+        require_sweep(self.resolutions or [], self.checkpoints)
         final = self.verdict.get("final_checkpoint")
         if final is not None and final not in self.checkpoints:
             raise ConfigurationError(
@@ -203,7 +246,9 @@ class RunConfig:
             )
 
     @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
+    def load(cls, path: str | None, overrides: dict, required=()) -> "RunConfig":
+        """The config file at ``path`` under the non-null ``overrides``; ``required``
+        names the keys the command needs beyond the payoff matrix and initial law."""
         data = {}
         if path is not None:
             try:
@@ -214,17 +259,11 @@ class RunConfig:
                 raise ConfigurationError(
                     f"config file {path} line {err.lineno}: {err.msg}"
                 ) from err
-        if not isinstance(data, dict):
-            raise ConfigurationError("config must be a JSON object")
-        return cls({**data, **{k: v for k, v in overrides.items() if v is not None}})
+        given = {k: v for k, v in overrides.items() if v is not None}
+        return cls({**_object(None, data), **given}, required)
 
     def schedule(self, resolution: int) -> ScalingSchedule:
         return replace(self.base, resolution=resolution)
-
-    def resolutions(self) -> list[int]:
-        if not self._resolutions:
-            raise ConfigurationError("config key 'resolutions' (list of k) is required")
-        return self._resolutions
 
     def to_dict(self) -> dict:
         out = dict(self.data)
@@ -291,9 +330,8 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = RunConfig.load(args.config, {"master_seed": args.seed, "resolution": args.k})
-    if config.resolution is None:
-        raise ConfigurationError("simulate needs a resolution (config 'resolution' or --k)")
+    overrides = {"master_seed": args.seed, "resolution": args.k}
+    config = RunConfig.load(args.config, overrides, required=("resolution",))
     outdir = _resolve_output_dir(
         args.output_dir, config, "trajectory.csv", "trajectory_sidecar.json"
     )
@@ -340,16 +378,20 @@ def _verdict(report, thresholds) -> tuple[bool, str]:
 
 def _load_sweep_config(args) -> RunConfig:
     """Config of a resolution sweep, with its command-line overrides applied."""
-    return RunConfig.load(
+    config = RunConfig.load(
         args.config,
         dict(master_seed=args.seed, ensemble_size=args.ensemble_size, resolutions=args.resolutions),
+        required=("resolutions",),
     )
+    if not config.resolutions:
+        raise ConfigurationError("config key 'resolutions' must list at least one k")
+    return config
 
 
 def cmd_converge(args) -> int:
     """``converge``; with ``args.regime`` (``regimes``) the regime scan."""
     config = _load_sweep_config(args)
-    ks = config.resolutions()
+    ks = config.resolutions
     require_sweep(ks, config.checkpoints, config.ensemble_size)
     if not args.regime:
         config.require_flow_steps()
@@ -391,7 +433,7 @@ def _run_regimes(args, config: RunConfig, outdir: Path) -> int:
         config.law,
         config.matrix,
         config.base,
-        config.resolutions(),
+        config.resolutions,
         config.ensemble_size,
         config.master_seed,
         jobs=args.jobs,
@@ -414,7 +456,7 @@ def cmd_residual(args) -> int:
     runs = []
     phis = standard_test_functions(config.matrix.dimension, config.base.horizon)
     # every node set is checked before the first chain step
-    for k in config.resolutions():
+    for k in config.resolutions:
         schedule = config.schedule(k)
         nodes = quadrature_checkpoints(schedule, stride=stride or (1 if k <= 128 else 4))
         try:

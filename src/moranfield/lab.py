@@ -118,55 +118,6 @@ class InitialLaw:
             out["concentration"] = [float(x) for x in self.concentration]
         return out
 
-    @classmethod
-    def from_dict(cls, data) -> "InitialLaw":
-        """Inverse of :meth:`to_dict`, the config's ``initial_law`` object: a
-        ``kind`` and that kind's one field, ``point``, ``concentration`` or
-        ``dimension``; every kind may carry ``dimension``, an integer equal to
-        the law's.  ConfigurationError names the ``initial_law.<key>`` that is
-        missing, unknown or invalid."""
-        if not isinstance(data, dict):
-            raise ConfigurationError("config key 'initial_law' must be an object")
-        makers = {
-            "dirac": ("point", cls.dirac),
-            "dirichlet": ("concentration", cls.dirichlet),
-            "uniform": ("dimension", cls.uniform),
-        }
-        kind = data.get("kind")
-        if not isinstance(kind, str) or kind not in makers:
-            raise ConfigurationError(
-                f"config key 'initial_law.kind' must be one of {sorted(makers)}, got {kind!r}"
-            )
-        field, make = makers[kind]
-        extra = set(data) - {"kind", "dimension", field}
-        if extra:
-            raise ConfigurationError(
-                f"unknown config key 'initial_law.{min(extra)}' for a {kind} law"
-            )
-        dimension = data.get("dimension")
-        if dimension is not None:
-            try:
-                # int() reads "3" and 3.0, but would truncate 2.5 and read true as 1
-                if isinstance(dimension, bool) or float(dimension) != int(dimension):
-                    raise ValueError
-            except (TypeError, ValueError, OverflowError):
-                msg = f"config key 'initial_law.dimension' must be an integer, got {dimension!r}"
-                raise ConfigurationError(msg) from None
-            data = {**data, "dimension": int(dimension)}
-        try:
-            law = make(data[field])
-        except KeyError:
-            msg = f"config is missing required key 'initial_law.{field}'"
-            raise ConfigurationError(msg) from None
-        except (TypeError, ValueError) as err:
-            raise ConfigurationError(f"invalid config key 'initial_law.{field}': {err}") from err
-        if dimension is not None and data["dimension"] != law.dimension:
-            raise ConfigurationError(
-                f"config key 'initial_law.dimension' ({dimension!r}) does not match "
-                f"the {law.dimension} entries of 'initial_law.{field}'"
-            )
-        return law
-
     def require_matrix(self, matrix: PayoffMatrix) -> None:
         """ConfigurationError unless this law draws points of ``matrix``'s dimension."""
         if self.dimension != matrix.dimension:

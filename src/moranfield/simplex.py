@@ -185,19 +185,17 @@ def fitness_coefficients(entries: np.ndarray, population: int, w: float) -> np.n
 
 
 def replicator_field(point: SimplexPoint, matrix: PayoffMatrix) -> np.ndarray:
-    """Replicator vector field b at ``point``.
+    """Replicator vector field b at ``point``: :func:`replicator_field_array`'s one row."""
+    require_strategies(point.dimension, matrix.entries)
+    return replicator_field_array(point.coords[None, :], matrix.entries)[0]
+
+
+def replicator_field_array(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Replicator vector field b on an (R, M) array of simplex points.
 
     ``b_i = lam_i * ((A lam)_i - (A lam) . lam)``.  The components sum to
     zero, so the field is tangent to the simplex.
     """
-    require_strategies(point.dimension, matrix.entries)
-    lam = point.coords
-    a_lam = matrix.entries @ lam
-    return lam * (a_lam - float(a_lam @ lam))
-
-
-def replicator_field_array(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Vectorized replicator field on an (R, M) array of simplex points."""
     a_lam = points @ entries.T
     mean = np.einsum("ij,ij->i", a_lam, points)
     return points * (a_lam - mean[:, None])

@@ -424,6 +424,14 @@ class TestConfigValidation:
             ("simulate", {"horizon": 5e-324}, "horizon"),
             # an explicit list is checked against the horizon
             ("simulate", {"horizon": 0.5, "checkpoints": [1.0]}, "checkpoints"),
+            # a null is an absent key; each command names the keys it needs
+            ("simulate", {"resolution": None}, "'resolution'"),
+            ("residual", {"resolutions": None}, "'resolutions'"),
+            ("converge", {"resolutions": []}, "'resolutions'"),
+            ("converge", {"initial_law": None}, "'initial_law'"),
+            ("converge", {"initial_law": 5}, "'initial_law'"),
+            ("converge", {"verdict": [0.5]}, "'verdict'"),
+            ("converge", {"initial_law": {"kind": "dirac", "point": None}}, "'initial_law.point'"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, command, overrides, key):
@@ -505,6 +513,7 @@ class TestConfigValidation:
             ("converge", {"n_scale": 1e18}, ["n_scale", "alpha"]),
             ("regimes", {"n_scale": 1e18}, ["n_scale", "alpha"]),
             ("regimes", {"n_scale": 1e308, "alpha": 2}, ["n_scale", "alpha"]),
+            ("regimes", {"resolutions": None}, ["'resolutions'"]),
         ],
     )
     def test_sweep_refused_before_any_chain_or_schedule_line(
@@ -515,7 +524,7 @@ class TestConfigValidation:
 
         monkeypatch.setattr(lab, "run_ensemble", unreachable)
         monkeypatch.setattr(cli, "run_ensemble", unreachable)
-        cfg = write_config(tmp_path / "cfg.json", resolutions=[8, 16], **overrides)
+        cfg = write_config(tmp_path / "cfg.json", **{"resolutions": [8, 16], **overrides})
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--output-dir", str(out), "--jobs", "1"]
         assert main(argv + dry_run) == 2
@@ -613,7 +622,32 @@ class TestConfigValidation:
     def test_integral_float_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", resolutions=[8.0, 16], ensemble_size=12.0)
         config = RunConfig.load(str(cfg), {})
-        assert (config.ensemble_size, config.resolutions()) == (12, [8, 16])
+        assert (config.ensemble_size, config.resolutions) == (12, [8, 16])
+
+    def test_null_inside_an_object_takes_its_default(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            resolutions=[8, 16],
+            verdict={"final_ratio": None, "final_checkpoint": None},
+            initial_law={"kind": "dirac", "point": [0.25, 0.75], "dimension": None},
+        )
+        config = RunConfig.load(str(cfg), {})
+        assert config.verdict == {"max_consecutive_ratio": 1.2, "final_ratio": 0.5}
+        assert config.law.to_dict() == {"kind": "dirac", "dimension": 2, "point": [0.25, 0.75]}
+        assert main(["converge", "--dry-run", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            lab.InitialLaw.dirac([0.2, 0.3, 0.5]),
+            lab.InitialLaw.dirichlet([2.0, 3.0, 1.0]),
+            lab.InitialLaw.uniform(3),
+        ],
+    )
+    def test_initial_law_round_trips_through_the_config(self, law):
+        matrix = [[1.0, 2.0, 0.5], [3.0, 4.0, 1.0], [0.5, 1.0, 2.0]]
+        config = RunConfig({"payoff_matrix": matrix, "initial_law": law.to_dict()})
+        assert config.to_dict()["initial_law"] == law.to_dict()
 
     @pytest.mark.parametrize(
         "law, key",

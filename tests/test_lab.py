@@ -91,15 +91,6 @@ class TestInitialLaw:
         with pytest.raises(DomainError):
             InitialLaw.dirichlet([1.0, bad])
 
-    def test_dict_roundtrip(self):
-        for law in (
-            InitialLaw.dirac(SimplexPoint([0.4, 0.6])),
-            InitialLaw.dirichlet([2.0, 3.0, 1.0]),
-            InitialLaw.uniform(4),
-        ):
-            again = InitialLaw.from_dict(law.to_dict())
-            assert again.kind == law.kind and again.dimension == law.dimension
-
     def test_draws_keyed_by_replica(self):
         law = InitialLaw.dirichlet([2.0, 2.0])
         a = draw_initial_samples(law, 10, master_seed=5)
